@@ -7,6 +7,8 @@ instability-mitigation rule for near-degenerate phase references),
 maximum-likelihood recovery of the representative unitary, and bootstrap
 error bars by residual resampling.
 """
+from collections import Counter, namedtuple
+
 import numpy as np
 
 from . import linalg, photonic
@@ -86,6 +88,17 @@ class CharacterizationDataset:
             self._envelopes[key] = q
         return self._envelopes[key]
 
+    def calibration_envelope(self):
+        """Cached overlap envelope of the calibration spectra (the first
+        two input spectra when the dataset names none)."""
+        if "calibration" not in self._envelopes:
+            spectra = self.calibration_spectra
+            if spectra is None:
+                spectra = (self.spectra[0], self.spectra[1])
+            self._envelopes["calibration"], _ = photonic.cross_envelope(
+                *spectra)
+        return self._envelopes["calibration"]
+
     def missing_choice_keys(self):
         return sorted(required_choice_keys(self.m) - set(self.coincidence))
 
@@ -151,22 +164,30 @@ def reflectivity_from_alpha(alpha22):
     return float(np.sqrt(alpha22 / (1.0 + alpha22)))
 
 
+def _column(const):
+    """Per-curve constants as an (N, 1) column for stacked shape terms."""
+    return np.reshape(np.asarray(const, dtype=float), (-1, 1))
+
+
 def cosine_curve_model(q, base_const, amp_const):
     """C(τ) = scale·(base + amp_const·cos(shape)·Q(τ−shift)): the common
-    form of every coincidence curve with the phase combination as shape."""
+    form of every coincidence curve with the phase combination as shape.
+    The constants may be arrays, one entry per curve of a stacked ``q``."""
+    base_c, amp_c = _column(base_const), _column(amp_const)
     return CurveModel(
         q,
-        base=lambda s: base_const,
-        amp=lambda s: amp_const * np.cos(s),
+        base=lambda s: base_c,
+        amp=lambda s: amp_c * np.cos(s),
         dbase=lambda s: 0.0,
-        damp=lambda s: -amp_const * np.sin(s),
+        damp=lambda s: -amp_c * np.sin(s),
     )
 
 
 def calibration_curve_model(q, cos_vartheta):
     """Reference beam-splitter coincidence with γ as the shape parameter:
-    C(τ) = scale·(c⁴ + s⁴ − 2γc²s²·Q(τ−shift))."""
-    c2 = cos_vartheta ** 2
+    C(τ) = scale·(c⁴ + s⁴ − 2γc²s²·Q(τ−shift)).  ``cos_vartheta`` may be
+    an array, one entry per curve of a stacked ``q``."""
+    c2 = _column(cos_vartheta) ** 2
     s2 = 1.0 - c2
     base_const = c2 ** 2 + s2 ** 2
     amp_const = -2.0 * c2 * s2
@@ -179,42 +200,122 @@ def calibration_curve_model(q, cos_vartheta):
     )
 
 
+# one curve of a pipeline stage: the constants are the model family's
+# per-curve arguments after the envelope
+_Request = namedtuple("_Request", "envelope consts curve seeds")
+
+
+def _fit_stage(requests, family):
+    """Fit every request of one pipeline stage with the model ``family``.
+
+    Requests that share a τ grid, an ω grid and a start count go through
+    fit_curve as one stacked fit.  Returns each request's FitResult or
+    FitFailure, in request order.
+    """
+    groups = {}
+    for k, req in enumerate(requests):
+        key = (req.curve[0].tobytes(), req.envelope.grid.tobytes(),
+               len(req.seeds))
+        groups.setdefault(key, []).append(k)
+    out = [None] * len(requests)
+    for members in groups.values():
+        group = [requests[k] for k in members]
+        model = family(photonic.Envelope.stack([r.envelope for r in group]),
+                       *np.array([r.consts for r in group]).T)
+        batch = fit_curve(model, group[0].curve[0],
+                          np.array([r.curve[1] for r in group]),
+                          seeds=np.array([r.seeds for r in group]))
+        for k, res in zip(members, batch.results):
+            out[k] = res
+    return out
+
+
+def _unwrap(outcome):
+    """A stacked stage's entry for one dataset: raise it if it is an error."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
 def calibrate_gamma(calibration_single, calibration_curve, q,
                     eps=0.05, warm=None):
     """Estimate the mode-matching parameter γ from the reference
-    beam-splitter data; returns (γ̃, σ(γ̃), fit)."""
-    alpha, _ = estimate_amplitudes(calibration_single)
-    cos_vt = reflectivity_from_alpha(alpha[1, 1])
-    model = calibration_curve_model(q, cos_vt)
-    tau, counts = calibration_curve
+    beam-splitter data; returns (γ̃, σ(γ̃), fit).
+
+    Lists of singles, curves and envelopes, one entry per dataset (``warm``
+    shared), calibrate every dataset in one stacked fit; the list returned
+    holds each dataset's (γ̃, σ(γ̃), fit) or the InterferoError it raised.
+    """
+    stacked = isinstance(calibration_single, list)
+    if not stacked:
+        calibration_single, calibration_curve, q = (
+            [calibration_single], [calibration_curve], [q])
     seeds = (warm,) if warm is not None else SHAPE_SEEDS
-    fit = fit_curve(model, tau, counts, seeds=seeds)
-    gamma = fit.shape
-    if not -eps <= gamma <= 1.0 + eps:
-        raise CalibrationOutOfRange("fitted mode matching outside [0, 1]",
-                                    gamma=float(gamma), eps=eps)
-    sigma = float(param_sigmas(model, tau, counts, fit)[0])
-    return float(np.clip(gamma, 0.0, 1.0)), sigma, fit
+    out = [None] * len(calibration_single)
+    owners, requests = [], []
+    for k, (singles, curve, env) in enumerate(
+            zip(calibration_single, calibration_curve, q)):
+        try:
+            alpha, _ = estimate_amplitudes(singles)
+        except InterferoError as exc:
+            out[k] = exc
+            continue
+        curve = tuple(np.asarray(v, dtype=float) for v in curve)
+        owners.append(k)
+        requests.append(_Request(env, (reflectivity_from_alpha(alpha[1, 1]),),
+                                 curve, seeds))
+    for k, req, fit in zip(owners, requests,
+                           _fit_stage(requests, calibration_curve_model)):
+        if isinstance(fit, FitFailure):
+            out[k] = fit
+            continue
+        gamma = fit.shape
+        if not -eps <= gamma <= 1.0 + eps:
+            out[k] = CalibrationOutOfRange(
+                "fitted mode matching outside [0, 1]",
+                gamma=float(gamma), eps=eps)
+            continue
+        model = calibration_curve_model(req.envelope, req.consts[0])
+        sigma = float(param_sigmas(model, *req.curve, fit)[0])
+        out[k] = (float(np.clip(gamma, 0.0, 1.0)), sigma, fit)
+    return out if stacked else _unwrap(out[0])
 
 
 # ---------------------------------------------------------------------------
 # argument magnitudes and signs
 # ---------------------------------------------------------------------------
+def _port_constants(alpha, gamma, ports):
+    """(base, amp) constants of the coincidence curve on ports (a,i,b,j)."""
+    a1, a2, b1, b2 = (p - 1 for p in ports)
+    al = alpha
+    base = (al[a1, b1] ** 2 * al[a2, b2] ** 2
+            + al[a1, b2] ** 2 * al[a2, b1] ** 2)
+    amp = (2.0 * gamma * al[a1, b1] * al[a1, b2]
+           * al[a2, b1] * al[a2, b2])
+    return base, amp
+
+
+def port_curve_model(dataset, ports, alpha, gamma):
+    """Model of the coincidence curve on ports (a,i,b,j), whose shape is
+    the phase combination β of the four paths."""
+    return cosine_curve_model(dataset.envelope(ports[2], ports[3]),
+                              *_port_constants(alpha, gamma, ports))
+
+
 def estimate_argument_magnitude(dataset, i, j, alpha, gamma, warm=None):
     """|θ̃_ij| ∈ [0, π] from the coincidence curve on ports (1,i,1,j),
     whose phase combination reduces to θ_ij itself."""
-    data = dataset.curve((1, i, 1, j))
+    ports = (1, i, 1, j)
+    data = dataset.curve(ports)
     if data is None:
         raise InsufficientData("missing coincidence curve",
-                               required=[photonic.canonical_curve_key((1, i, 1, j))])
-    a = alpha[i - 1, j - 1]
-    model = cosine_curve_model(dataset.envelope(1, j), a ** 2 + 1.0,
-                               2.0 * gamma * a)
+                               required=[photonic.canonical_curve_key(ports)])
     seeds = (warm,) if warm is not None else None
     try:
-        fit = fit_curve(model, data[0], data[1], seeds=seeds)
+        fit = fit_curve(port_curve_model(dataset, ports, alpha, gamma),
+                        data[0], data[1], seeds=seeds)
     except FitFailure as exc:
-        exc.details["ports"] = (1, i, 1, j)
+        exc.details["ports"] = ports
         raise
     return fold_angle(fit.shape), fit
 
@@ -243,113 +344,217 @@ def reference_distance(k):
     return min(fk, np.pi - fk)
 
 
-def _fit_beta(dataset, ports, alpha, gamma, warm=None):
-    """Measured phase combination β ∈ [0, π] for ports (a,i,b,j)."""
-    data = dataset.curve(ports)
-    if data is None:
-        return None, None
-    a1, a2, b1, b2 = ports
-    al = alpha
-    base = (al[a1 - 1, b1 - 1] ** 2 * al[a2 - 1, b2 - 1] ** 2
-            + al[a1 - 1, b2 - 1] ** 2 * al[a2 - 1, b1 - 1] ** 2)
-    ampc = (2.0 * gamma * al[a1 - 1, b1 - 1] * al[a1 - 1, b2 - 1]
-            * al[a2 - 1, b1 - 1] * al[a2 - 1, b2 - 1])
-    model = cosine_curve_model(dataset.envelope(b1, b2), base, ampc)
-    seeds = (warm,) if warm is not None else None
-    fit = fit_curve(model, data[0], data[1], seeds=seeds)
-    return fold_angle(fit.shape), fit
+def _sweep(m):
+    """Sign decisions in sweep order, as (i, j, default (a, b)) in the
+    relabeled frame (0-based): second column, second row, interior."""
+    items = [(i, 1, (1, 0)) for i in range(2, m)]
+    items += [(1, j, (0, 1)) for j in range(2, m)]
+    items += [(i, j, (1, 1)) for i in range(2, m) for j in range(2, m)]
+    return items
 
 
-def estimate_arguments(dataset, alpha, gamma, threshold=0.1, plan=None,
-                       warm_theta=None):
-    """Full argument matrix θ̃ with first row/column ≡ 0 and sgn θ₂₂ = +1.
+class _ArgumentSweep:
+    """One dataset's argument estimate, advanced stage by stage so that a
+    stack of datasets shares one batched fit per stage.
 
-    Magnitudes come from two-port curves against the reference ports;
-    signs follow the standard sweep (second column, second row, interior)
-    after relabeling ports so the magnitude nearest π/2 sits at (2,2).
-    Sign decisions whose reference combination lies within ``threshold`` of
-    {0, π} are re-derived from the best available alternate port pair.
-
-    Returns (theta, diagnostics, plan, fits); pass ``plan`` back in to
-    reuse the relabeling and tuple choices (bootstrap replicates).
+    A failure is held with its position in the stage; the earliest one is
+    the error a one-dataset run raises, and decisions after it are skipped.
     """
-    m = dataset.m
-    diagnostics = []
-    fits = {}
-    absth = np.zeros((m, m))
-    for i in range(2, m + 1):
-        for j in range(2, m + 1):
-            warm = None
-            if warm_theta is not None:
-                warm = abs(warm_theta[i - 1, j - 1])
-            absth[i - 1, j - 1], fit = estimate_argument_magnitude(
-                dataset, i, j, alpha, gamma, warm=warm)
-            fits[photonic.canonical_curve_key((1, i, 1, j))] = fit
 
-    # ---- relabel so the magnitude nearest π/2 is at (2,2) ----------------
-    if plan is not None:
-        istar, jstar = plan["relabel"]
-    else:
-        sub = np.abs(absth[1:, 1:] - np.pi / 2)
-        flat = int(np.argmin(sub))
-        istar = flat // (m - 1) + 2
-        jstar = flat % (m - 1) + 2
-    po = np.arange(m)          # relabeled index -> original index (0-based)
-    pi_ = np.arange(m)
-    po[1], po[istar - 1] = po[istar - 1], po[1]
-    pi_[1], pi_[jstar - 1] = pi_[jstar - 1], pi_[1]
-    if istar != 2 or jstar != 2:
-        diagnostics.append({"type": "relabel", "output": int(istar),
-                            "input": int(jstar)})
-    rel_alpha = alpha[np.ix_(po, pi_)]
-    rel_abs = absth[np.ix_(po, pi_)]
-    warm_rel = None
-    if warm_theta is not None:
-        warm_rel = warm_theta[np.ix_(po, pi_)]
+    def __init__(self, dataset, alpha, gamma, threshold, plan, warm_theta):
+        self.dataset = dataset
+        self.alpha = alpha
+        self.gamma = gamma
+        self.threshold = threshold
+        self.plan = plan
+        self.warm_theta = warm_theta
+        self.m = dataset.m
+        self.diagnostics = []
+        self.sweep_diagnostics = []     # (sweep position, entry)
+        self.fits = {}
+        self.error = None
+        self.error_at = np.inf
 
-    def orig_ports(a, i, b, j):
-        """Map a relabeled-frame port tuple (0-based) to original labels."""
-        return (int(po[a]) + 1, int(po[i]) + 1, int(pi_[b]) + 1, int(pi_[j]) + 1)
+    def fail(self, at, exc):
+        if at < self.error_at:
+            self.error, self.error_at = exc, at
 
-    theta = np.zeros((m, m))
-    known = np.zeros((m, m), dtype=bool)
-    known[0, :] = True
-    known[:, 0] = True
-    theta[1, 1] = rel_abs[1, 1]     # sign fixed positive by convention
-    known[1, 1] = True
+    def request(self, ports, warm):
+        """The fit of the curve on ports (a,i,b,j); None if it is absent."""
+        data = self.dataset.curve(ports)
+        if data is None:
+            return None
+        return _Request(self.dataset.envelope(ports[2], ports[3]),
+                        _port_constants(self.alpha, self.gamma, ports), data,
+                        SHAPE_SEEDS if warm is None else (warm,))
 
-    sign_plan = {} if plan is None else plan["signs"]
+    # ---- magnitudes --------------------------------------------------------
+    def magnitude_requests(self):
+        m = self.m
+        self.magnitude_ports = []
+        requests = []
+        for i in range(2, m + 1):
+            for j in range(2, m + 1):
+                ports = (1, i, 1, j)
+                warm = None
+                if self.warm_theta is not None:
+                    warm = abs(self.warm_theta[i - 1, j - 1])
+                req = self.request(ports, warm)
+                if req is None:
+                    self.fail(len(requests), InsufficientData(
+                        "missing coincidence curve",
+                        required=[photonic.canonical_curve_key(ports)]))
+                    return requests
+                self.magnitude_ports.append(ports)
+                requests.append(req)
+        return requests
 
-    def decide_sign(i, j, default_ab):
-        warm_phi = None
-        if plan is not None:
-            a, b = sign_plan[(i, j)]
+    def set_magnitudes(self, results):
+        absth = np.zeros((self.m, self.m))
+        for at, (ports, fit) in enumerate(zip(self.magnitude_ports, results)):
+            if isinstance(fit, FitFailure):
+                fit.details["ports"] = ports
+                self.fail(at, fit)
+                break
+            absth[ports[1] - 1, ports[3] - 1] = fold_angle(fit.shape)
+            self.fits[photonic.canonical_curve_key(ports)] = fit
+        if self.error is not None:
+            self.error_at = -1          # no sign decision follows
+            return
+        self._relabel(absth)
+
+    # ---- relabeling and sign levels ------------------------------------------
+    def _relabel(self, absth):
+        """Relabel so the magnitude nearest π/2 is at (2,2)."""
+        m = self.m
+        if self.plan is not None:
+            istar, jstar = self.plan["relabel"]
         else:
-            a, b = default_ab
-            k_ref = theta[a, b] - theta[a, j] - theta[i, b]
-            if reference_distance(k_ref) <= threshold:
-                a, b = _mitigate(i, j, (a, b), k_ref)
-            sign_plan[(i, j)] = (a, b)
-        ports = orig_ports(a, i, b, j)
-        if warm_rel is not None:
-            warm_phi = (theta[a, b] - theta[a, j] - theta[i, b]
-                        + warm_rel[i, j])
-        # ports are in original labels, so use the original-frame alpha
-        beta, fit = _fit_beta(dataset, ports, alpha, gamma, warm=warm_phi)
-        if beta is None:
-            raise InsufficientData("missing coincidence curve for sign",
-                                   required=[photonic.canonical_curve_key(ports)])
-        fits[photonic.canonical_curve_key(ports)] = fit
-        s = sign_calc(beta, theta[a, b], theta[a, j], theta[i, b],
-                      rel_abs[i, j])
-        if s == 0:
-            if rel_abs[i, j] > 1e-9:
-                diagnostics.append({"type": "sign-tie",
-                                    "target": (int(po[i]) + 1, int(pi_[j]) + 1)})
-            s = 1
-        return s
+            sub = np.abs(absth[1:, 1:] - np.pi / 2)
+            flat = int(np.argmin(sub))
+            istar = flat // (m - 1) + 2
+            jstar = flat % (m - 1) + 2
+        po = np.arange(m)      # relabeled index -> original index (0-based)
+        pi_ = np.arange(m)
+        po[1], po[istar - 1] = po[istar - 1], po[1]
+        pi_[1], pi_[jstar - 1] = pi_[jstar - 1], pi_[1]
+        if istar != 2 or jstar != 2:
+            self.diagnostics.append({"type": "relabel", "output": int(istar),
+                                     "input": int(jstar)})
+        self.relabel = (istar, jstar)
+        self.po, self.pi_ = po, pi_
+        self.rel_alpha = self.alpha[np.ix_(po, pi_)]
+        self.rel_abs = absth[np.ix_(po, pi_)]
+        self.warm_rel = None
+        if self.warm_theta is not None:
+            self.warm_rel = self.warm_theta[np.ix_(po, pi_)]
+        self.theta = np.zeros((m, m))
+        self.known = np.zeros((m, m), dtype=bool)
+        self.known[0, :] = True
+        self.known[:, 0] = True
+        self.theta[1, 1] = self.rel_abs[1, 1]   # sign positive by convention
+        self.known[1, 1] = True
+        self.sign_plan = {} if self.plan is None else self.plan["signs"]
+        self.items = _sweep(m)
+        self.levels = self._levels()
 
-    def _mitigate(i, j, default_ab, k_default):
+    def _tuple(self, i, j, default):
+        return default if self.plan is None else self.sign_plan[(i, j)]
+
+    def _levels(self):
+        """Dependency level of each sign decision.  Without warm starts no
+        fit depends on earlier signs, so every fit is on level 0; with them
+        a decision waits for the signs its warm start combines."""
+        if self.warm_theta is None:
+            return [0] * len(self.items)
+        level = {}
+        for i, j, default in self.items:
+            a, b = self._tuple(i, j, default)
+            deps = [level[d] for d in ((a, b), (a, j), (i, b)) if d in level]
+            level[(i, j)] = 1 + max(deps, default=-1)
+        return [level[(i, j)] for i, j, _ in self.items]
+
+    def orig_ports(self, a, i, b, j):
+        """Map a relabeled-frame port tuple (0-based) to original labels."""
+        po, pi_ = self.po, self.pi_
+        return (int(po[a]) + 1, int(po[i]) + 1, int(pi_[b]) + 1,
+                int(pi_[j]) + 1)
+
+    def target(self, i, j):
+        return (int(self.po[i]) + 1, int(self.pi_[j]) + 1)
+
+    def _warm_phi(self, a, b, i, j):
+        if self.warm_rel is None:
+            return None
+        th = self.theta
+        return th[a, b] - th[a, j] - th[i, b] + self.warm_rel[i, j]
+
+    # ---- signs ---------------------------------------------------------------
+    def sign_requests(self, level):
+        """Fits for the sign decisions on one dependency level."""
+        self.pending = []
+        requests = []
+        for pos, (i, j, default) in enumerate(self.items):
+            if self.levels[pos] != level or pos > self.error_at:
+                continue
+            a, b = self._tuple(i, j, default)
+            req = self.request(self.orig_ports(a, i, b, j),
+                               self._warm_phi(a, b, i, j))
+            self.pending.append((pos, i, j, (a, b), req))
+            if req is not None:
+                requests.append(req)
+        return requests
+
+    def decide(self, results):
+        """Decide the level's signs in sweep order from its fits."""
+        results = iter(results)
+        for pos, i, j, ab, req in self.pending:
+            fit = None if req is None else next(results)
+            if pos > self.error_at:
+                continue
+            try:
+                self._decide(pos, i, j, ab, fit)
+            except InterferoError as exc:
+                self.fail(pos, exc)
+
+    def _decide(self, pos, i, j, ab, fit):
+        theta = self.theta
+        if self.plan is None:
+            a, b = ab
+            k_ref = theta[a, b] - theta[a, j] - theta[i, b]
+            if reference_distance(k_ref) <= self.threshold:
+                alt = self._mitigate(pos, i, j, ab, k_ref)
+                if alt != ab:       # alternates are fitted when chosen
+                    ab = alt
+                    fit = _fit_stage([self.request(
+                        self.orig_ports(alt[0], i, alt[1], j),
+                        self._warm_phi(alt[0], alt[1], i, j))],
+                        cosine_curve_model)[0]
+            self.sign_plan[(i, j)] = ab
+        a, b = ab
+        ports = self.orig_ports(a, i, b, j)
+        key = photonic.canonical_curve_key(ports)
+        if fit is None:
+            raise InsufficientData("missing coincidence curve for sign",
+                                   required=[key])
+        if isinstance(fit, FitFailure):
+            fit.details["ports"] = ports
+            raise fit
+        self.fits[key] = fit
+        # ports are in original labels, so the fit used the original alpha
+        s = sign_calc(fold_angle(fit.shape), theta[a, b], theta[a, j],
+                      theta[i, b], self.rel_abs[i, j])
+        if s == 0:
+            if self.rel_abs[i, j] > 1e-9:
+                self.sweep_diagnostics.append(
+                    (pos, {"type": "sign-tie", "target": self.target(i, j)}))
+            s = 1
+        theta[i, j] = s * self.rel_abs[i, j]
+        self.known[i, j] = True
+
+    def _mitigate(self, pos, i, j, default_ab, k_default):
+        m = self.m
+        theta, known, rel_alpha = self.theta, self.known, self.rel_alpha
         ref_default = reference_distance(k_default)
         candidates = []
         for a in range(m):
@@ -365,48 +570,79 @@ def estimate_arguments(dataset, alpha, gamma, threshold=0.1, plan=None,
                 candidates.append((reference_distance(k), a, b))
         candidates.sort(reverse=True)
         good = [c for c in candidates
-                if c[0] > max(threshold, ref_default)]
+                if c[0] > max(self.threshold, ref_default)]
         for ref, a, b in good:
-            if dataset.curve(orig_ports(a, i, b, j)) is not None:
-                diagnostics.append({
+            if self.dataset.curve(self.orig_ports(a, i, b, j)) is not None:
+                self.sweep_diagnostics.append((pos, {
                     "type": "sign-rederived",
-                    "target": (int(po[i]) + 1, int(pi_[j]) + 1),
+                    "target": self.target(i, j),
                     "reference_distance": float(ref_default),
-                    "alternate": orig_ports(a, i, b, j),
-                    "alternate_distance": float(ref)})
+                    "alternate": self.orig_ports(a, i, b, j),
+                    "alternate_distance": float(ref)}))
                 return a, b
         if good:
             raise InsufficientData(
                 "instability mitigation needs curves that are absent",
-                required=[photonic.canonical_curve_key(orig_ports(a, i, b, j))
-                          for _, a, b in good])
-        diagnostics.append({
+                required=[photonic.canonical_curve_key(
+                    self.orig_ports(a, i, b, j)) for _, a, b in good])
+        self.sweep_diagnostics.append((pos, {
             "type": "sign-unstable",
-            "target": (int(po[i]) + 1, int(pi_[j]) + 1),
-            "reference_distance": float(ref_default)})
+            "target": self.target(i, j),
+            "reference_distance": float(ref_default)}))
         return default_ab
 
-    # second column of the relabeled frame: targets θ_{i2}, curve (2,i;1,2)
-    for i in range(2, m):
-        s = decide_sign(i, 1, (1, 0))
-        theta[i, 1] = s * rel_abs[i, 1]
-        known[i, 1] = True
-    # second row: targets θ_{2j}, curve (1,2;2,j)
-    for j in range(2, m):
-        s = decide_sign(1, j, (0, 1))
-        theta[1, j] = s * rel_abs[1, j]
-        known[1, j] = True
-    # interior: curve (2,i;2,j)
-    for i in range(2, m):
-        for j in range(2, m):
-            s = decide_sign(i, j, (1, 1))
-            theta[i, j] = s * rel_abs[i, j]
-            known[i, j] = True
+    def result(self):
+        if self.error is not None:
+            return self.error
+        out = np.zeros((self.m, self.m))
+        out[np.ix_(self.po, self.pi_)] = self.theta
+        ordered = sorted(self.sweep_diagnostics, key=lambda e: e[0])
+        diagnostics = self.diagnostics + [d for _, d in ordered]
+        plan_out = {"relabel": self.relabel, "signs": self.sign_plan}
+        return out, diagnostics, plan_out, self.fits
 
-    out = np.zeros((m, m))
-    out[np.ix_(po, pi_)] = theta
-    plan_out = {"relabel": (istar, jstar), "signs": sign_plan}
-    return out, diagnostics, plan_out, fits
+
+def _batched_stage(sweeps, requests_of, consume):
+    """One stage over a stack: every sweep's requests in one stacked fit."""
+    per_sweep = [requests_of(sw) for sw in sweeps]
+    results = iter(_fit_stage([r for reqs in per_sweep for r in reqs],
+                              cosine_curve_model))
+    for sw, reqs in zip(sweeps, per_sweep):
+        consume(sw, [next(results) for _ in reqs])
+
+
+def estimate_arguments(dataset, alpha, gamma, threshold=0.1, plan=None,
+                       warm_theta=None):
+    """Full argument matrix θ̃ with first row/column ≡ 0 and sgn θ₂₂ = +1.
+
+    Magnitudes come from two-port curves against the reference ports;
+    signs follow the standard sweep (second column, second row, interior)
+    after relabeling ports so the magnitude nearest π/2 sits at (2,2).
+    Sign decisions whose reference combination lies within ``threshold`` of
+    {0, π} are re-derived from the best available alternate port pair.
+
+    Returns (theta, diagnostics, plan, fits); pass ``plan`` back in to
+    reuse the relabeling and tuple choices (bootstrap replicates).
+
+    Lists of datasets, alphas and gammas (``plan`` and ``warm_theta``
+    shared) are estimated together: the magnitudes are one stacked fit, and
+    so is each dependency level of sign fits.  The list returned holds each
+    dataset's result or the InterferoError it raised.
+    """
+    stacked = isinstance(dataset, list)
+    if not stacked:
+        dataset, alpha, gamma = [dataset], [alpha], [gamma]
+    sweeps = [_ArgumentSweep(ds, a, g, threshold, plan, warm_theta)
+              for ds, a, g in zip(dataset, alpha, gamma)]
+    _batched_stage(sweeps, _ArgumentSweep.magnitude_requests,
+                   _ArgumentSweep.set_magnitudes)
+    live = [sw for sw in sweeps if sw.error is None]
+    n_levels = 1 + max((lv for sw in live for lv in sw.levels), default=-1)
+    for level in range(n_levels):
+        _batched_stage(live, lambda sw, level=level: sw.sign_requests(level),
+                       _ArgumentSweep.decide)
+    out = [sw.result() for sw in sweeps]
+    return out if stacked else _unwrap(out[0])
 
 
 # ---------------------------------------------------------------------------
@@ -473,39 +709,72 @@ class CharacterizedInterferometer:
 def characterize_dataset(dataset, threshold=0.1, gamma_override=None,
                          warm=None):
     """Point-estimate pipeline: amplitudes → calibration → arguments → W."""
-    missing = dataset.missing_choice_keys()
-    if missing:
-        raise InsufficientData("dataset lacks required coincidence curves",
-                               required=missing)
-    diagnostics = [repetition_convergence(dataset.single_counts)]
-    alpha, _alpha_sigma = estimate_amplitudes(dataset.single_counts)
+    return _unwrap(_characterize_stack([dataset], threshold, gamma_override,
+                                       warm)[0])
 
-    cal_fit = None
-    gamma_sigma = 0.0
-    if gamma_override is not None:
-        gamma = float(gamma_override)
-    elif (dataset.calibration_single is not None
-          and dataset.calibration_curve is not None):
-        spectra = dataset.calibration_spectra
-        if spectra is None:
-            spectra = (dataset.spectra[0], dataset.spectra[1])
-        q_cal, _ = photonic.cross_envelope(*spectra)
-        gamma, gamma_sigma, cal_fit = calibrate_gamma(
-            dataset.calibration_single, dataset.calibration_curve, q_cal,
+
+def _characterize_stack(datasets, threshold, gamma_override, warm):
+    """Run the point-estimate pipeline on several datasets at once.
+
+    Each fitting stage (calibration, magnitudes, each level of sign fits)
+    is one stacked fit over every dataset still running.  Returns each
+    dataset's PointEstimate or the error it raised.
+    """
+    out = [None] * len(datasets)
+    running = {}        # index -> [diagnostics, alpha, gamma, σ(γ), fit]
+    for k, ds in enumerate(datasets):
+        try:
+            missing = ds.missing_choice_keys()
+            if missing:
+                raise InsufficientData(
+                    "dataset lacks required coincidence curves",
+                    required=missing)
+            diagnostics = [repetition_convergence(ds.single_counts)]
+            alpha, _alpha_sigma = estimate_amplitudes(ds.single_counts)
+        except InterferoError as exc:
+            out[k] = exc
+            continue
+        gamma = 1.0 if gamma_override is None else float(gamma_override)
+        running[k] = [diagnostics, alpha, gamma, 0.0, None]
+
+    calibrated = [k for k in running if gamma_override is None
+                  and datasets[k].calibration_single is not None
+                  and datasets[k].calibration_curve is not None]
+    if calibrated:
+        results = calibrate_gamma(
+            [datasets[k].calibration_single for k in calibrated],
+            [datasets[k].calibration_curve for k in calibrated],
+            [datasets[k].calibration_envelope() for k in calibrated],
             warm=None if warm is None else warm.gamma)
-    else:
-        gamma = 1.0
-        diagnostics.append({"type": "no-calibration-data",
-                            "gamma_assumed": 1.0})
+        for k, res in zip(calibrated, results):
+            if isinstance(res, InterferoError):
+                out[k] = res
+                del running[k]
+            else:
+                running[k][2:] = res
+    for k, state in running.items():
+        if gamma_override is None and k not in calibrated:
+            state[0].append({"type": "no-calibration-data",
+                             "gamma_assumed": 1.0})
 
-    theta, arg_diag, plan, fits = estimate_arguments(
-        dataset, alpha, gamma, threshold=threshold,
+    keys = list(running)
+    results = estimate_arguments(
+        [datasets[k] for k in keys], [running[k][1] for k in keys],
+        [running[k][2] for k in keys], threshold=threshold,
         plan=None if warm is None else warm.plan,
-        warm_theta=None if warm is None else warm.theta)
-    diagnostics.extend(arg_diag)
-    w = max_likely_unitary(alpha, theta)
-    return PointEstimate(w, alpha, theta, gamma, gamma_sigma, plan, fits,
-                         cal_fit, diagnostics)
+        warm_theta=None if warm is None else warm.theta) if keys else []
+    for k, res in zip(keys, results):
+        diagnostics, alpha, gamma, gamma_sigma, cal_fit = running[k]
+        try:
+            theta, arg_diag, plan, fits = _unwrap(res)
+            w = max_likely_unitary(alpha, theta)
+        except (InterferoError, np.linalg.LinAlgError) as exc:
+            out[k] = exc
+            continue
+        diagnostics.extend(arg_diag)
+        out[k] = PointEstimate(w, alpha, theta, gamma, gamma_sigma, plan,
+                               fits, cal_fit, diagnostics)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -518,18 +787,6 @@ def _resample_curve(tau, counts, fit, model_curve, rng):
     return tau, model_curve * (1.0 + shuffled)
 
 
-def _fitted_values(dataset, key, fit, alpha, gamma):
-    a1, a2, b1, b2 = key
-    al = alpha
-    base = (al[a1 - 1, b1 - 1] ** 2 * al[a2 - 1, b2 - 1] ** 2
-            + al[a1 - 1, b2 - 1] ** 2 * al[a2 - 1, b1 - 1] ** 2)
-    ampc = (2.0 * gamma * al[a1 - 1, b1 - 1] * al[a1 - 1, b2 - 1]
-            * al[a2 - 1, b1 - 1] * al[a2 - 1, b2 - 1])
-    model = cosine_curve_model(dataset.envelope(b1, b2), base, ampc)
-    tau, _ = dataset.coincidence[key]
-    return model.curve(tau, fit.shape, fit.scale, fit.shift)
-
-
 def bootstrap(dataset, n_replicates=100, seed=0, threshold=0.1,
               gamma_override=None, max_failure_rate=0.1):
     """Error bars by residual resampling around the point estimate.
@@ -537,29 +794,30 @@ def bootstrap(dataset, n_replicates=100, seed=0, threshold=0.1,
     Each replicate resamples the single-count repetitions with replacement
     and rebuilds every consumed coincidence curve from its fitted model
     plus resampled normalized residuals, then re-runs the pipeline
-    warm-started from the point estimate.  σ(Re W), σ(Im W) and σ(γ) are
-    standard deviations over the successful replicates.
+    warm-started from the point estimate.  All replicates are built first
+    and run through the pipeline as one stack, so each fitting stage is one
+    batched fit over every replicate; a replicate that fails drops out on
+    its own.  σ(Re W), σ(Im W) and σ(γ) are standard deviations over the
+    successful replicates.
     """
     point = characterize_dataset(dataset, threshold=threshold,
                                  gamma_override=gamma_override)
-    m = dataset.m
-    model_curves = {key: _fitted_values(dataset, key, fit, point.alpha,
-                                        point.gamma)
-                    for key, fit in point.fits.items()}
+    model_curves = {}
+    for key, fit in point.fits.items():
+        model = port_curve_model(dataset, key, point.alpha, point.gamma)
+        model_curves[key] = model.curve(dataset.coincidence[key][0],
+                                        fit.shape, fit.scale, fit.shift)
     if point.calibration_fit is not None:
         cal_tau, cal_counts = dataset.calibration_curve
         cal_alpha, _ = estimate_amplitudes(dataset.calibration_single)
-        cos_vt = reflectivity_from_alpha(cal_alpha[1, 1])
-        spectra = dataset.calibration_spectra
-        if spectra is None:
-            spectra = (dataset.spectra[0], dataset.spectra[1])
-        q_cal, _ = photonic.cross_envelope(*spectra)
-        cal_model = calibration_curve_model(q_cal, cos_vt)
+        cal_model = calibration_curve_model(
+            dataset.calibration_envelope(),
+            reflectivity_from_alpha(cal_alpha[1, 1]))
         cal_values = cal_model.curve(cal_tau, point.calibration_fit.shape,
                                      point.calibration_fit.scale,
                                      point.calibration_fit.shift)
 
-    ws, gammas, failures = [], [], []
+    replicates = []
     for idx in range(n_replicates):
         rng = np.random.default_rng([int(seed), idx])
         pick = rng.integers(0, dataset.n_blocks, dataset.n_blocks)
@@ -578,14 +836,17 @@ def bootstrap(dataset, n_replicates=100, seed=0, threshold=0.1,
                                  cal_values, rng),
             calibration_spectra=dataset.calibration_spectra)
         rep._envelopes = dataset._envelopes   # same spectra, reuse cache
-        try:
-            est = characterize_dataset(rep, threshold=threshold,
-                                       gamma_override=gamma_override,
-                                       warm=point)
+        replicates.append(rep)
+
+    ws, gammas, failures = [], [], []
+    for idx, est in enumerate(_characterize_stack(
+            replicates, threshold, gamma_override, warm=point)):
+        if isinstance(est, Exception):
+            failures.append({"replicate": idx, "error": str(est),
+                             "class": _error_class(est)})
+        else:
             ws.append(est.w)
             gammas.append(est.gamma)
-        except (InterferoError, np.linalg.LinAlgError) as exc:
-            failures.append({"replicate": idx, "error": str(exc)})
     rate = len(failures) / n_replicates
     if rate > max_failure_rate:
         raise BootstrapUnstable("too many replicate failures",
@@ -597,10 +858,19 @@ def bootstrap(dataset, n_replicates=100, seed=0, threshold=0.1,
     gamma_sigma = float(np.std(gammas, ddof=ddof)) if gammas else 0.0
     diagnostics = list(point.diagnostics)
     if failures:
+        by_class = Counter(f["class"] for f in failures)
         diagnostics.append({"type": "bootstrap-failures",
-                            "count": len(failures), "log": failures[:20]})
+                            "count": len(failures),
+                            "by_class": dict(sorted(by_class.items())),
+                            "log": failures[:20]})
     return CharacterizedInterferometer(point.w, sigma_re, sigma_im,
                                        point.gamma, gamma_sigma, diagnostics)
+
+
+def _error_class(exc):
+    """Failure class of a pipeline error: the InterferoError code, or the
+    exception's type name for numpy linear-algebra errors."""
+    return getattr(exc, "code", type(exc).__name__)
 
 
 # ---------------------------------------------------------------------------

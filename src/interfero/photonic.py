@@ -5,6 +5,7 @@ and the two-photon coincidence integral with mode-matching parameter γ.
 Frequencies and times are dimensionless-normalized (ω in units of the
 spectral width); unit handling belongs to the CLI layer.
 """
+import functools
 import warnings
 
 import numpy as np
@@ -157,65 +158,79 @@ def _common_grid(f1, f2):
     return grid, v1, v2
 
 
+@functools.lru_cache(maxsize=32)
+def _phase_matrix(tau_bytes, grid_bytes):
+    """e^{iτω} as a read-only (T, G) array, one per distinct (τ grid, ω grid)."""
+    tau = np.frombuffer(tau_bytes)
+    grid = np.frombuffer(grid_bytes)
+    p = np.exp(1j * np.outer(tau, grid))
+    p.flags.writeable = False
+    return p
+
+
+class Envelope:
+    """Normalized two-photon overlap envelope
+    Q(τ) = |Σ_ω g(ω) e^{iωτ}|² / I0 on one ω grid.
+
+    ``g`` is the quadrature-weighted spectral product, either one row (G,)
+    with a scalar ``i0`` or a stack of N rows (N, G) with ``i0`` of shape
+    (N,): a stack evaluates N envelopes that share the grid at once.
+    """
+
+    def __init__(self, grid, g, i0):
+        self.grid = grid
+        self.g = g
+        self.i0 = i0
+
+    @classmethod
+    def stack(cls, envelopes):
+        """One N-row envelope from N envelopes on the same ω grid."""
+        grid = envelopes[0].grid
+        if any(not np.array_equal(e.grid, grid) for e in envelopes):
+            raise ValueError("stacked envelopes need one frequency grid")
+        return cls(grid, np.array([e.g for e in envelopes]),
+                   np.array([e.i0 for e in envelopes], dtype=float))
+
+    def __call__(self, tau):
+        """Q(τ) for a scalar or an array of delays (single envelope)."""
+        out = self.shifted(np.atleast_1d(np.asarray(tau, dtype=float)), 0.0)
+        return out if np.ndim(tau) else float(out[0])
+
+    def shifted(self, tau, shift, rows=None, derivative=False):
+        """Q(τ − shift), and dQ/dτ there when ``derivative`` is set.
+
+        A scalar shift gives Q of a single envelope, shape (T,).  K shifts
+        give (K, T): row k uses envelope row ``rows[k]`` (row k when
+        ``rows`` is None) and is computed by its own matrix-vector product,
+        so its value does not depend on the other rows evaluated with it.
+        All rows share the cached phase matrix of (τ grid, ω grid), and the
+        shift is folded into the spectral weights.
+        """
+        tau = np.asarray(tau, dtype=float)
+        phases = _phase_matrix(tau.tobytes(), self.grid.tobytes())
+        if np.ndim(shift) == 0:
+            gt = phases @ (self.g * np.exp(-1j * self.grid * shift))
+            return (np.abs(gt) ** 2) / self.i0
+        g, i0 = self.g, np.reshape(self.i0, (-1, 1))
+        if rows is not None and g.ndim == 2:
+            g, i0 = g[rows], i0[rows]
+        gs = g * np.exp(-1j * self.grid * np.asarray(shift)[:, None])
+        gt = np.matmul(phases, gs[:, :, None])[:, :, 0]
+        if not derivative:
+            return (np.abs(gt) ** 2) / i0
+        gs *= 1j * self.grid
+        dgt = np.matmul(phases, gs[:, :, None])[:, :, 0]
+        return (np.abs(gt) ** 2) / i0, 2.0 * np.real(np.conj(gt) * dgt) / i0
+
+
 def cross_envelope(f_j, f_j2):
-    """Return (Q, I0) where Q(τ) = |∫ f_j f_j' e^{iωτ} dω|² / (I0_j·I0_j')
-    is the normalized two-photon overlap envelope and I0 the product of the
-    marginal quadrature norms.  Q is returned as a callable of τ (scalar or
-    array)."""
+    """Return (Q, I0): Q is the Envelope of Q(τ) = |∫ f_j f_j' e^{iωτ} dω|²
+    / (I0_j·I0_j') and I0 the product of the marginal quadrature norms."""
     grid, v1, v2 = _common_grid(f_j, f_j2)
     w = trapezoid_weights(grid)
     g = w * v1 * v2
-    i0_1 = float(np.sum(w * v1 ** 2))
-    i0_2 = float(np.sum(w * v2 ** 2))
-    i0 = i0_1 * i0_2
-
-    def q(tau):
-        tau = np.asarray(tau, dtype=float)
-        phases = np.exp(1j * np.outer(tau, grid))
-        gt = phases @ g
-        out = (np.abs(gt) ** 2) / i0
-        return out if tau.ndim else float(out)
-
-    def dq_dtau(tau):
-        tau = np.asarray(tau, dtype=float)
-        phases = np.exp(1j * np.outer(tau, grid))
-        gt = phases @ g
-        dgt = phases @ (1j * grid * g)
-        out = 2.0 * np.real(np.conj(gt) * dgt) / i0
-        return out if tau.ndim else float(out)
-
-    # fast path for curve fitting: the τ grid is fixed across iterations and
-    # only a scalar shift moves, so cache the phase matrix per grid and fold
-    # the shift into the spectral weights
-    phase_cache = {}
-
-    def _phases(tau):
-        key = tau.tobytes()
-        p = phase_cache.get(key)
-        if p is None:
-            if len(phase_cache) > 8:
-                phase_cache.clear()
-            p = np.exp(1j * np.outer(tau, grid))
-            phase_cache[key] = p
-        return p
-
-    def shifted(tau, shift):
-        tau = np.atleast_1d(np.asarray(tau, dtype=float))
-        gt = _phases(tau) @ (g * np.exp(-1j * grid * shift))
-        return (np.abs(gt) ** 2) / i0
-
-    def shifted_derivative(tau, shift):
-        tau = np.atleast_1d(np.asarray(tau, dtype=float))
-        gs = g * np.exp(-1j * grid * shift)
-        p = _phases(tau)
-        gt = p @ gs
-        dgt = p @ (1j * grid * gs)
-        return 2.0 * np.real(np.conj(gt) * dgt) / i0
-
-    q.derivative = dq_dtau
-    q.shifted = shifted
-    q.shifted_derivative = shifted_derivative
-    return q, i0
+    i0 = float(np.sum(w * v1 ** 2)) * float(np.sum(w * v2 ** 2))
+    return Envelope(grid, g, i0), i0
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +276,15 @@ def coincidence_probability(params, loss, gamma, f_j, f_j2, ports, tau):
     return float(pref * bracket)
 
 
-def coincidence_curve_model(params, loss, gamma, f_j, f_j2, ports):
+def coincidence_curve_model(params, loss, gamma, f_j, f_j2, ports,
+                            envelope=None):
     """Fast factorized coincidence model: C(τ) = pref·(base + amp·Q(τ)).
 
     Under the product trapezoid rule with real spectra the interference
     double sum factorizes exactly as cos(phase)·|G(τ)|², so this evaluates
-    to the same values as coincidence_probability.  Returns a callable of τ.
+    to the same values as coincidence_probability.  ``envelope`` is the
+    cross_envelope of (f_j, f_j2) when the caller already holds it.
+    Returns a callable of τ.
     """
     i, i2, j, j2 = ports
     al, th = params.alpha, params.theta
@@ -274,7 +292,8 @@ def coincidence_curve_model(params, loss, gamma, f_j, f_j2, ports):
     ii, ii2, jj, jj2 = i - 1, i2 - 1, j - 1, j2 - 1
     pref = (loss.kappa[ii] * loss.kappa[ii2] * lam[ii] * lam[ii2]
             * mu[jj] * mu[jj2] * loss.nu[jj] * loss.nu[jj2])
-    q, i0 = cross_envelope(f_j, f_j2)
+    q = envelope if envelope is not None else cross_envelope(f_j, f_j2)[0]
+    i0 = q.i0
     phase0 = th[ii, jj] - th[ii, jj2] - th[ii2, jj] + th[ii2, jj2]
     base = (al[ii, jj] ** 2 * al[ii2, jj2] ** 2
             + al[ii, jj2] ** 2 * al[ii2, jj] ** 2) * i0

@@ -98,6 +98,7 @@ def test_criterion_03_cost_formulas():
 # ---------------------------------------------------------------------------
 # 4. noiseless characterization exactness
 # ---------------------------------------------------------------------------
+@pytest.mark.slow
 def test_criterion_04_noiseless_characterization():
     t0 = time.time()
     worst = 0.0
@@ -117,6 +118,7 @@ def test_criterion_04_noiseless_characterization():
 # ---------------------------------------------------------------------------
 # 5. calibration advantage
 # ---------------------------------------------------------------------------
+@pytest.mark.slow
 def test_criterion_05_calibration_advantage():
     ok = True
     details = []
@@ -141,6 +143,7 @@ def test_criterion_05_calibration_advantage():
 # ---------------------------------------------------------------------------
 # 6. spectral-fit advantage
 # ---------------------------------------------------------------------------
+@pytest.mark.slow
 def test_criterion_06_spectral_fit_advantage():
     full = harness.run_trials(3, "full", 100, 77, gamma=0.95,
                               spectra_kind="double")
@@ -172,6 +175,7 @@ def test_criterion_07_reflectivity_fixture():
 # ---------------------------------------------------------------------------
 # 8. bootstrap coverage
 # ---------------------------------------------------------------------------
+@pytest.mark.slow
 def test_criterion_08_bootstrap_coverage():
     covered = 0
     total = 0
@@ -218,6 +222,7 @@ def _irreps_up_to(n, maxdim):
     return [k for k in out if bosonrep.irrep_dimension(k) <= maxdim]
 
 
+@pytest.mark.slow
 def test_criterion_09_dimension_law():
     checked = 0
     ok = True

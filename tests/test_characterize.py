@@ -3,8 +3,8 @@ import pytest
 
 from interfero import characterize, harness, linalg, photonic
 from interfero.errors import (CalibrationOutOfRange, DegenerateAmplitudes,
-                              DivisionByZeroCount, InsufficientData,
-                              ParseError)
+                              DivisionByZeroCount, FitFailure,
+                              InsufficientData, InterferoError, ParseError)
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +341,101 @@ def test_bootstrap_shot_noise_scaling():
         sig[photons] = np.mean(res.sigma_re[np.abs(res.sigma_re) > 0])
     ratio = sig[1e4] / sig[1e6]
     assert 4 < ratio < 25  # ~10x from sqrt(N) scaling
+
+
+def one_at_a_time(datasets, warm):
+    """Reference: each dataset through the one-dataset pipeline."""
+    out = []
+    for ds in datasets:
+        try:
+            out.append(characterize.characterize_dataset(ds, warm=warm))
+        except (InterferoError, np.linalg.LinAlgError) as exc:
+            out.append(exc)
+    return out
+
+
+def assert_same_outcomes(batched, reference):
+    for got, want in zip(batched, reference):
+        assert type(got) is type(want)
+        if isinstance(want, Exception):
+            assert str(got) == str(want)
+            assert got.details.get("ports") == want.details.get("ports")
+        else:
+            assert np.array_equal(got.w, want.w)
+            assert got.gamma == want.gamma
+
+
+def test_stacked_pipeline_fails_each_dataset_on_its_own():
+    u = linalg.haar_random_unitary(3, seed=4)
+    point = characterize.characterize_dataset(
+        harness.simulate_dataset(u, 0.9, seed=5))
+    datasets = [harness.simulate_dataset(u, 0.9, seed=s) for s in range(6)]
+    tau, counts = datasets[1].calibration_curve
+    datasets[1].calibration_curve = (tau, np.full_like(counts, 900.0))
+    key = (1, 2, 1, 3)
+    datasets[3].coincidence[key] = (tau, np.full_like(counts, 900.0))
+    batched = characterize._characterize_stack(datasets, 0.1, None, point)
+    reference = one_at_a_time(datasets, point)
+    assert isinstance(batched[1], FitFailure)
+    assert isinstance(batched[3], FitFailure)
+    assert batched[3].details["ports"] == key
+    assert_same_outcomes(batched, reference)
+
+
+def test_sign_fit_failure_names_ports():
+    u = linalg.haar_random_unitary(3, seed=3)
+    ds = harness.simulate_dataset(u, 1.0, seed=1, noise=False)
+    est = characterize.characterize_dataset(ds)
+    magnitudes = {photonic.canonical_curve_key((1, i, 1, j))
+                  for i in (2, 3) for j in (2, 3)}
+    key = next(k for k in est.fits if k not in magnitudes)
+    tau, counts = ds.coincidence[key]
+    ds.coincidence[key] = (tau, np.full_like(counts, counts.mean()))
+    with pytest.raises(FitFailure) as info:
+        characterize.characterize_dataset(ds)
+    assert photonic.canonical_curve_key(info.value.details["ports"]) == key
+
+
+@pytest.mark.parametrize("case", ["deterministic", "failing"])
+def test_bootstrap_stack_matches_one_replicate_at_a_time(case, monkeypatch):
+    if case == "deterministic":     # the test_bootstrap_deterministic data
+        u = linalg.haar_random_unitary(3, seed=4)
+        ds = harness.simulate_dataset(u, 0.9, seed=5, noise=True)
+        n, seed = 25, 42
+    else:                           # low counts: replicates fail
+        u = linalg.haar_random_unitary(3, seed=4)
+        ds = harness.simulate_dataset(u, 0.9, seed=4, photons_per_input=2e3,
+                                      pair_rate=4e2)
+        n, seed = 20, 3
+    seen = {}
+    stack = characterize._characterize_stack
+
+    def spy(datasets, threshold, gamma_override, warm):
+        out = stack(datasets, threshold, gamma_override, warm)
+        if warm is not None and not seen:     # the bootstrap's own call
+            seen.update(replicates=datasets, point=warm, out=out)
+        return out
+
+    monkeypatch.setattr(characterize, "_characterize_stack", spy)
+    res = characterize.bootstrap(ds, n_replicates=n, seed=seed,
+                                 max_failure_rate=1.0)
+    reference = one_at_a_time(seen["replicates"], seen["point"])
+    assert_same_outcomes(seen["out"], reference)
+    ws = [r.w for r in reference if not isinstance(r, Exception)]
+    assert np.array_equal(res.sigma_re, np.std(np.real(ws), axis=0, ddof=1))
+    assert np.array_equal(res.sigma_im, np.std(np.imag(ws), axis=0, ddof=1))
+    expected = [{"replicate": idx, "error": str(r), "class": r.code}
+                for idx, r in enumerate(reference) if isinstance(r, Exception)]
+    entries = [d for d in res.diagnostics
+               if d["type"] == "bootstrap-failures"]
+    if case == "deterministic":
+        assert not expected and not entries
+        return
+    (entry,) = entries
+    assert entry["log"] == expected[:20]
+    assert entry["count"] == len(expected)
+    assert sum(entry["by_class"].values()) == entry["count"]
+    assert len(entry["by_class"]) >= 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 
 from interfero import characterize, harness, linalg, photonic
+from interfero.errors import FitFailure
 
 
 def test_simulate_deterministic():
@@ -19,6 +20,26 @@ def test_simulate_noiseless_matches_probabilities():
     probs = np.abs(u) ** 2
     total = ds.single_counts.sum(axis=2)
     assert np.max(np.abs(total - probs * 1e4)) < 1e-8
+
+
+def test_simulate_matches_per_key_models():
+    u = linalg.haar_random_unitary(3, seed=6)
+    spectra = [photonic.double_peak_spectrum(), photonic.gaussian_spectrum(),
+               photonic.double_peak_spectrum(n_points=61)]
+    ds = harness.simulate_dataset(u, 0.8, seed=3, spectra=spectra,
+                                  noise=False)
+    params = photonic.representative_from_unitary(u)
+    loss = photonic.LossModel.lossless(3)
+    tau = harness.DEFAULT_TAU_GRID
+    for key, (_, counts) in ds.coincidence.items():
+        model = photonic.coincidence_curve_model(
+            params, loss, 0.8, spectra[key[2] - 1], spectra[key[3] - 1], key)
+        assert np.array_equal(counts, 2e5 * model(tau))
+    bs = photonic.representative_from_unitary(harness.beam_splitter_matrix(0.6))
+    model = photonic.coincidence_curve_model(
+        bs, photonic.LossModel.lossless(2), 0.8, spectra[0], spectra[1],
+        (1, 2, 1, 2))
+    assert np.array_equal(ds.calibration_curve[1], 2e5 * model(tau))
 
 
 def test_characterization_error_conjugation():
@@ -95,3 +116,14 @@ def test_mean_ratio_confidence():
     lo, hi = harness.mean_ratio_confidence(worse, better, seed=4)
     assert lo > 3.0
     assert lo < 5.0 < hi
+
+
+def test_run_trials_failures_carry_class(monkeypatch):
+    def failing(ds, **kwargs):
+        raise FitFailure("no start converged")
+
+    monkeypatch.setattr(harness, "characterize_dataset", failing)
+    report = harness.run_trials(3, "full", 2, seed=1)
+    assert report["failures"] == [
+        {"trial": t, "error": "no start converged", "class": "FitFailure"}
+        for t in range(2)]
