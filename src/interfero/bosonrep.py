@@ -106,10 +106,6 @@ class BosonPolynomial:
             raise LabelError("state has no definite site occupations")
         return tuple(occ[i] - occ[i + 1] for i in range(m - 1))
 
-    def boson_count(self):
-        occ = self.occupations()
-        return None if occ is None else sum(occ)
-
     # -- ring operations ----------------------------------------------------
     def __add__(self, other):
         self._check_compatible(other)
@@ -363,13 +359,6 @@ def _perm_sign(perm):
         if length % 2 == 0:
             sign = -sign
     return sign
-
-
-def hws_occupations(kappas):
-    """Site occupations of the highest-weight state: nu_i = sum_{k>=i} kappa_k."""
-    kappas = _validate_label(kappas)
-    n = len(kappas) + 1
-    return tuple(sum(kappas[i - 1:]) for i in range(1, n + 1))
 
 
 # ---------------------------------------------------------------------------

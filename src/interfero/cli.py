@@ -221,8 +221,7 @@ def _identity_checks(group, trials, seed):
     n = int(group[2:])
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
-        u = linalg.haar_random_unitary(n, rng=rng)
-        v = u / np.linalg.det(u) ** (1.0 / n)
+        v = linalg.haar_special_unitary(n, rng)
         if n == 2:
             beta = float(rng.uniform(0, math.pi))
             basis = sunrep.canonical_basis_states(2, (2,))
@@ -270,10 +269,7 @@ def _conjecture_probe(n, lam, rows, cols, seed, n_samples=40):
     a = np.zeros((n_samples, len(candidates)), dtype=complex)
     b = np.zeros(n_samples, dtype=complex)
     for t in range(n_samples):
-        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        q, r_ = np.linalg.qr(g)
-        q = q * (np.diag(r_) / np.abs(np.diag(r_)))
-        v = q / np.linalg.det(q) ** (1.0 / n)
+        v = linalg.haar_special_unitary(n, rng)
         sub = v[np.ix_([i - 1 for i in rows], [j - 1 for j in cols])]
         b[t] = immanants.immanant(sub, lam)
         for idx, (rl, cl) in enumerate(candidates):

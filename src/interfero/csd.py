@@ -11,7 +11,8 @@ element acts on states first (serialized ``order: rightmost-first``).
 import numpy as np
 
 from . import linalg
-from .errors import InvalidSplit, NotUnitary, ShapeMismatch, PlanCorrupt
+from .errors import (InvalidDimension, InvalidSplit, NotUnitary, ShapeMismatch,
+                     PlanCorrupt)
 
 # the balanced beam splitter constant
 B2 = np.array([[1.0, 1.0j], [1.0j, 1.0]], dtype=complex) / np.sqrt(2.0)
@@ -53,18 +54,6 @@ def cs_matrix(thetas, extra=0):
     for i in range(2 * m, 2 * m + extra):
         out[i, i] = 1.0
     return out
-
-
-def _mgs(cols):
-    """Orthonormalize columns in place, earliest columns perturbed least."""
-    q = cols.copy()
-    n = q.shape[1]
-    for j in range(n):
-        for i in range(j):
-            q[:, j] -= q[:, i] * np.vdot(q[:, i], q[:, j])
-        nrm = np.linalg.norm(q[:, j])
-        q[:, j] /= nrm
-    return q
 
 
 def csd(u, m, tol=linalg.DEFAULT_UNITARITY_TOL):
@@ -114,38 +103,18 @@ def csd(u, m, tol=linalg.DEFAULT_UNITARITY_TOL):
         # θ_i ≈ 0: B/C carry no information; pick r'_i from the
         # orthocomplement of the decided ones and let D transport it.
         decided = [i for i in range(m) if i not in undecided]
-        basis = rp[:, decided] if decided else np.zeros((n, 0), dtype=complex)
-        fresh = []
-        for j in range(n):
-            if len(fresh) == len(undecided):
-                break
-            cand = np.zeros(n, dtype=complex)
-            cand[j] = 1.0
-            for _ in range(2):
-                if basis.shape[1]:
-                    cand -= basis @ (basis.conj().T @ cand)
-                for f in fresh:
-                    cand -= f * np.vdot(f, cand)
-            nrm = np.linalg.norm(cand)
-            if nrm > 0.5:
-                fresh.append(cand / nrm)
-        for i, vec in zip(undecided, fresh):
+        fresh = linalg.orthonormal_completion(rp[:, decided])[:, len(decided):]
+        for i, vec in zip(undecided, fresh.T):
             rp[:, i] = vec
             dv = d @ vec
             lp[:, i] = dv / np.linalg.norm(dv)
 
     # orthonormal completions; R'⊥ = D† L'⊥ keeps the trailing block exactly I
-    lp_full = np.zeros((n, n), dtype=complex)
-    lp_full[:, :m] = lp
-    lp_full = linalg._orthonormal_completion(lp_full, n, m) if n > m else lp
-    if n > m:
-        lp_tail = lp_full[:, m:]
-        rp_full = np.concatenate([rp, d.conj().T @ lp_tail], axis=1)
-    else:
-        rp_full = rp
+    lp_full = linalg.orthonormal_completion(lp)
+    rp_full = np.concatenate([rp, d.conj().T @ lp_full[:, m:]], axis=1)
     # final polish: tiny-angle directions may be slightly non-orthogonal
-    rp_full = _mgs(rp_full)
-    lp_full = _mgs(lp_full)
+    rp_full = linalg.orthonormalize(rp_full)
+    lp_full = linalg.orthonormalize(lp_full)
 
     left = np.zeros((dim, dim), dtype=complex)
     left[:m, :m] = lm
@@ -194,40 +163,41 @@ class DecompositionPlan:
         return counts
 
 
-def element_matrix(element, n_s, n_p):
-    """Embed one optical element into the full n_s·n_p space."""
-    dim = n_s * n_p
-    k = element["mode"]
-    kind = element["kind"]
-    out = np.eye(dim, dtype=complex)
-    lo = (k - 1) * n_p
-    if kind == "BS":
-        if k < 1 or k + 1 > n_s:
-            raise PlanCorrupt("beam splitter mode out of range", mode=k)
-        out[lo:lo + 2 * n_p, lo:lo + 2 * n_p] = np.kron(B2, np.eye(n_p))
-    elif kind == "IU":
-        mat = element["matrix"]
-        if mat.shape != (n_p, n_p):
-            raise PlanCorrupt("internal unitary has wrong dimension",
-                              mode=k, shape=list(mat.shape))
-        out[lo:lo + n_p, lo:lo + n_p] = mat
-    elif kind == "IP":
-        phases = np.asarray(element["phases"], dtype=float)
-        if len(phases) % n_p != 0 or k - 1 + len(phases) // n_p > n_s:
-            raise PlanCorrupt("phase bank has wrong length",
-                              mode=k, count=len(phases))
-        out[lo:lo + len(phases), lo:lo + len(phases)] = np.diag(np.exp(1j * phases))
-    else:
-        raise PlanCorrupt(f"unknown element kind {kind!r}")
-    return out
-
-
 def reconstruct(plan):
-    """Multiply out a plan's elements (list order = product order)."""
-    dim = plan.n_s * plan.n_p
-    out = np.eye(dim, dtype=complex)
+    """Multiply out a plan's elements (list order = product order).
+
+    Each element right-multiplies only the columns of the spatial modes it
+    acts on, so a plan of E elements costs O(E·dim·n_p) instead of
+    O(E·dim³).
+    """
+    n_s, n_p = plan.n_s, plan.n_p
+    out = np.eye(n_s * n_p, dtype=complex)
     for e in plan.elements:
-        out = out @ element_matrix(e, plan.n_s, plan.n_p)
+        k = e["mode"]
+        kind = e["kind"]
+        if k < 1 or k > n_s:
+            raise PlanCorrupt("element mode out of range", mode=k, kind=kind)
+        lo = (k - 1) * n_p
+        if kind == "BS":
+            if k + 1 > n_s:
+                raise PlanCorrupt("beam splitter mode out of range", mode=k)
+            cols = slice(lo, lo + 2 * n_p)
+            out[:, cols] = out[:, cols] @ np.kron(B2, np.eye(n_p))
+        elif kind == "IU":
+            mat = e["matrix"]
+            if mat.shape != (n_p, n_p):
+                raise PlanCorrupt("internal unitary has wrong dimension",
+                                  mode=k, shape=list(mat.shape))
+            cols = slice(lo, lo + n_p)
+            out[:, cols] = out[:, cols] @ mat
+        elif kind == "IP":
+            phases = np.asarray(e["phases"], dtype=float)
+            if len(phases) % n_p != 0 or k - 1 + len(phases) // n_p > n_s:
+                raise PlanCorrupt("phase bank has wrong length",
+                                  mode=k, count=len(phases))
+            out[:, lo:lo + len(phases)] *= np.exp(1j * phases)
+        else:
+            raise PlanCorrupt(f"unknown element kind {kind!r}")
     return out
 
 
@@ -240,7 +210,9 @@ def factor_cs_matrix(angles, n_p, mode=1):
     [BS, IP(θ_l ; π−θ_l), BS, IP(0 ; π)] whose product equals S exactly.
     """
     t = np.asarray(angles, dtype=float)
-    assert len(t) == n_p, "need one angle per internal mode"
+    if t.shape != (n_p,):
+        raise ShapeMismatch("need one angle per internal mode",
+                            angles=list(t.shape), n_p=n_p)
     bank1 = np.concatenate([t, np.pi - t])
     bank2 = np.concatenate([np.zeros(n_p), np.pi * np.ones(n_p)])
     return [bs_element(mode), ip_element(mode, bank1),
@@ -284,9 +256,7 @@ def decompose(u, n_s, n_p, tol=linalg.DEFAULT_UNITARITY_TOL):
                        + [iu_element(p, r_np_dag)] + seq_mid)
             # merge R'† into the accumulated right matrix (modes j+1..n_s)
             off = (p - j) * n_p
-            emb = np.eye((modes_here - 1) * n_p, dtype=complex)
-            emb[off:, off:] = r_prime_dag
-            acc = emb @ acc
+            acc[off:, :] = r_prime_dag @ acc[off:, :]
             w = l_prime
         seq_left.append(iu_element(n_s, w))  # bottom of the L chain
         elements.extend(seq_left)
@@ -298,7 +268,8 @@ def decompose(u, n_s, n_p, tol=linalg.DEFAULT_UNITARITY_TOL):
 
 def cost_report(n_s, n_p):
     """Element-count accounting versus the triangular single-DOF mesh."""
-    assert n_s >= 1 and n_p >= 1
+    if n_s < 1 or n_p < 1:
+        raise InvalidDimension("n_s and n_p must be >= 1", n_s=n_s, n_p=n_p)
     bs = n_s * (n_s - 1)
     reck = n_s * n_p * (n_s * n_p - 1) // 2
     return {

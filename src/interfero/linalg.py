@@ -1,10 +1,10 @@
-"""Dense complex matrix core: SVD, Haar sampling, trace distance,
-nearest-unitary projection and representative canonicalization.
+"""Dense complex matrix core: SVD, orthonormalization, Haar sampling,
+trace distance, nearest-unitary projection and representative
+canonicalization.
 
 All functions are pure: inputs are never mutated and fresh arrays are
-returned.  The one iterative primitive (SVD) is a one-sided Jacobi sweep,
-implemented here directly so the rest of the toolkit does not depend on an
-external decomposition routine.
+returned.  SVD and QR are LAPACK's, through numpy; a LAPACK convergence
+failure surfaces as NumericalFailure.
 """
 import numpy as np
 
@@ -22,7 +22,8 @@ DEFAULT_UNITARITY_TOL = 1e-10
 def as_complex_matrix(m):
     """Return a fresh complex 2-D array, validating finiteness."""
     a = np.array(m, dtype=complex)
-    assert a.ndim == 2, "expected a 2-D matrix"
+    if a.ndim != 2:
+        raise ShapeError("expected a 2-D matrix", shape=list(a.shape))
     if not np.all(np.isfinite(a)):
         raise ShapeError("matrix contains non-finite entries")
     return a
@@ -49,39 +50,21 @@ def assert_unitary(u, tol=DEFAULT_UNITARITY_TOL):
 
 
 # ---------------------------------------------------------------------------
-# One-sided Jacobi SVD
+# SVD and orthonormalization (LAPACK through numpy)
 # ---------------------------------------------------------------------------
-def _orthonormal_completion(u_cols, r, have):
-    """Extend the orthonormal columns u_cols[:, :have] to a full r×r basis."""
-    u = u_cols
-    filled = have
-    for j in range(r):
-        if filled == r:
-            break
-        cand = np.zeros(r, dtype=complex)
-        cand[j] = 1.0
-        # two rounds of classical Gram-Schmidt for numerical safety
-        for _ in range(2):
-            cand = cand - u[:, :filled] @ (u[:, :filled].conj().T @ cand)
-        nrm = np.linalg.norm(cand)
-        if nrm > 0.5:
-            u[:, filled] = cand / nrm
-            filled += 1
-    if filled != r:
-        raise NumericalFailure("failed to complete orthonormal basis")
-    return u
+def _lapack_svd(a, **kwargs):
+    try:
+        return np.linalg.svd(a, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"SVD did not converge: {exc}") from exc
 
 
-def svd(m, tol=1e-14, max_sweeps=100):
-    """Singular value decomposition M = W diag(s) V† by one-sided Jacobi.
+def svd(m):
+    """Singular value decomposition M = W diag(s) V†.
 
     Parameters
     ----------
     m : array_like, shape (r, c)
-    tol : float
-        Relative off-diagonal threshold for column-pair rotations.
-    max_sweeps : int
-        Iteration cap; exceeding it raises NumericalFailure.
 
     Returns
     -------
@@ -89,80 +72,31 @@ def svd(m, tol=1e-14, max_sweeps=100):
     s : (min(r, c),) ndarray, nonincreasing nonnegative
     v : (c, c) ndarray, unitary  (note: V itself, not V†)
     """
-    a = as_complex_matrix(m)
-    r, c = a.shape
-    if r < c:
-        # work on the conjugate transpose and swap factors
-        w, s, v = svd(a.conj().T, tol=tol, max_sweeps=max_sweeps)
-        return v, s, w
-
-    v = np.eye(c, dtype=complex)
-    scale = np.max(np.abs(a)) if a.size else 0.0
-    if scale == 0.0:
-        return np.eye(r, dtype=complex), np.zeros(c), v
-    a = a / scale  # keep column norms O(1); restored on the spectrum below
-
-    for _ in range(max_sweeps):
-        rotated = False
-        for p in range(c - 1):
-            for q in range(p + 1, c):
-                app = np.real(np.vdot(a[:, p], a[:, p]))
-                aqq = np.real(np.vdot(a[:, q], a[:, q]))
-                apq = np.vdot(a[:, p], a[:, q])
-                b = abs(apq)
-                # negligible columns contribute singular values ~0; rotating
-                # against them only rephases and can cycle forever
-                if app < 1e-280 or aqq < 1e-280:
-                    continue
-                if b <= tol * np.sqrt(app * aqq) or b == 0.0:
-                    continue
-                rotated = True
-                phi = apq / b  # e^{i*arg(apq)}
-                tau = (aqq - app) / (2.0 * b)
-                if abs(tau) > 1e8:
-                    t = 1.0 / (2.0 * tau)
-                else:
-                    t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                if tau == 0.0:
-                    t = 1.0
-                cs = 1.0 / np.sqrt(1.0 + t * t)
-                sn = t * cs
-                # columns [p, q] <- [p, q] @ [[cs, sn], [-sn/phi, cs/phi]]
-                ap = a[:, p].copy()
-                aq = a[:, q].copy()
-                a[:, p] = cs * ap - (sn / phi) * aq
-                a[:, q] = sn * ap + (cs / phi) * aq
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = cs * vp - (sn / phi) * vq
-                v[:, q] = sn * vp + (cs / phi) * vq
-        if not rotated:
-            break
-    else:
-        raise NumericalFailure("Jacobi SVD did not converge",
-                               sweeps=max_sweeps)
-
-    s = np.sqrt(np.maximum(np.real(np.einsum("ij,ij->j", a.conj(), a)), 0.0))
-    order = np.argsort(-s, kind="stable")
-    s = s[order]
-    a = a[:, order]
-    v = v[:, order]
-
-    w = np.zeros((r, r), dtype=complex)
-    rank_tol = max(r, c) * np.finfo(float).eps * (s[0] if len(s) else 0.0)
-    have = 0
-    for j in range(c):
-        if s[j] > rank_tol and s[j] > 0.0:
-            w[:, j] = a[:, j] / s[j]
-            have = j + 1
-        else:
-            break
-    w = _orthonormal_completion(w, r, have)
-    return w, s * scale, v
+    w, s, vh = _lapack_svd(as_complex_matrix(m), full_matrices=True)
+    return w, s, vh.conj().T
 
 
 def singular_values(m):
-    return svd(m)[1]
+    return _lapack_svd(as_complex_matrix(m), compute_uv=False)
+
+
+def orthonormalize(cols):
+    """Gram–Schmidt of the columns of ``cols``: QR with a positive real R
+    diagonal, so the first j output columns span the same space as the
+    first j inputs and the earliest columns are perturbed least."""
+    q, r = np.linalg.qr(cols)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))[np.newaxis, :]
+
+
+def orthonormal_completion(cols):
+    """Extend the orthonormal columns of the n×k ``cols`` to an n×n unitary.
+
+    The first k columns of the result are ``cols`` exactly; the other n−k
+    span the orthogonal complement of their span.
+    """
+    q = np.linalg.qr(cols, mode="complete")[0]
+    return np.concatenate([cols, q[:, cols.shape[1]:]], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +134,16 @@ def haar_random_unitary(m, seed=None, rng=None):
     if rng is None:
         rng = np.random.default_rng(seed)
     z = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    q = q * (d / np.abs(d))[np.newaxis, :]
-    return q
+    return orthonormalize(z)
+
+
+def haar_special_unitary(n, rng):
+    """Haar-random element of SU(n): a Haar unitary divided by det^(1/n).
+
+    Draws exactly what ``haar_random_unitary(n, rng=rng)`` draws.
+    """
+    u = haar_random_unitary(n, rng=rng)
+    return u / np.linalg.det(u) ** (1.0 / n)
 
 
 def canonicalize_representative(v, zero_tol=1e-12):

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from interfero import cli, harness, io, linalg
+from interfero import cli, csd, harness, io, linalg
 
 
 def run(argv):
@@ -49,6 +49,24 @@ def test_decompose_domain_error_exit_1(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["schema"] == "v1"
     assert err["error"] == "NotUnitary"
+
+
+def test_reconstruct_corrupt_plan_exit_1(tmp_path, capsys):
+    plan = csd.DecompositionPlan(2, 1, [csd.iu_element(5, np.eye(1))])
+    io.write_plan(plan, tmp_path / "plan.json")
+    rc = run(["reconstruct", "--in", str(tmp_path / "plan.json"),
+              "--out", str(tmp_path / "u.json")])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "PlanCorrupt"
+
+
+@pytest.mark.parametrize("argv", [["--ns", "0", "--np", "2"],
+                                  ["--ns", "3", "--np", "0"]])
+def test_cost_invalid_dimension_exit_1(argv, capsys):
+    assert run(["cost", *argv]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["schema"] == "v1"
+    assert err["error"] == "InvalidDimension"
 
 
 def test_usage_error_exit_2():
@@ -121,8 +139,7 @@ def test_basis_verb(tmp_path):
 
 
 def test_dfunc_verb(tmp_path):
-    u = linalg.haar_random_unitary(3, seed=9)
-    v = u / np.linalg.det(u) ** (1 / 3)
+    v = linalg.haar_special_unitary(3, np.random.default_rng(9))
     io.write_matrix(v, tmp_path / "v.json")
     assert run(["dfunc", "--in", str(tmp_path / "v.json"), "--irrep", "1,1",
                 "--out", str(tmp_path / "d.json")]) == 0

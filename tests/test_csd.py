@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from interfero import csd, linalg
-from interfero.errors import InvalidSplit, NotUnitary, ShapeMismatch
+from interfero.errors import (
+    InvalidDimension,
+    InvalidSplit,
+    NotUnitary,
+    PlanCorrupt,
+    ShapeMismatch,
+)
 
 
 def check_csd(u, m, tol=1e-10):
@@ -84,6 +91,17 @@ def test_csd_mixed_tiny_angle():
     check_csd(left @ s @ right, 2)
 
 
+@pytest.mark.parametrize("dim,m", [(4, 2), (7, 3), (10, 5), (12, 4)])
+def test_csd_angles_match_lapack_cossin(dim, m):
+    cossin = pytest.importorskip("scipy.linalg").cossin
+    rng = np.random.default_rng(300 + dim)
+    for _ in range(3):
+        u = linalg.haar_random_unitary(dim, rng=rng)
+        _, theta, _ = cossin(u, p=m, q=m, separate=True)
+        ours = csd.csd(u, m).thetas
+        assert np.allclose(np.sort(ours), np.sort(theta), atol=1e-10)
+
+
 def test_csd_rejects_bad_split():
     u = linalg.haar_random_unitary(4, seed=1)
     with pytest.raises(InvalidSplit):
@@ -98,10 +116,25 @@ def test_csd_rejects_non_unitary():
 # ---------------------------------------------------------------------------
 # CS-matrix factorization into elements
 # ---------------------------------------------------------------------------
+def element_matrix(element, n_s, n_p):
+    """Dense oracle: embed one optical element into the full n_s·n_p space."""
+    k = element["mode"]
+    out = np.eye(n_s * n_p, dtype=complex)
+    lo = (k - 1) * n_p
+    if element["kind"] == "BS":
+        out[lo:lo + 2 * n_p, lo:lo + 2 * n_p] = np.kron(csd.B2, np.eye(n_p))
+    elif element["kind"] == "IU":
+        out[lo:lo + n_p, lo:lo + n_p] = element["matrix"]
+    else:
+        phases = element["phases"]
+        out[lo:lo + len(phases), lo:lo + len(phases)] = np.diag(np.exp(1j * phases))
+    return out
+
+
 def elements_product(elements, n_s, n_p):
     out = np.eye(n_s * n_p, dtype=complex)
     for e in elements:
-        out = out @ csd.element_matrix(e, n_s, n_p)
+        out = out @ element_matrix(e, n_s, n_p)
     return out
 
 
@@ -178,6 +211,86 @@ def test_decompose_round_trip(n_s, n_p):
         assert census["IU"] == n_s ** 2
 
 
+@pytest.mark.parametrize("n_s,n_p,seed", [(4, 8, 4), (5, 10, 0), (12, 5, 5)])
+def test_decompose_round_trip_wide_internal(n_s, n_p, seed):
+    # n_p >= 4 inputs on which completing L' once ran out of candidates
+    u = linalg.haar_random_unitary(n_s * n_p, seed=seed)
+    plan = csd.decompose(u, n_s, n_p)
+    assert linalg.trace_distance(csd.reconstruct(plan), u) < 1e-9
+    census = plan.census()
+    assert census["BS"] == n_s * (n_s - 1)
+    assert census["IU"] == n_s ** 2
+    assert census["IP"] == n_s * (n_s - 1)
+
+
+def degenerate_unitary(kind, n_s, n_p, seed):
+    """Unitaries whose CSDs hit θ = 0 (undecided directions) and θ = π/2."""
+    rng = np.random.default_rng(seed)
+    dim = n_s * n_p
+    if kind == "identity":
+        return np.eye(dim, dtype=complex)
+    if kind == "permutation":
+        return np.eye(dim, dtype=complex)[rng.permutation(dim)]
+    if kind == "block-diagonal":
+        cuts = np.sort(rng.choice(np.arange(1, dim), size=min(2, dim - 1),
+                                  replace=False)) if dim > 1 else []
+        u = np.zeros((dim, dim), dtype=complex)
+        for lo, hi in zip([0, *cuts], [*cuts, dim]):
+            u[lo:hi, lo:hi] = linalg.haar_random_unitary(hi - lo, rng=rng)
+        return u
+    # spatial swap ⊗ internal unitary
+    swap = np.eye(n_s)[rng.permutation(n_s)]
+    return np.kron(swap, linalg.haar_random_unitary(n_p, rng=rng))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["identity", "permutation", "block-diagonal",
+                             "swap-internal"]),
+       n_s=st.integers(1, 4), n_p=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_decompose_round_trip_degenerate(kind, n_s, n_p, seed):
+    u = degenerate_unitary(kind, n_s, n_p, seed)
+    plan = csd.decompose(u, n_s, n_p)
+    assert linalg.trace_distance(csd.reconstruct(plan), u) < 1e-9
+    assert plan.census()["BS"] == n_s * (n_s - 1)
+
+
+def test_reconstruct_matches_dense_oracle():
+    rng = np.random.default_rng(31)
+    n_s, n_p = 4, 3
+    elements = []
+    for _ in range(30):
+        kind = rng.choice(["BS", "IU", "IP"])
+        if kind == "BS":
+            elements.append(csd.bs_element(int(rng.integers(1, n_s))))
+        elif kind == "IU":
+            elements.append(csd.iu_element(
+                int(rng.integers(1, n_s + 1)),
+                linalg.haar_random_unitary(n_p, rng=rng)))
+        else:
+            mode = int(rng.integers(1, n_s))
+            elements.append(csd.ip_element(mode, rng.uniform(0, 2 * np.pi, 2 * n_p)))
+    plan = csd.DecompositionPlan(n_s, n_p, elements)
+    assert np.max(np.abs(csd.reconstruct(plan)
+                         - elements_product(elements, n_s, n_p))) < 1e-12
+
+
+@pytest.mark.parametrize("element", [
+    csd.bs_element(3),
+    csd.bs_element(0),
+    csd.iu_element(1, np.eye(3)),
+    csd.iu_element(0, np.eye(2)),
+    csd.iu_element(4, np.eye(2)),
+    csd.ip_element(1, np.zeros(3)),
+    csd.ip_element(3, np.zeros(4)),
+    csd.ip_element(0, np.zeros(2)),
+    {"kind": "XX", "mode": 1},
+])
+def test_reconstruct_rejects_corrupt_element(element):
+    with pytest.raises(PlanCorrupt):
+        csd.reconstruct(csd.DecompositionPlan(3, 2, [element]))
+
+
 def test_decompose_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         csd.decompose(linalg.haar_random_unitary(5, seed=3), 2, 2)
@@ -212,6 +325,17 @@ def test_cost_report_matches_decompose():
     u = linalg.haar_random_unitary(8, seed=88)
     plan = csd.decompose(u, 4, 2)
     assert plan.census()["BS"] == csd.cost_report(4, 2)["beam_splitters"]
+
+
+@pytest.mark.parametrize("n_s,n_p", [(0, 2), (3, 0)])
+def test_cost_report_rejects_empty_dimension(n_s, n_p):
+    with pytest.raises(InvalidDimension):
+        csd.cost_report(n_s, n_p)
+
+
+def test_factor_cs_matrix_needs_one_angle_per_internal_mode():
+    with pytest.raises(ShapeMismatch):
+        csd.factor_cs_matrix([0.1, 0.2], 3)
 
 
 def test_cost_reduction_exceeds_np_squared_over_two():

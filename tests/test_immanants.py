@@ -16,8 +16,7 @@ from interfero.errors import (
 
 
 def special_unitary(m, seed):
-    u = linalg.haar_random_unitary(m, seed=seed)
-    return u / np.linalg.det(u) ** (1.0 / m)
+    return linalg.haar_special_unitary(m, np.random.default_rng(seed))
 
 
 # ---------------------------------------------------------------------------

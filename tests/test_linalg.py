@@ -4,6 +4,7 @@ import pytest
 from interfero import linalg
 from interfero.errors import (
     InvalidDimension,
+    NumericalFailure,
     PhaseUndefined,
     ShapeError,
     SingularInput,
@@ -57,8 +58,9 @@ def test_svd_matches_numpy_oracle():
     for trial in range(10):
         m = random_complex(6, 4)
         s_ours = linalg.singular_values(m)
-        s_np = np.linalg.svd(m, compute_uv=False)
-        assert np.allclose(s_ours, s_np, atol=1e-10)
+        # independent of the SVD routine: square roots of eig(M†M)
+        s_ref = np.sqrt(np.linalg.eigvalsh(m.conj().T @ m))[::-1]
+        assert np.allclose(s_ours, s_ref, atol=1e-10)
 
 
 def test_svd_rank_deficient():
@@ -76,6 +78,53 @@ def test_svd_zero_matrix():
     w, s, v = linalg.svd(np.zeros((4, 2)))
     assert np.allclose(s, 0.0)
     assert linalg.unitarity_defect(w) < 1e-14
+
+
+@pytest.mark.parametrize("m", [np.ones(3), np.ones((2, 2, 2))])
+def test_svd_rejects_non_matrix(m):
+    with pytest.raises(ShapeError):
+        linalg.svd(m)
+
+
+def test_svd_lapack_failure_is_numerical_failure(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    with pytest.raises(NumericalFailure):
+        linalg.svd(np.eye(2))
+    with pytest.raises(NumericalFailure):
+        linalg.singular_values(np.eye(2))
+
+
+# ---------------------------------------------------------------------------
+# orthonormalize / orthonormal_completion
+# ---------------------------------------------------------------------------
+def modified_gram_schmidt(cols):
+    """Loop reference: earlier columns are subtracted from later ones."""
+    q = np.array(cols, dtype=complex)
+    for j in range(q.shape[1]):
+        for i in range(j):
+            q[:, j] -= q[:, i] * np.vdot(q[:, i], q[:, j])
+        q[:, j] /= np.linalg.norm(q[:, j])
+    return q
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (4, 4), (6, 3)])
+def test_orthonormalize_matches_gram_schmidt(shape):
+    m = random_complex(*shape)
+    q = linalg.orthonormalize(m)
+    assert np.max(np.abs(q - modified_gram_schmidt(m))) < 1e-12
+    assert np.max(np.abs(q.conj().T @ q - np.eye(shape[1]))) < 1e-14
+
+
+@pytest.mark.parametrize("n,k", [(5, 0), (5, 2), (6, 5), (4, 4)])
+def test_orthonormal_completion_keeps_given_columns(n, k):
+    cols = linalg.haar_random_unitary(n, seed=n + k)[:, :k]
+    full = linalg.orthonormal_completion(cols)
+    assert full.shape == (n, n)
+    assert np.array_equal(full[:, :k], cols)
+    assert linalg.unitarity_defect(full) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +150,16 @@ def test_haar_moment():
     vals = [abs(linalg.haar_random_unitary(m, rng=rng)[0, 0]) ** 2
             for _ in range(10_000)]
     assert abs(np.mean(vals) - 1.0 / m) < 0.01
+
+
+def test_haar_special_unitary_draws_like_haar_unitary():
+    rng_a = np.random.default_rng([7, 0])
+    rng_b = np.random.default_rng([7, 0])
+    v = linalg.haar_special_unitary(4, rng_a)
+    u = linalg.haar_random_unitary(4, rng=rng_b)
+    assert np.array_equal(v, u / np.linalg.det(u) ** (1.0 / 4))
+    assert abs(np.linalg.det(v) - 1.0) < 1e-12
+    assert rng_a.random() == rng_b.random()
 
 
 def test_haar_rejects_zero_dimension():

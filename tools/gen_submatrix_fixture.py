@@ -44,13 +44,6 @@ def indicator(index_set, n):
     return tuple(1 if i in index_set else 0 for i in range(1, n + 1))
 
 
-def special_unitary(n, rng):
-    g = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-    q, r = np.linalg.qr(g)
-    q = q * (np.diag(r) / np.abs(np.diag(r)))
-    return q / np.linalg.det(q) ** (1.0 / n)
-
-
 def derive_pairs(n, lam, rows, cols):
     kappas = immanants.partition_to_label(lam, n)
     dim_lam = immanants.sn_character(lam, (1,) * sum(lam))
@@ -62,7 +55,7 @@ def derive_pairs(n, lam, rows, cols):
     a = np.zeros((N_SAMPLES, len(candidates)), dtype=complex)
     b = np.zeros(N_SAMPLES, dtype=complex)
     for t in range(N_SAMPLES):
-        v = special_unitary(n, rng)
+        v = linalg.haar_special_unitary(n, rng)
         sub = v[np.ix_([i - 1 for i in rows], [j - 1 for j in cols])]
         b[t] = immanants.immanant(sub, lam)
         for idx, (r, c) in enumerate(candidates):
