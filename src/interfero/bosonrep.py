@@ -6,7 +6,7 @@ occupation matrices to coefficients.  Construction work (highest-weight
 states, generator actions, basis growth, orthogonalization) is carried out
 with exact ``Fraction`` coefficients, so linear-independence and
 orthogonality decisions are made without tolerances; floating point enters
-only when a state is normalized for numeric contraction.
+only when ``sunrep`` tabulates normalized coefficients for D-functions.
 
 Generators, acting on site indices only (summed over species):
 
@@ -16,10 +16,12 @@ Generators, acting on site indices only (summed over species):
 The su(m) subalgebra of the canonical chain acts on the first m sites.
 """
 import itertools
+from array import array
 from collections import deque
 from fractions import Fraction
 
 from .errors import (
+    InternalInconsistency,
     InvalidDimension,
     LabelError,
     NotHighestWeight,
@@ -109,7 +111,9 @@ class BosonPolynomial:
     # -- ring operations ----------------------------------------------------
     def __add__(self, other):
         self._check_compatible(other)
-        assert self.scale2 == other.scale2, "cannot add differently scaled states"
+        if self.scale2 != other.scale2:
+            raise InternalInconsistency("cannot add differently scaled states",
+                                        a=str(self.scale2), b=str(other.scale2))
         out = dict(self.terms)
         for mono, c in other.terms.items():
             s = out.get(mono, 0) + c
@@ -240,16 +244,9 @@ class BosonPolynomial:
     def normalized_exact(self):
         """Same raw coefficients with scale2 set to the exact squared norm."""
         n2 = self.norm2_raw()
-        assert n2 > 0, "cannot normalize the zero state"
+        if not n2 > 0:
+            raise InternalInconsistency("cannot normalize the zero state")
         return BosonPolynomial(self.n_sites, self.n_species, self.terms, n2)
-
-    def to_float(self):
-        """Complex-coefficient copy with the normalization folded in."""
-        import math
-        s = 1.0 / math.sqrt(float(self.scale2))
-        return BosonPolynomial(
-            self.n_sites, self.n_species,
-            {mono: complex(c) * s for mono, c in self.terms.items()})
 
 
 def _conj(c):
@@ -572,25 +569,26 @@ def _minor_det_mod(matrix_rows, p):
 
 
 class _ModEchelon:
-    """Row echelon over GF(p) for fingerprint vectors."""
+    """Row echelon over GF(p) for fingerprint vectors.
+
+    Rows are stored with their pivot scaled to 1, so elimination needs no
+    modular inverse.
+    """
 
     def __init__(self, p=_FP_PRIME):
         self.p = p
-        self.rows = []  # (pivot_index, row list)
+        self.rows = []  # (pivot_index, row list with row[pivot] == 1)
 
     def try_insert(self, vec):
         p = self.p
-        vec = list(vec)
         for pivot, row in self.rows:
             c = vec[pivot]
             if c:
-                factor = c * pow(row[pivot], p - 2, p) % p
-                for idx, val in enumerate(row):
-                    if val:
-                        vec[idx] = (vec[idx] - factor * val) % p
+                vec = [(x - c * y) % p for x, y in zip(vec, row)]
         for idx, val in enumerate(vec):
             if val:
-                self.rows.append((idx, vec))
+                inv = pow(val, p - 2, p)
+                self.rows.append((idx, [x * inv % p for x in vec]))
                 return True
         return False
 
@@ -622,17 +620,32 @@ def minor_basis_count(kappas, n=None, seed=0, n_points=24):
             table[s] = _minor_det_mod(rows, _FP_PRIME)
         det_tables.append(table)
 
+    mono_values = {}
+
+    def values(mono):
+        vals = mono_values.get(mono)
+        if vals is None:
+            # mono is sorted: one modular power per distinct subset
+            powers = [(subset, sum(1 for _ in run))
+                      for subset, run in itertools.groupby(mono)]
+            vals = []
+            for table in det_tables:
+                prod = 1
+                for subset, e in powers:
+                    x = table[subset]
+                    if e > 1:
+                        x = pow(x, e, _FP_PRIME)
+                    prod = prod * x % _FP_PRIME
+                vals.append(prod)
+            # packed 64-bit words: a quarter of the memory of int objects
+            vals = mono_values[mono] = array("Q", vals)
+        return vals
+
     def fingerprint(terms):
-        vec = []
-        for table in det_tables:
-            total = 0
-            for mono, coeff in terms.items():
-                prod = coeff % _FP_PRIME
-                for subset in mono:
-                    prod = prod * table[subset] % _FP_PRIME
-                total = (total + prod) % _FP_PRIME
-            vec.append(total)
-        return vec
+        vec = [0] * n_points
+        for mono, coeff in terms.items():
+            vec = [a + coeff * x for a, x in zip(vec, values(mono))]
+        return [a % _FP_PRIME for a in vec]
 
     def occupations(mono):
         occ = [0] * n
@@ -702,5 +715,7 @@ def irrep_dimension(kappas):
         for b in range(a, r):
             running += kappas[b]
             dim *= 1 + Fraction(running, b - a + 1)
-    assert dim.denominator == 1
+    if dim.denominator != 1:
+        raise InternalInconsistency("dimension formula gave a non-integer",
+                                    label=list(kappas), dimension=str(dim))
     return int(dim)

@@ -256,40 +256,18 @@ def _identity_checks(group, trials, seed):
 def _conjecture_probe(n, lam, rows, cols, seed, n_samples=40):
     """Exploratory test: is the submatrix immanant a +1-combination of
     dim(lambda) distinct irrep matrix elements?  Returns a report dict."""
-    kappas = immanants.partition_to_label(lam, n)
-    dim_lam = immanants.sn_character(lam, (1,) * sum(lam))
-
-    def indicator(index_set):
-        return tuple(1 if i in index_set else 0 for i in range(1, n + 1))
-
-    row_labels = sunrep.labels_with_weight(n, kappas, indicator(rows))
-    col_labels = sunrep.labels_with_weight(n, kappas, indicator(cols))
-    candidates = [(r, c) for r in row_labels for c in col_labels]
-    rng = np.random.default_rng(seed)
-    a = np.zeros((n_samples, len(candidates)), dtype=complex)
-    b = np.zeros(n_samples, dtype=complex)
-    for t in range(n_samples):
-        v = linalg.haar_special_unitary(n, rng)
-        sub = v[np.ix_([i - 1 for i in rows], [j - 1 for j in cols])]
-        b[t] = immanants.immanant(sub, lam)
-        for idx, (rl, cl) in enumerate(candidates):
-            a[t, idx] = sunrep.dfunction(n, v, rl, cl)
-    x, *_ = np.linalg.lstsq(a, b, rcond=None)
-    rounded = np.round(np.real(x)).astype(int)
-    clean = (float(np.max(np.abs(x - rounded))) < 1e-8
-             and set(rounded.tolist()) <= {0, 1}
-             and int(rounded.sum()) == dim_lam)
-    residual = float(np.max(np.abs(a @ rounded - b))) if clean else None
+    fit = immanants.fit_label_pairs(n, lam, rows, cols,
+                                    np.random.default_rng(seed), n_samples)
     return {
         "partition": list(lam),
         "rows": list(rows),
         "cols": list(cols),
-        "candidates": len(candidates),
-        "expected_terms": dim_lam,
-        "holds": bool(clean and residual is not None and residual < 1e-10),
-        "residual": residual,
-        "coefficients": [int(c) for c in rounded] if clean else
-                        [float(np.real(c)) for c in x],
+        "candidates": len(fit.candidates),
+        "expected_terms": fit.expected_terms,
+        "holds": bool(fit.clean and fit.residual < 1e-10),
+        "residual": fit.residual,
+        "coefficients": [int(c) for c in fit.rounded] if fit.clean else
+                        [float(np.real(c)) for c in fit.x],
     }
 
 

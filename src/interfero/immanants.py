@@ -19,13 +19,15 @@ import json
 import math
 from functools import lru_cache
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 
-from . import sunrep
+from . import linalg, sunrep
 from .errors import (
     ComplexityLimit,
     FixtureError,
+    InternalInconsistency,
     NotTabulated,
     NotUnitary,
     PartitionError,
@@ -303,6 +305,55 @@ def submatrix_immanant_identity(omega, lam, rows, cols, n):
     return imm, complex(d_sum), abs(imm - d_sum)
 
 
+class LabelPairFit(NamedTuple):
+    """Least-squares fit of a submatrix immanant to candidate D-functions.
+
+    ``x`` holds the coefficient of each candidate (row, col) label pair and
+    ``rounded`` its nearest integers.  ``clean`` says the rounding is exact
+    to 1e-8 and picks ``expected_terms`` = dim(lambda) pairs with
+    coefficient 1; ``residual`` is then the largest sample residual of
+    that 0/1 combination, otherwise None.
+    """
+    candidates: list
+    x: np.ndarray
+    rounded: np.ndarray
+    expected_terms: int
+    clean: bool
+    residual: object
+
+
+def fit_label_pairs(n, lam, rows, cols, rng, n_samples=40):
+    """Recover the D-function label pairs of a submatrix immanant identity.
+
+    Draws ``n_samples`` special unitaries from ``rng`` and solves
+    imm^lam(V[rows, cols]) = sum_p x_p D_p(V) in the least-squares sense
+    over every canonical (row, col) label pair of the dual irrep whose
+    occupations indicate ``rows`` and ``cols``.
+    """
+    kappas = partition_to_label(lam, n)
+    dim_lam = sn_character(lam, (1,) * sum(lam))
+    row_labels = sunrep.labels_with_weight(
+        n, kappas, _occupation_indicator(rows, n))
+    col_labels = sunrep.labels_with_weight(
+        n, kappas, _occupation_indicator(cols, n))
+    candidates = [(r, c) for r in row_labels for c in col_labels]
+    a = np.zeros((n_samples, len(candidates)), dtype=complex)
+    b = np.zeros(n_samples, dtype=complex)
+    for t in range(n_samples):
+        v = linalg.haar_special_unitary(n, rng)
+        sub = v[np.ix_([i - 1 for i in rows], [j - 1 for j in cols])]
+        b[t] = immanant(sub, lam)
+        for idx, (r, c) in enumerate(candidates):
+            a[t, idx] = sunrep.dfunction(n, v, r, c)
+    x, *_ = np.linalg.lstsq(a, b, rcond=None)
+    rounded = np.round(np.real(x)).astype(int)
+    clean = (float(np.max(np.abs(x - rounded))) < 1e-8
+             and set(rounded.tolist()) <= {0, 1}
+             and int(rounded.sum()) == dim_lam)
+    residual = float(np.max(np.abs(a @ rounded - b))) if clean else None
+    return LabelPairFit(candidates, x, rounded, dim_lam, clean, residual)
+
+
 def littlewood_relation_check(omega, n=4):
     """Residual of the coaxial product relation on a 4x4 group element.
 
@@ -393,7 +444,11 @@ def _su3_zero_weight_states():
                 triplet = label
             elif label.chain_irreps[-1] == (0,):
                 singlet = label
-    assert len(sym) == 1 and triplet is not None and singlet is not None
+    if len(sym) != 1 or triplet is None or singlet is None:
+        raise InternalInconsistency(
+            "su(3) zero-weight states are not the expected three",
+            symmetric=len(sym), triplet=triplet is not None,
+            singlet=singlet is not None)
     return sym[0], triplet, singlet
 
 

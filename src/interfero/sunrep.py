@@ -8,15 +8,24 @@ su(m) into su(m-1) copies by extracting highest-weight vectors from the
 orthogonal complement of what has already been claimed.  Because the
 u(m) -> u(m-1) branching is multiplicity-free, the extracted copies are
 exactly orthogonal, and the whole construction runs in exact rational
-arithmetic; floats only appear in the final normalization and when
-contracting against a numeric matrix.
+arithmetic.
+
+D-functions work on a float table of each irrep's basis, built once on the
+first D-function call: the normalized coefficients in CSR form and, per
+boson species, each monomial's site multiset.  The group element v maps
+a†_{i,k} -> sum_j v[j,i] a†_{j,k}, so the amplitude between an input
+monomial with species-k site multisets e_k and an output monomial with
+multisets f_k is prod_k perm(v[f_k, e_k]) (the occupation factorials of
+the expansion cancel against the bosonic metric), and
+D[r, c] = a_r^T A b_c with A the product of those permanent tables.  The
+permanents are evaluated as vectorised Glynn stacks, one per size, over
+the distinct multiset pairs the requested states touch.
 
 Overall phases follow the convention that the matrix element of the
 ordered product c_{1,2}^{p_1} c_{2,3}^{p_2} ... c_{n-1,n}^{p_{n-1}}
 between the highest-weight state and the basis state is positive, with
 the powers p_l fixed by the occupation deficit below site l.
 """
-import itertools
 import math
 from fractions import Fraction
 
@@ -29,9 +38,6 @@ from .errors import (
     LabelError,
     ShapeError,
 )
-
-_FACT = bosonrep._FACTORIAL
-
 
 class CanonicalStateLabel:
     """Chain label of one canonical basis state.
@@ -295,80 +301,143 @@ def fundamental_matrix(n, omega, tol=1e-8):
 # ---------------------------------------------------------------------------
 # D-functions
 # ---------------------------------------------------------------------------
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+class _IrrepTable:
+    """Float view of one canonical basis, built once per (n, irrep).
 
-
-def _transform_monomial(mono, v):
-    """Expand prod a†_{i,k}^e under a†_{i,k} -> sum_j v[j,i] a†_{j,k}.
-
-    The column convention makes the fundamental-irrep matrix equal to v
-    itself, so the D-matrices compose covariantly: D(vw) = D(v)D(w).
+    ``indptr``/``mono``/``data`` hold the normalized state coefficients in
+    CSR form (state rows, monomial columns).  ``multiset[:, k]`` is each
+    monomial's species-k site multiset as a row index into ``sites[k]``,
+    whose rows list the occupied sites with repetition.
     """
-    n = v.shape[0]
-    zero = tuple((0,) * len(mono[0]) for _ in range(n))
-    acc = {zero: 1.0 + 0.0j}
-    for i, row in enumerate(mono):
-        for k, e in enumerate(row):
-            if e == 0:
-                continue
-            new = {}
-            for comp in _compositions(e, n):
-                coef = _FACT[e]
-                for j, c_j in enumerate(comp):
-                    if c_j:
-                        coef = coef / _FACT[c_j] * v[j, i] ** c_j
-                if coef == 0:
-                    continue
-                for mat, c0 in acc.items():
-                    rows = list(mat)
-                    for j, c_j in enumerate(comp):
-                        if c_j:
-                            r = list(rows[j])
-                            r[k] += c_j
-                            rows[j] = tuple(r)
-                    key2 = tuple(rows)
-                    new[key2] = new.get(key2, 0.0) + c0 * coef
-            acc = new
-    return acc
+
+    __slots__ = ("labels", "index", "indptr", "mono", "data", "multiset",
+                 "sites")
+
+    def __init__(self, basis):
+        self.labels = [label for label, _ in basis]
+        self.index = {label: i for i, label in enumerate(self.labels)}
+        mono_ids = {}
+        indptr = [0]
+        mono = []
+        data = []
+        for _, state in basis:
+            for m, c in state.terms.items():
+                mono.append(mono_ids.setdefault(m, len(mono_ids)))
+                # exact square before rounding: no overflow, one rounding
+                data.append(math.copysign(
+                    math.sqrt(Fraction(c) ** 2 / state.scale2), c))
+            indptr.append(len(mono))
+        self.indptr = np.array(indptr, dtype=np.intp)
+        self.mono = np.array(mono, dtype=np.int32)
+        self.data = np.array(data, dtype=float)
+
+        n_species = basis[0][1].n_species
+        ids = [{} for _ in range(n_species)]
+        multiset = np.empty((len(mono_ids), n_species), dtype=np.int32)
+        for m, i in mono_ids.items():
+            for k in range(n_species):
+                col = tuple(row[k] for row in m)
+                multiset[i, k] = ids[k].setdefault(col, len(ids[k]))
+        self.multiset = multiset
+        # generators conserve every species' boson count, so one count
+        # holds across the irrep and each species' multisets stack
+        self.sites = []
+        for d in ids:
+            if len({sum(col) for col in d}) != 1:
+                raise InternalInconsistency(
+                    "species boson count varies inside an irrep")
+            self.sites.append(np.array(
+                [np.repeat(np.arange(len(col)), col) for col in d],
+                dtype=np.intp).reshape(len(d), -1))
+
+    def position(self, label):
+        try:
+            return self.index[label]
+        except KeyError:
+            raise LabelError("label does not name a canonical basis state",
+                             label=repr(label.key())) from None
+
+    def gather(self, states):
+        """(monomial ids, dense coefficients) touched by the given states."""
+        spans = [np.arange(self.indptr[s], self.indptr[s + 1])
+                 for s in states]
+        pos = np.concatenate(spans)
+        owner = np.repeat(np.arange(len(spans)), [len(p) for p in spans])
+        monos, inv = np.unique(self.mono[pos], return_inverse=True)
+        coef = np.zeros((len(monos), len(spans)))
+        coef[inv, owner] = self.data[pos]
+        return monos, coef
 
 
-def _transform_state(state_float, v):
-    out = {}
-    for mono, c in state_float.terms.items():
-        for mat, t in _transform_monomial(mono, v).items():
-            out[mat] = out.get(mat, 0.0) + c * t
-    return BosonPolynomial(state_float.n_sites, state_float.n_species, out)
+_TABLE_CACHE = {}
 
 
-def _float_basis(n, kappas):
-    basis = canonical_basis_states(n, kappas)
-    return [(label, state.to_float()) for label, state in basis]
+def _irrep_table(n, kappas):
+    key = (int(n), tuple(int(k) for k in kappas))
+    table = _TABLE_CACHE.get(key)
+    if table is None:
+        table = _TABLE_CACHE[key] = _IrrepTable(canonical_basis_states(*key))
+    return table
+
+
+_GLYNN_CHUNK = 1 << 15  # complex entries per Glynn temporary
+
+
+def _permanent_table(v, out_sites, in_sites):
+    """perm(v[f, e]) for every row f of ``out_sites`` and e of ``in_sites``.
+
+    Each row lists a multiset of sites with repetition; all rows of one
+    array have the same size s.  Sizes that differ give 0 and s = 0 gives 1.
+    Otherwise Glynn's formula, vectorised over the pairs in chunks:
+    perm(M) = 2^(1-s) sum_d (prod_i d_i) prod_j sum_i d_i M_ij over sign
+    vectors d with d_1 = +1.
+    """
+    n_out, s = out_sites.shape
+    n_in = len(in_sites)
+    if s != in_sites.shape[1]:
+        return np.zeros((n_out, n_in), dtype=complex)
+    if s == 0:
+        return np.ones((n_out, n_in), dtype=complex)
+    bits = (np.arange(1 << (s - 1))[:, None] >> np.arange(s - 1)) & 1
+    deltas = np.ones((1 << (s - 1), s))
+    deltas[:, 1:] -= 2 * bits
+    signs = deltas.prod(axis=1)
+    out = np.empty(n_out * n_in, dtype=complex)
+    step = max(1, _GLYNN_CHUNK // (len(deltas) * s))
+    for lo in range(0, len(out), step):
+        f, e = np.divmod(np.arange(lo, min(lo + step, len(out))), n_in)
+        m = v[out_sites[f][:, :, None], in_sites[e][:, None, :]]
+        out[lo:lo + step] = (deltas @ m).prod(axis=2) @ signs
+    return out.reshape(n_out, n_in) / (1 << (s - 1))
+
+
+def _dblock(table, v, rows, cols):
+    """D[rows, cols] = a_r^T A b_c with A = prod_k perm(v[f_k, e_k])."""
+    r_monos, r_coef = table.gather(rows)
+    c_monos, c_coef = table.gather(cols)
+    amp = np.ones((len(r_monos), len(c_monos)), dtype=complex)
+    for k, sites in enumerate(table.sites):
+        f, f_inv = np.unique(table.multiset[r_monos, k], return_inverse=True)
+        e, e_inv = np.unique(table.multiset[c_monos, k], return_inverse=True)
+        perms = _permanent_table(v, sites[f], sites[e])
+        amp *= perms[np.ix_(f_inv, e_inv)]
+    return r_coef.T @ amp @ c_coef
 
 
 def dfunction(n, omega, row, col):
     """Matrix element <row| D(omega) |col> in the canonical basis.
 
     ``row`` and ``col`` are CanonicalStateLabel instances; elements between
-    different irreps vanish identically.
+    different irreps vanish identically.  The convention
+    a†_{i,k} -> sum_j v[j,i] a†_{j,k} makes the fundamental-irrep matrix
+    equal to v itself, so D(vw) = D(v)D(w).
     """
     if row.irrep != col.irrep:
         return 0.0 + 0.0j
     v = fundamental_matrix(n, omega)
-    basis = _float_basis(n, row.irrep)
-    lookup = {label.key(): state for label, state in basis}
-    try:
-        row_state = lookup[row.key()]
-        col_state = lookup[col.key()]
-    except KeyError as exc:
-        raise LabelError("label does not name a canonical basis state",
-                         label=repr(exc.args[0])) from exc
-    return complex(row_state.raw_inner(_transform_state(col_state, v)))
+    table = _irrep_table(n, row.irrep)
+    r, c = table.position(row), table.position(col)
+    return complex(_dblock(table, v, [r], [c])[0, 0])
 
 
 def dfunction_matrix(n, omega, kappas):
@@ -377,15 +446,9 @@ def dfunction_matrix(n, omega, kappas):
     Returns (labels, matrix) with matrix[r, c] = <labels[r]|D|labels[c]>.
     """
     v = fundamental_matrix(n, omega)
-    basis = _float_basis(n, tuple(int(k) for k in kappas))
-    labels = [label for label, _ in basis]
-    dim = len(basis)
-    mat = np.zeros((dim, dim), dtype=complex)
-    for c_idx, (_, col_state) in enumerate(basis):
-        transformed = _transform_state(col_state, v)
-        for r_idx, (_, row_state) in enumerate(basis):
-            mat[r_idx, c_idx] = row_state.raw_inner(transformed)
-    return labels, mat
+    table = _irrep_table(n, kappas)
+    every = np.arange(len(table.labels))
+    return list(table.labels), _dblock(table, v, every, every)
 
 
 # ---------------------------------------------------------------------------

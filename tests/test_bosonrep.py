@@ -4,7 +4,11 @@ import pytest
 
 from interfero import bosonrep
 from interfero.bosonrep import BosonPolynomial
-from interfero.errors import LabelError, NotHighestWeight
+from interfero.errors import (
+    InternalInconsistency,
+    LabelError,
+    NotHighestWeight,
+)
 
 
 def test_vacuum_and_weight():
@@ -80,6 +84,26 @@ def test_irrep_dimension_known_values():
     assert bosonrep.irrep_dimension((1, 0, 1)) == 15
     assert bosonrep.irrep_dimension((0, 1, 0)) == 6
     assert bosonrep.irrep_dimension((2, 1, 0, 0)) == 105
+
+
+def test_adding_differently_scaled_states_is_typed():
+    p = BosonPolynomial(2, 1, {((1,), (0,)): 1}, scale2=Fraction(2))
+    q = BosonPolynomial(2, 1, {((0,), (1,)): 1})
+    with pytest.raises(InternalInconsistency):
+        p + q
+
+
+def test_normalizing_the_zero_state_is_typed():
+    with pytest.raises(InternalInconsistency):
+        BosonPolynomial(2, 1).normalized_exact()
+
+
+def test_non_integer_dimension_is_typed(monkeypatch):
+    # a corrupted rational product must not be truncated to an int
+    monkeypatch.setattr(bosonrep, "Fraction",
+                        lambda num, den=1: Fraction(num, den + 1))
+    with pytest.raises(InternalInconsistency):
+        bosonrep.irrep_dimension((1,))
 
 
 def test_basis_set_counts_match_dimension():

@@ -5,9 +5,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from interfero import immanants, linalg
+from interfero import immanants, linalg, sunrep
 from interfero.errors import (
     ComplexityLimit,
+    InternalInconsistency,
     NotTabulated,
     NotUnitary,
     PartitionError,
@@ -163,6 +164,16 @@ def test_nonprincipal_submatrix_identity(n, lam, rows, cols):
         assert diff < 1e-12
 
 
+def test_label_pair_fit_recovers_the_shipped_fixture():
+    for (n, lam, rows, cols), pairs in immanants._submatrix_fixture().items():
+        fit = immanants.fit_label_pairs(n, lam, rows, cols,
+                                        np.random.default_rng(12345))
+        assert fit.clean and fit.residual < 1e-10
+        assert fit.expected_terms == len(pairs)
+        chosen = [fit.candidates[i] for i in np.nonzero(fit.rounded)[0]]
+        assert chosen == pairs
+
+
 def test_nonprincipal_untabulated_raises():
     v = special_unitary(4, 70)
     with pytest.raises(NotTabulated):
@@ -174,6 +185,36 @@ def test_littlewood_relation():
     for seed in range(3):
         v = special_unitary(4, 80 + seed)
         assert immanants.littlewood_relation_check(v) < 1e-12
+
+
+def test_identity_sides_do_not_share_the_permanent(monkeypatch):
+    """A wrong Ryser permanent must break the identities that use it: the
+    D-function side computes its permanents on its own."""
+    ryser = immanants.permanent
+    calls = []
+
+    def wrong(t):
+        calls.append(1)
+        return ryser(t) + 1e-3
+
+    monkeypatch.setattr(immanants, "permanent", wrong)
+    for n in (3, 4, 5):
+        v = special_unitary(n, 90 + n)
+        _, _, diff = immanants.kostant_lhs_rhs(v, (n,), n)
+        assert diff > 1e-10
+        # the symmetric zero-weight D-element alone never calls it
+        before = len(calls)
+        (label,) = immanants._zero_weight_labels(
+            n, immanants.partition_to_label((n,), n))
+        sunrep.dfunction(n, v, label, label)
+        assert len(calls) == before
+    assert immanants.littlewood_relation_check(special_unitary(4, 95)) > 1e-10
+
+
+def test_missing_su3_zero_weight_state_is_typed(monkeypatch):
+    monkeypatch.setattr(immanants, "_zero_weight_labels", lambda n, kap: [])
+    with pytest.raises(InternalInconsistency):
+        immanants.abc_via_dfunctions(special_unitary(3, 96))
 
 
 # ---------------------------------------------------------------------------

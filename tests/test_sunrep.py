@@ -2,9 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from interfero import bosonrep, linalg, sunrep
-from interfero.errors import LabelError, NotUnitary, ShapeError
+from interfero import bosonrep, immanants, linalg, sunrep
+from interfero.errors import (
+    InternalInconsistency,
+    LabelError,
+    NotUnitary,
+    ShapeError,
+)
 
 
 def special_unitary(m, seed):
@@ -125,6 +131,211 @@ def test_su2_middle_element_is_cos_beta():
         d = sunrep.dfunction(2, (0.8, float(beta), -0.5),
                              lab[(1, 1)], lab[(1, 1)])
         assert abs(d - math.cos(beta)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Oracle: expand the column state in creation operators, one monomial at a
+# time, and contract with the row state in the bosonic metric.  Independent
+# of the permanent kernel in sunrep.
+# ---------------------------------------------------------------------------
+_FACT = bosonrep._FACTORIAL
+
+
+def _compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _transform_monomial(mono, v):
+    """Expand prod a†_{i,k}^e under a†_{i,k} -> sum_j v[j,i] a†_{j,k}."""
+    n = v.shape[0]
+    zero = tuple((0,) * len(mono[0]) for _ in range(n))
+    acc = {zero: 1.0 + 0.0j}
+    for i, row in enumerate(mono):
+        for k, e in enumerate(row):
+            if e == 0:
+                continue
+            new = {}
+            for comp in _compositions(e, n):
+                coef = _FACT[e]
+                for j, c_j in enumerate(comp):
+                    if c_j:
+                        coef = coef / _FACT[c_j] * v[j, i] ** c_j
+                if coef == 0:
+                    continue
+                for mat, c0 in acc.items():
+                    rows = list(mat)
+                    for j, c_j in enumerate(comp):
+                        if c_j:
+                            r = list(rows[j])
+                            r[k] += c_j
+                            rows[j] = tuple(r)
+                    key2 = tuple(rows)
+                    new[key2] = new.get(key2, 0.0) + c0 * coef
+            acc = new
+    return acc
+
+
+def _transform_state(terms, v):
+    out = {}
+    for mono, c in terms.items():
+        for mat, t in _transform_monomial(mono, v).items():
+            out[mat] = out.get(mat, 0.0) + c * t
+    return out
+
+
+def _float_terms(state):
+    s = 1.0 / math.sqrt(float(state.scale2))
+    return {mono: float(c) * s for mono, c in state.terms.items()}
+
+
+def _contract(row_terms, transformed):
+    return sum(c * transformed.get(m, 0.0) * bosonrep.monomial_weight(m)
+               for m, c in row_terms.items())
+
+
+def oracle_pairs(n, v, pairs):
+    states = {}
+    for label, state in sunrep.canonical_basis_states(n, pairs[0][0].irrep):
+        states[label] = _float_terms(state)
+    transformed = {}
+    out = []
+    for row, col in pairs:
+        if col not in transformed:
+            transformed[col] = _transform_state(states[col], v)
+        out.append(_contract(states[row], transformed[col]))
+    return np.array(out)
+
+
+def oracle_matrix(n, v, kap):
+    labels = [label for label, _ in sunrep.canonical_basis_states(n, kap)]
+    flat = oracle_pairs(n, v, [(r, c) for r in labels for c in labels])
+    return flat.reshape(len(labels), len(labels))
+
+
+def group_elements(n, seed):
+    """Haar, permutation, diagonal-phase and beta in {0, pi} rotations."""
+    rng = np.random.default_rng(seed)
+    perm = np.eye(n)[rng.permutation(n)].astype(complex)
+    phases = np.exp(1j * rng.uniform(-math.pi, math.pi, n))
+    return {
+        "haar": linalg.haar_special_unitary(n, rng),
+        "permutation": perm,
+        "diagonal": np.diag(phases),
+        "rotation-beta0": sunrep.embedded_rotation(n, 1, n, 0.4, 0.0, -1.3),
+        "rotation-betapi": sunrep.embedded_rotation(n, 1, 2, 0.7, math.pi,
+                                                    0.2),
+    }
+
+
+def _dual_irreps(n):
+    return sorted({immanants.partition_to_label(lam, n)
+                   for lam in immanants.partitions_of(n)})
+
+
+ORACLE_IRREPS = sorted(
+    {(n, kap) for n in (2, 3, 4) for kap in _dual_irreps(n)}
+    | {(2, (3,)), (3, (2, 1)), (3, (2, 2)), (4, (0, 1, 0))})
+
+
+@pytest.mark.parametrize("n,kap", ORACLE_IRREPS)
+def test_dfunction_matrix_matches_expansion_oracle(n, kap):
+    for name, v in group_elements(n, 100 + n).items():
+        labels, d = sunrep.dfunction_matrix(n, v, kap)
+        assert labels == [l for l, _ in sunrep.canonical_basis_states(n, kap)]
+        assert np.max(np.abs(d - oracle_matrix(n, v, kap))) < 1e-12, name
+        assert linalg.unitarity_defect(d) < 1e-12, name
+
+
+def _su5_zero_weight_pairs():
+    out = []
+    for lam in immanants.partitions_of(5):
+        kap = immanants.partition_to_label(lam, 5)
+        out.append([(l, l) for l in immanants._zero_weight_labels(5, kap)])
+    return out
+
+
+def _su5_fixture_pairs():
+    return [pairs for key, pairs in immanants._submatrix_fixture().items()
+            if key[0] == 5]
+
+
+@pytest.mark.parametrize("source", ["zero-weight", "fixture"])
+def test_su5_dfunctions_match_expansion_oracle(source):
+    pair_lists = (_su5_zero_weight_pairs() if source == "zero-weight"
+                  else _su5_fixture_pairs())
+    assert len(pair_lists) == (7 if source == "zero-weight" else 2)
+    for name, v in group_elements(5, 7).items():
+        for pairs in pair_lists:
+            got = np.array([sunrep.dfunction(5, v, r, c) for r, c in pairs])
+            assert np.max(np.abs(got - oracle_pairs(5, v, pairs))) < 1e-12, (
+                name, pairs[0][0].irrep)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(irrep=st.sampled_from([(2, (4,)), (3, (1, 1)), (3, (3, 0)),
+                              (4, (1, 0, 1)), (4, (0, 2, 0)),
+                              (5, (1, 0, 0, 1))]),
+       kinds=st.tuples(st.sampled_from(["haar", "permutation", "diagonal",
+                                        "rotation-beta0", "rotation-betapi"]),
+                       st.sampled_from(["haar", "permutation", "diagonal",
+                                        "rotation-beta0", "rotation-betapi"])),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_dfunction_matrix_is_a_homomorphism(irrep, kinds, seed):
+    n, kap = irrep
+    v = group_elements(n, seed)[kinds[0]]
+    w = group_elements(n, [seed, 1])[kinds[1]]
+    _, dv = sunrep.dfunction_matrix(n, v, kap)
+    _, dw = sunrep.dfunction_matrix(n, w, kap)
+    _, dvw = sunrep.dfunction_matrix(n, v @ w, kap)
+    assert np.max(np.abs(dvw - dv @ dw)) < 1e-12
+
+
+@pytest.mark.parametrize("size", range(7))
+def test_glynn_stack_matches_ryser_permanent(size):
+    rng = np.random.default_rng(size)
+    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    # distinct, repeated-row, repeated-column and fully repeated multisets
+    out_sites = np.array([np.sort(rng.choice(4, size=size, replace=size > 4)),
+                          np.sort(rng.integers(0, 2, size=size)),
+                          np.zeros(size, dtype=int)]).reshape(3, size)
+    in_sites = np.array([np.sort(rng.integers(0, 4, size=size)),
+                         np.full(size, 3),
+                         np.sort(rng.integers(1, 3, size=size))]
+                        ).reshape(3, size)
+    table = sunrep._permanent_table(m, out_sites, in_sites)
+    for i, f in enumerate(out_sites):
+        for j, e in enumerate(in_sites):
+            want = immanants.permanent(m[np.ix_(f, e)])
+            assert abs(table[i, j] - want) < 1e-10 * max(1.0, abs(want))
+
+
+def test_glynn_chunking_leaves_d_unchanged(monkeypatch):
+    v = special_unitary(4, 31)
+    _, whole = sunrep.dfunction_matrix(4, v, (2, 1, 0))
+    monkeypatch.setattr(sunrep, "_GLYNN_CHUNK", 40)  # 3-4 pairs per chunk
+    _, chunked = sunrep.dfunction_matrix(4, v, (2, 1, 0))
+    assert np.max(np.abs(chunked - whole)) < 1e-14
+
+
+def test_permanent_table_size_mismatch_is_zero():
+    m = np.arange(9.0).reshape(3, 3) + 1j
+    pair, single = np.array([[0, 1]]), np.array([[2], [0]])
+    assert not np.any(sunrep._permanent_table(m, pair, single))
+    empty = np.zeros((2, 0), dtype=int)
+    assert np.all(sunrep._permanent_table(m, empty, empty[:1]) == 1)
+
+
+def test_table_rejects_a_species_count_that_varies():
+    label = sunrep.CanonicalStateLabel(((1,),), (1, 0))
+    mixed = bosonrep.BosonPolynomial(2, 1, {((1,), (0,)): 1,
+                                            ((1,), (1,)): 1}, scale2=3)
+    with pytest.raises(InternalInconsistency):
+        sunrep._IrrepTable([(label, mixed)])
 
 
 def test_dfunction_cross_irrep_vanishes():

@@ -26,7 +26,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from interfero import immanants, linalg, sunrep  # noqa: E402
+from interfero import immanants  # noqa: E402
 
 INSTANCES = [
     (4, (2, 1), (2, 3, 4), (1, 3, 4)),
@@ -40,40 +40,18 @@ N_SAMPLES = 40
 SEED = 12345
 
 
-def indicator(index_set, n):
-    return tuple(1 if i in index_set else 0 for i in range(1, n + 1))
-
-
 def derive_pairs(n, lam, rows, cols):
-    kappas = immanants.partition_to_label(lam, n)
-    dim_lam = immanants.sn_character(lam, (1,) * sum(lam))
-    row_labels = sunrep.labels_with_weight(n, kappas, indicator(rows, n))
-    col_labels = sunrep.labels_with_weight(n, kappas, indicator(cols, n))
-    candidates = [(r, c) for r in row_labels for c in col_labels]
-
-    rng = np.random.default_rng(SEED)
-    a = np.zeros((N_SAMPLES, len(candidates)), dtype=complex)
-    b = np.zeros(N_SAMPLES, dtype=complex)
-    for t in range(N_SAMPLES):
-        v = linalg.haar_special_unitary(n, rng)
-        sub = v[np.ix_([i - 1 for i in rows], [j - 1 for j in cols])]
-        b[t] = immanants.immanant(sub, lam)
-        for idx, (r, c) in enumerate(candidates):
-            a[t, idx] = sunrep.dfunction(n, v, r, c)
-    x, *_ = np.linalg.lstsq(a, b, rcond=None)
-    rounded = np.round(np.real(x)).astype(int)
-    if (np.max(np.abs(x - rounded)) > 1e-8
-            or not set(rounded) <= {0, 1}
-            or int(rounded.sum()) != dim_lam):
+    fit = immanants.fit_label_pairs(n, lam, rows, cols,
+                                    np.random.default_rng(SEED), N_SAMPLES)
+    if not fit.clean:
         raise SystemExit(
-            f"no clean 0/1 combination with {dim_lam} terms for "
-            f"n={n} lam={lam} rows={rows} cols={cols}: x={x}")
-    resid = np.max(np.abs(a @ rounded - b))
-    if resid > 1e-10:
-        raise SystemExit(f"residual too large: {resid}")
-    pairs = [candidates[i] for i in np.nonzero(rounded)[0]]
+            f"no clean 0/1 combination with {fit.expected_terms} terms for "
+            f"n={n} lam={lam} rows={rows} cols={cols}: x={fit.x}")
+    if fit.residual > 1e-10:
+        raise SystemExit(f"residual too large: {fit.residual}")
+    pairs = [fit.candidates[i] for i in np.nonzero(fit.rounded)[0]]
     print(f"n={n} lam={lam} rows={rows} cols={cols}: "
-          f"{len(pairs)} pairs, residual {resid:.2e}")
+          f"{len(pairs)} pairs, residual {fit.residual:.2e}")
     return pairs
 
 
