@@ -293,16 +293,6 @@ def monomial_weight(mono):
     return w
 
 
-def apply_generator(op, state):
-    """Apply a generator named by ("c", i, j) or ("h", i) to a state."""
-    kind = op[0]
-    if kind == "c":
-        return state.apply_c(op[1], op[2])
-    if kind == "h":
-        return state.apply_h(op[1])
-    raise LabelError("unknown generator", op=list(op))
-
-
 # ---------------------------------------------------------------------------
 # Highest-weight states
 # ---------------------------------------------------------------------------

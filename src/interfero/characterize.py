@@ -74,30 +74,23 @@ class CharacterizationDataset:
                                    else np.asarray(calibration_single, dtype=float))
         self.calibration_curve = calibration_curve
         self.calibration_spectra = calibration_spectra
-        self._envelopes = {}
 
     def curve(self, ports):
         return self.coincidence.get(photonic.canonical_curve_key(ports))
 
     def envelope(self, j, j2):
-        """Cached normalized overlap envelope Q for input ports (j, j')."""
-        key = (min(j, j2), max(j, j2))
-        if key not in self._envelopes:
-            q, _ = photonic.cross_envelope(self.spectra[key[0] - 1],
-                                           self.spectra[key[1] - 1])
-            self._envelopes[key] = q
-        return self._envelopes[key]
+        """Normalized overlap envelope Q for input ports (j, j')."""
+        j, j2 = min(j, j2), max(j, j2)
+        return photonic.cross_envelope(self.spectra[j - 1],
+                                       self.spectra[j2 - 1])
 
     def calibration_envelope(self):
-        """Cached overlap envelope of the calibration spectra (the first
-        two input spectra when the dataset names none)."""
-        if "calibration" not in self._envelopes:
-            spectra = self.calibration_spectra
-            if spectra is None:
-                spectra = (self.spectra[0], self.spectra[1])
-            self._envelopes["calibration"], _ = photonic.cross_envelope(
-                *spectra)
-        return self._envelopes["calibration"]
+        """Overlap envelope of the calibration spectra (the first two
+        input spectra when the dataset names none)."""
+        spectra = self.calibration_spectra
+        if spectra is None:
+            spectra = (self.spectra[0], self.spectra[1])
+        return photonic.cross_envelope(*spectra)
 
     def missing_choice_keys(self):
         return sorted(required_choice_keys(self.m) - set(self.coincidence))
@@ -300,24 +293,6 @@ def port_curve_model(dataset, ports, alpha, gamma):
     the phase combination β of the four paths."""
     return cosine_curve_model(dataset.envelope(ports[2], ports[3]),
                               *_port_constants(alpha, gamma, ports))
-
-
-def estimate_argument_magnitude(dataset, i, j, alpha, gamma, warm=None):
-    """|θ̃_ij| ∈ [0, π] from the coincidence curve on ports (1,i,1,j),
-    whose phase combination reduces to θ_ij itself."""
-    ports = (1, i, 1, j)
-    data = dataset.curve(ports)
-    if data is None:
-        raise InsufficientData("missing coincidence curve",
-                               required=[photonic.canonical_curve_key(ports)])
-    seeds = (warm,) if warm is not None else None
-    try:
-        fit = fit_curve(port_curve_model(dataset, ports, alpha, gamma),
-                        data[0], data[1], seeds=seeds)
-    except FitFailure as exc:
-        exc.details["ports"] = ports
-        raise
-    return fold_angle(fit.shape), fit
 
 
 def sign_calc(beta, th_ref, th_a, th_b, abs_target):
@@ -835,7 +810,6 @@ def bootstrap(dataset, n_replicates=100, seed=0, threshold=0.1,
             else _resample_curve(cal_tau, cal_counts, point.calibration_fit,
                                  cal_values, rng),
             calibration_spectra=dataset.calibration_spectra)
-        rep._envelopes = dataset._envelopes   # same spectra, reuse cache
         replicates.append(rep)
 
     ws, gammas, failures = [], [], []

@@ -7,8 +7,7 @@ file schemas and units.
 Exit codes: 0 success, 1 domain error (machine-readable JSON on stderr),
 2 usage error.  Every randomized verb requires --seed and, given the same
 argv, produces byte-identical artifacts.  The environment variable
-INTERF_TOL overrides the default numerical tolerance; --threads caps
-internal parallelism.
+INTERF_TOL overrides the default numerical tolerance.
 """
 
 import argparse
@@ -40,14 +39,6 @@ def _env_tol(default):
     if not (0 < tol < 1):
         raise ParseError(f"INTERF_TOL out of range (0, 1): {tol}")
     return tol
-
-
-def _cap_threads(n):
-    if n is None:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ[var] = str(n)
 
 
 def _parse_irrep(text):
@@ -329,8 +320,6 @@ def build_parser():
         prog="interfero",
         description="Interferometer decomposition, characterization, "
                     "simulation and group-function toolkit.")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap internal parallelism (worker threads)")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser(
@@ -518,7 +507,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    _cap_threads(args.threads)
     try:
         return args.func(args)
     except InterferoError as exc:

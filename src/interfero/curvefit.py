@@ -24,7 +24,7 @@ Every reason but ``max_iter`` counts as converged.
 """
 import numpy as np
 
-from .errors import FitFailure
+from .errors import FitFailure, InsufficientData, ShapeError
 
 SHAPE_SEEDS = (np.pi / 4, 3 * np.pi / 4, 5 * np.pi / 4, 7 * np.pi / 4)
 REASONS = ("gradient", "small_step", "damping_exhausted", "max_iter")
@@ -285,8 +285,11 @@ def fit_curve(model, tau, counts, seeds=None, scale_guess=None,
     single = counts.ndim == 1
     counts = np.atleast_2d(counts)
     n = len(counts)
-    assert len(tau) >= 5, "need at least 5 data points"
-    assert np.all(np.isfinite(counts))
+    if len(tau) < 5:
+        raise InsufficientData("need at least 5 data points per curve",
+                               points=len(tau))
+    if not np.all(np.isfinite(counts)):
+        raise ShapeError("coincidence counts must be finite")
     w = fit_weights(counts)
     seeds = np.asarray(SHAPE_SEEDS if seeds is None else seeds, dtype=float)
     seeds = np.broadcast_to(seeds, (n, seeds.shape[-1]))

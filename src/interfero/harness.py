@@ -66,20 +66,11 @@ def simulate_dataset(u, gamma, seed=None, rng=None, spectra=None, loss=None,
         * np.ones(n_blocks)
     singles = rng.poisson(expected).astype(float) if noise else expected
 
-    envelopes = {}     # one overlap envelope per input pair (j, j')
-
-    def envelope(j, j2):
-        if (j, j2) not in envelopes:
-            envelopes[j, j2], _ = photonic.cross_envelope(spectra[j - 1],
-                                                          spectra[j2 - 1])
-        return envelopes[j, j2]
-
     curves = {}
     for key in curve_keys:
         i, i2, j, j2 = key
         model = photonic.coincidence_curve_model(
-            params, loss, gamma, spectra[j - 1], spectra[j2 - 1], key,
-            envelope=envelope(j, j2))
+            params, loss, gamma, spectra[j - 1], spectra[j2 - 1], key)
         mean_curve = pair_rate * model(np.asarray(tau_grid, dtype=float))
         counts = rng.poisson(np.maximum(mean_curve, 0.0)).astype(float) \
             if noise else mean_curve
@@ -97,8 +88,7 @@ def simulate_dataset(u, gamma, seed=None, rng=None, spectra=None, loss=None,
         cal_single = rng.poisson(bs_expected).astype(float) if noise \
             else bs_expected
         model = photonic.coincidence_curve_model(
-            bs_params, bs_loss, gamma, spectra[0], spectra[1], (1, 2, 1, 2),
-            envelope=envelope(1, 2))
+            bs_params, bs_loss, gamma, spectra[0], spectra[1], (1, 2, 1, 2))
         mean_curve = pair_rate * model(np.asarray(tau_grid, dtype=float))
         cal_counts = rng.poisson(np.maximum(mean_curve, 0.0)).astype(float) \
             if noise else mean_curve

@@ -1,6 +1,12 @@
 """Forward model of the interferometer physics: representative-matrix
 parameterization, loss dressing, single-photon transmission probabilities
-and the two-photon coincidence integral with mode-matching parameter γ.
+and the two-photon coincidence curve with mode-matching parameter γ.
+
+``coincidence_curve_model`` is the one forward model of a coincidence
+curve; the explicit 2-D quadrature it reproduces lives in
+``tests/test_photonic.py`` as its reference.  ``cross_envelope`` is
+memoised by spectrum content, so every caller handed equal spectra in the
+same order shares one read-only Envelope.
 
 Frequencies and times are dimensionless-normalized (ω in units of the
 spectral width); unit handling belongs to the CLI layer.
@@ -148,16 +154,6 @@ def double_peak_spectrum(center=6.0, width=1.0, n_points=81, span=6.0):
     return SpectralFunction(omega, f)
 
 
-def _common_grid(f1, f2):
-    """Put two spectra on a shared grid (union, linear interpolation)."""
-    if np.array_equal(f1.omega, f2.omega):
-        return f1.omega, f1.values, f2.values
-    grid = np.union1d(f1.omega, f2.omega)
-    v1 = np.interp(grid, f1.omega, f1.values, left=0.0, right=0.0)
-    v2 = np.interp(grid, f2.omega, f2.values, left=0.0, right=0.0)
-    return grid, v1, v2
-
-
 @functools.lru_cache(maxsize=32)
 def _phase_matrix(tau_bytes, grid_bytes):
     """e^{iτω} as a read-only (T, G) array, one per distinct (τ grid, ω grid)."""
@@ -199,48 +195,70 @@ class Envelope:
     def shifted(self, tau, shift, rows=None, derivative=False):
         """Q(τ − shift), and dQ/dτ there when ``derivative`` is set.
 
-        A scalar shift gives Q of a single envelope, shape (T,).  K shifts
-        give (K, T): row k uses envelope row ``rows[k]`` (row k when
+        K shifts give (K, T): row k uses envelope row ``rows[k]`` (row k when
         ``rows`` is None) and is computed by its own matrix-vector product,
         so its value does not depend on the other rows evaluated with it.
+        A scalar shift is the one-row case and gives row 0, shape (T,).
         All rows share the cached phase matrix of (τ grid, ω grid), and the
         shift is folded into the spectral weights.
         """
         tau = np.asarray(tau, dtype=float)
+        shift = np.asarray(shift, dtype=float)
         phases = _phase_matrix(tau.tobytes(), self.grid.tobytes())
-        if np.ndim(shift) == 0:
-            gt = phases @ (self.g * np.exp(-1j * self.grid * shift))
-            return (np.abs(gt) ** 2) / self.i0
-        g, i0 = self.g, np.reshape(self.i0, (-1, 1))
+        g, i0 = self.g, np.asarray(self.i0, dtype=float).reshape(-1, 1)
         if rows is not None and g.ndim == 2:
             g, i0 = g[rows], i0[rows]
-        gs = g * np.exp(-1j * self.grid * np.asarray(shift)[:, None])
+        gs = g * np.exp(-1j * self.grid * shift.reshape(-1, 1))
         gt = np.matmul(phases, gs[:, :, None])[:, :, 0]
+        row = 0 if shift.ndim == 0 else slice(None)
+        q = ((np.abs(gt) ** 2) / i0)[row]
         if not derivative:
-            return (np.abs(gt) ** 2) / i0
+            return q
         gs *= 1j * self.grid
         dgt = np.matmul(phases, gs[:, :, None])[:, :, 0]
-        return (np.abs(gt) ** 2) / i0, 2.0 * np.real(np.conj(gt) * dgt) / i0
+        return q, (2.0 * np.real(np.conj(gt) * dgt) / i0)[row]
 
 
 def cross_envelope(f_j, f_j2):
-    """Return (Q, I0): Q is the Envelope of Q(τ) = |∫ f_j f_j' e^{iωτ} dω|²
-    / (I0_j·I0_j') and I0 the product of the marginal quadrature norms."""
-    grid, v1, v2 = _common_grid(f_j, f_j2)
+    """The Envelope of Q(τ) = |∫ f_j f_j' e^{iωτ} dω|² / I0, where
+    ``Envelope.i0`` holds I0, the product of the marginal quadrature norms.
+
+    Memoised by the content of both spectra in the order given: equal
+    spectra share one Envelope, whose ``grid`` and ``g`` are read-only.
+    """
+    return _cross_envelope(f_j.omega.tobytes(), f_j.values.tobytes(),
+                           f_j2.omega.tobytes(), f_j2.values.tobytes())
+
+
+@functools.lru_cache(maxsize=128)
+def _cross_envelope(omega1, values1, omega2, values2):
+    """cross_envelope on the float64 bytes of the two spectra.  Spectra on
+    different grids meet on the union grid by linear interpolation."""
+    o1, v1, o2, v2 = (np.frombuffer(b)
+                      for b in (omega1, values1, omega2, values2))
+    grid = o1
+    if not np.array_equal(o1, o2):
+        grid = np.union1d(o1, o2)
+        v1 = np.interp(grid, o1, v1, left=0.0, right=0.0)
+        v2 = np.interp(grid, o2, v2, left=0.0, right=0.0)
     w = trapezoid_weights(grid)
     g = w * v1 * v2
     i0 = float(np.sum(w * v1 ** 2)) * float(np.sum(w * v2 ** 2))
-    return Envelope(grid, g, i0), i0
+    grid.flags.writeable = g.flags.writeable = False
+    return Envelope(grid, g, i0)
 
 
 # ---------------------------------------------------------------------------
 # Two-photon coincidence
 # ---------------------------------------------------------------------------
-def coincidence_probability(params, loss, gamma, f_j, f_j2, ports, tau):
-    """Reference evaluation of the two-photon coincidence rate by explicit
-    2-D quadrature over the spectral grids.
+def coincidence_curve_model(params, loss, gamma, f_j, f_j2, ports):
+    """The forward model of one coincidence curve: C(τ) = pref·(base +
+    amp·Q(τ)) on ports (i, i', j, j') with i≠i', j≠j' (1-based).
 
-    ports = (i, i', j, j') with i≠i', j≠j' (1-based).
+    Under the product trapezoid rule with real spectra the interference
+    double sum factorizes exactly as cos(phase)·|G(τ)|², so this equals the
+    explicit 2-D quadrature of the coincidence rate.  Returns a callable
+    of τ.
     """
     if not 0.0 <= gamma <= 1.0:
         raise InvalidGamma("gamma must lie in [0, 1]", gamma=gamma)
@@ -256,43 +274,7 @@ def coincidence_probability(params, loss, gamma, f_j, f_j2, ports, tau):
     ii, ii2, jj, jj2 = i - 1, i2 - 1, j - 1, j2 - 1
     pref = (loss.kappa[ii] * loss.kappa[ii2] * lam[ii] * lam[ii2]
             * mu[jj] * mu[jj2] * loss.nu[jj] * loss.nu[jj2])
-
-    grid, v1, v2 = _common_grid(f_j, f_j2)
-    w = trapezoid_weights(grid)
-    # non-interference double integral: ∫|f_j(ω1)|² ∫|f_j'(ω2)|²
-    i_nonint = np.sum(w * v1 ** 2) * np.sum(w * v2 ** 2)
-    # interference integral with the phase combination of the four paths
-    phase0 = th[ii, jj] - th[ii, jj2] - th[ii2, jj] + th[ii2, jj2]
-    om1 = grid[:, None]
-    om2 = grid[None, :]
-    integrand = (np.outer(w * v1 * v2, w * v1 * v2)
-                 * np.cos((om2 - om1) * tau + phase0))
-    i_int = float(np.sum(integrand))
-
-    bracket = ((al[ii, jj] ** 2 * al[ii2, jj2] ** 2
-                + al[ii, jj2] ** 2 * al[ii2, jj] ** 2) * i_nonint
-               + 2.0 * gamma * al[ii, jj] * al[ii, jj2]
-               * al[ii2, jj] * al[ii2, jj2] * i_int)
-    return float(pref * bracket)
-
-
-def coincidence_curve_model(params, loss, gamma, f_j, f_j2, ports,
-                            envelope=None):
-    """Fast factorized coincidence model: C(τ) = pref·(base + amp·Q(τ)).
-
-    Under the product trapezoid rule with real spectra the interference
-    double sum factorizes exactly as cos(phase)·|G(τ)|², so this evaluates
-    to the same values as coincidence_probability.  ``envelope`` is the
-    cross_envelope of (f_j, f_j2) when the caller already holds it.
-    Returns a callable of τ.
-    """
-    i, i2, j, j2 = ports
-    al, th = params.alpha, params.theta
-    lam, mu = params.lambda_, params.mu
-    ii, ii2, jj, jj2 = i - 1, i2 - 1, j - 1, j2 - 1
-    pref = (loss.kappa[ii] * loss.kappa[ii2] * lam[ii] * lam[ii2]
-            * mu[jj] * mu[jj2] * loss.nu[jj] * loss.nu[jj2])
-    q = envelope if envelope is not None else cross_envelope(f_j, f_j2)[0]
+    q = cross_envelope(f_j, f_j2)
     i0 = q.i0
     phase0 = th[ii, jj] - th[ii, jj2] - th[ii2, jj] + th[ii2, jj2]
     base = (al[ii, jj] ** 2 * al[ii2, jj2] ** 2
@@ -304,13 +286,6 @@ def coincidence_curve_model(params, loss, gamma, f_j, f_j2, ports,
         return pref * (base + amp * q(tau))
 
     return model
-
-
-def curve_over_grid(params, loss, gamma, f_j, f_j2, ports, tau_grid):
-    """Coincidence curve on a τ grid (reference path, point by point)."""
-    return np.array([
-        coincidence_probability(params, loss, gamma, f_j, f_j2, ports, t)
-        for t in tau_grid])
 
 
 def canonical_curve_key(ports):

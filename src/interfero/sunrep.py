@@ -62,12 +62,6 @@ class CanonicalStateLabel:
     def irrep(self):
         return self.chain_irreps[0]
 
-    def chain_weights(self):
-        """su(m) weights for m = n, n-1, ..., 2 (derived from occupations)."""
-        nu = self.occupations
-        return tuple(tuple(nu[i] - nu[i + 1] for i in range(m - 1))
-                     for m in range(self.n, 1, -1))
-
     def key(self):
         return (self.chain_irreps, self.occupations)
 

@@ -57,15 +57,6 @@ def test_generator_commutator_on_random_state():
     assert (lhs - rhs).is_zero()
 
 
-def test_apply_generator_dispatch():
-    h = bosonrep.hws((1, 1))
-    assert (bosonrep.apply_generator(("c", 2, 1), h)
-            - h.apply_c(2, 1)).is_zero()
-    assert (bosonrep.apply_generator(("h", 1), h) - h.apply_h(1)).is_zero()
-    with pytest.raises(LabelError):
-        bosonrep.apply_generator(("x", 1), h)
-
-
 def test_inner_product_is_bosonic():
     # <0|a a† a a†|0> bookkeeping: ||(a†)^2|0>||^2 = 2
     p = BosonPolynomial(2, 1, {((2,), (0,)): Fraction(1)})

@@ -81,6 +81,41 @@ def test_usage_error_exit_2():
 # ---------------------------------------------------------------------------
 # simulate / characterize / trials
 # ---------------------------------------------------------------------------
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--m", "3", "--gamma", "1.5", "--seed", "1"],
+    ["simulate", "--m", "3", "--gamma", "-0.5", "--seed", "1"],
+    ["trials", "--m", "3", "--variant", "full", "--trials", "1",
+     "--seed", "1", "--gamma", "2"]])
+def test_gamma_out_of_range_exit_1(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run([*argv, "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["schema"] == "v1"
+    assert err["error"] == "InvalidGamma"
+    assert not out.exists()
+
+
+def test_characterize_short_curve_exit_1(tmp_path, capsys):
+    bundle = tmp_path / "bundle"
+    assert run(["simulate", "--m", "3", "--gamma", "0.9", "--seed", "3",
+                "--out", str(bundle)]) == 0
+    path = bundle / "coincidence" / "1_2_1_2.csv"
+    path.write_text("".join(path.read_text().splitlines(True)[:5]))
+    capsys.readouterr()
+    rc = run(["characterize", "--data", str(bundle),
+              "--out", str(tmp_path / "result.json")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["schema"] == "v1"
+    assert err["error"] == "InsufficientData"
+
+
+def test_threads_flag_is_gone():
+    with pytest.raises(SystemExit) as exc:
+        run(["--threads", "2", "cost", "--ns", "2", "--np", "2"])
+    assert exc.value.code == 2
+
+
 def test_simulate_then_characterize(tmp_path):
     bundle = tmp_path / "bundle"
     assert run(["simulate", "--m", "3", "--gamma", "1.0", "--seed", "7",

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from interfero import curvefit, photonic
-from interfero.errors import FitFailure
+from interfero.errors import FitFailure, InsufficientData, ShapeError
 
 
 def make_model():
     f = photonic.gaussian_spectrum()
-    q, _ = photonic.cross_envelope(f, f)
+    q = photonic.cross_envelope(f, f)
     return curvefit.CurveModel(
         q,
         base=lambda s: np.cos(s) ** 2 + 1.5,
@@ -55,6 +55,23 @@ def test_flat_data_raises():
         curvefit.fit_curve(model, tau, np.full(21, 250.0))
 
 
+def test_too_few_points_raise_insufficient_data():
+    model = make_model()
+    tau = np.linspace(-5, 5, 4)
+    with pytest.raises(InsufficientData):
+        curvefit.fit_curve(model, tau, model.curve(tau, 1.0, 100.0, 0.0))
+
+
+def test_non_finite_counts_raise_shape_error():
+    model = make_model()
+    tau = np.linspace(-5, 5, 21)
+    counts = model.curve(tau, 1.0, 100.0, 0.0)
+    for bad in (np.nan, np.inf):
+        counts[3] = bad
+        with pytest.raises(ShapeError):
+            curvefit.fit_curve(model, tau, counts)
+
+
 def test_noisy_recovery_monte_carlo():
     model = make_model()
     rng = np.random.default_rng(17)
@@ -94,7 +111,7 @@ def mixed_stack():
     (singular normal matrix) and a noisy curve that needs many steps."""
     from interfero.characterize import cosine_curve_model
     f = photonic.gaussian_spectrum()
-    q, _ = photonic.cross_envelope(f, f)
+    q = photonic.cross_envelope(f, f)
     tau = np.linspace(-5, 5, 33)
     rng = np.random.default_rng(21)
     base = np.array([2.0, 1.5, 1.0, 1.2, 1.8])

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from interfero import csd, linalg, photonic
+from interfero import characterize, csd, harness, linalg, photonic
 from interfero.errors import InvalidGamma, PortError
 
 
@@ -106,6 +107,60 @@ def test_double_peak_spectrum_is_normalized_and_asymmetric():
 
 
 # ---------------------------------------------------------------------------
+# reference: explicit 2-D quadrature of the coincidence rate
+# ---------------------------------------------------------------------------
+def _union_grid(f1, f2):
+    """Both spectra on the union of their grids, zero outside each grid."""
+    grid = np.union1d(f1.omega, f2.omega)
+    return (grid,
+            np.interp(grid, f1.omega, f1.values, left=0.0, right=0.0),
+            np.interp(grid, f2.omega, f2.values, left=0.0, right=0.0))
+
+
+def _trapezoid(grid):
+    d = np.diff(grid)
+    return np.concatenate([[0.0], d / 2]) + np.concatenate([d / 2, [0.0]])
+
+
+def coincidence_probability(params, loss, gamma, f_j, f_j2, ports, tau):
+    """Two-photon coincidence rate at one delay by the explicit double sum
+    over the spectral grid: the oracle of coincidence_curve_model.
+
+    ports = (i, i', j, j') with i≠i', j≠j' (1-based).
+    """
+    al, th = params.alpha, params.theta
+    lam, mu = params.lambda_, params.mu
+    ii, ii2, jj, jj2 = (p - 1 for p in ports)
+    pref = (loss.kappa[ii] * loss.kappa[ii2] * lam[ii] * lam[ii2]
+            * mu[jj] * mu[jj2] * loss.nu[jj] * loss.nu[jj2])
+
+    grid, v1, v2 = _union_grid(f_j, f_j2)
+    w = _trapezoid(grid)
+    # non-interference double integral: ∫|f_j(ω1)|² ∫|f_j'(ω2)|²
+    i_nonint = np.sum(w * v1 ** 2) * np.sum(w * v2 ** 2)
+    # interference integral with the phase combination of the four paths
+    phase0 = th[ii, jj] - th[ii, jj2] - th[ii2, jj] + th[ii2, jj2]
+    om1 = grid[:, None]
+    om2 = grid[None, :]
+    integrand = (np.outer(w * v1 * v2, w * v1 * v2)
+                 * np.cos((om2 - om1) * tau + phase0))
+    i_int = float(np.sum(integrand))
+
+    bracket = ((al[ii, jj] ** 2 * al[ii2, jj2] ** 2
+                + al[ii, jj2] ** 2 * al[ii2, jj] ** 2) * i_nonint
+               + 2.0 * gamma * al[ii, jj] * al[ii, jj2]
+               * al[ii2, jj] * al[ii2, jj2] * i_int)
+    return float(pref * bracket)
+
+
+def curve_over_grid(params, loss, gamma, f_j, f_j2, ports, tau_grid):
+    """Reference coincidence curve on a τ grid, point by point."""
+    return np.array([
+        coincidence_probability(params, loss, gamma, f_j, f_j2, ports, t)
+        for t in tau_grid])
+
+
+# ---------------------------------------------------------------------------
 # coincidence
 # ---------------------------------------------------------------------------
 def hom_setup():
@@ -117,15 +172,15 @@ def hom_setup():
 
 def test_hom_dip_zero_at_tau0():
     p, loss, f = hom_setup()
-    c0 = photonic.coincidence_probability(p, loss, 1.0, f, f, (1, 2, 1, 2), 0.0)
+    c0 = coincidence_probability(p, loss, 1.0, f, f, (1, 2, 1, 2), 0.0)
     assert abs(c0) < 1e-10
 
 
 def test_hom_visibility_equals_gamma():
     p, loss, f = hom_setup()
     for gamma in (0.3, 0.7, 1.0):
-        c0 = photonic.coincidence_probability(p, loss, gamma, f, f, (1, 2, 1, 2), 0.0)
-        cinf = photonic.coincidence_probability(p, loss, gamma, f, f, (1, 2, 1, 2), 60.0)
+        c0 = coincidence_probability(p, loss, gamma, f, f, (1, 2, 1, 2), 0.0)
+        cinf = coincidence_probability(p, loss, gamma, f, f, (1, 2, 1, 2), 60.0)
         vis = (cinf - c0) / cinf
         assert abs(vis - gamma) < 1e-6
 
@@ -133,20 +188,23 @@ def test_hom_visibility_equals_gamma():
 def test_gamma_zero_flat_curve():
     p, loss, f = hom_setup()
     taus = np.linspace(-3, 3, 11)
-    curve = photonic.curve_over_grid(p, loss, 0.0, f, f, (1, 2, 1, 2), taus)
+    curve = curve_over_grid(p, loss, 0.0, f, f, (1, 2, 1, 2), taus)
     assert np.max(curve) - np.min(curve) < 1e-14
 
 
 def test_invalid_gamma_rejected():
     p, loss, f = hom_setup()
-    with pytest.raises(InvalidGamma):
-        photonic.coincidence_probability(p, loss, 1.5, f, f, (1, 2, 1, 2), 0.0)
+    for gamma in (1.5, -0.5, np.nan):
+        with pytest.raises(InvalidGamma):
+            photonic.coincidence_curve_model(p, loss, gamma, f, f,
+                                             (1, 2, 1, 2))
 
 
 def test_coincidence_same_port_rejected():
     p, loss, f = hom_setup()
-    with pytest.raises(PortError):
-        photonic.coincidence_probability(p, loss, 1.0, f, f, (1, 1, 1, 2), 0.0)
+    for ports in [(1, 1, 1, 2), (1, 2, 2, 2), (1, 3, 1, 2), (0, 2, 1, 2)]:
+        with pytest.raises(PortError):
+            photonic.coincidence_curve_model(p, loss, 1.0, f, f, ports)
 
 
 def test_fast_model_matches_reference():
@@ -156,7 +214,7 @@ def test_fast_model_matches_reference():
     f2 = photonic.double_peak_spectrum()
     taus = np.linspace(-4, 4, 21)
     for ports in [(1, 2, 1, 2), (2, 3, 1, 4), (1, 4, 2, 3)]:
-        ref = photonic.curve_over_grid(p, loss, 0.8, f1, f2, ports, taus)
+        ref = curve_over_grid(p, loss, 0.8, f1, f2, ports, taus)
         model = photonic.coincidence_curve_model(p, loss, 0.8, f1, f2, ports)
         assert np.max(np.abs(model(taus) - ref)) < 1e-12 * max(1, ref.max())
 
@@ -176,7 +234,7 @@ def test_curve_nonnegative_random_configs():
                       for j in range(1, m + 1) for j2 in range(1, m + 1)
                       if i != i2 and j != j2]
         ports = ports_pool[int(rng.integers(len(ports_pool)))]
-        curve = photonic.curve_over_grid(p, loss, gamma, f, f, ports, taus)
+        curve = curve_over_grid(p, loss, gamma, f, f, ports, taus)
         assert np.all(curve >= -1e-12)
 
 
@@ -185,7 +243,7 @@ def test_curve_symmetric_for_identical_spectra():
     loss = photonic.LossModel.lossless(3)
     f = photonic.gaussian_spectrum()
     taus = np.linspace(-3, 3, 13)
-    curve = photonic.curve_over_grid(p, loss, 0.9, f, f, (1, 2, 1, 2), taus)
+    curve = curve_over_grid(p, loss, 0.9, f, f, (1, 2, 1, 2), taus)
     assert np.max(np.abs(curve - curve[::-1])) < 1e-10
 
 
@@ -198,8 +256,8 @@ def test_theta_sign_blindness():
     f = photonic.gaussian_spectrum()
     taus = np.linspace(-2, 2, 7)
     for ports in [(1, 2, 1, 2), (2, 3, 2, 4)]:
-        c1 = photonic.curve_over_grid(p, loss, 0.9, f, f, ports, taus)
-        c2 = photonic.curve_over_grid(p_conj, loss, 0.9, f, f, ports, taus)
+        c1 = curve_over_grid(p, loss, 0.9, f, f, ports, taus)
+        c2 = curve_over_grid(p_conj, loss, 0.9, f, f, ports, taus)
         assert np.max(np.abs(c1 - c2)) < 1e-10
 
 
@@ -209,11 +267,106 @@ def test_dimensional_invariance():
     s = 2.5
     f1 = photonic.gaussian_spectrum(center=6, width=1)
     f2 = photonic.SpectralFunction(f1.omega * s, f1.values / np.sqrt(s))
-    c1 = photonic.coincidence_probability(p, loss, 0.8, f1, f1, (1, 2, 1, 2), 1.3)
-    c2 = photonic.coincidence_probability(p, loss, 0.8, f2, f2, (1, 2, 1, 2), 1.3 / s)
+    c1 = coincidence_probability(p, loss, 0.8, f1, f1, (1, 2, 1, 2), 1.3)
+    c2 = coincidence_probability(p, loss, 0.8, f2, f2, (1, 2, 1, 2), 1.3 / s)
     assert abs(c1 - c2) < 1e-10
 
 
 def test_canonical_curve_key():
     assert photonic.canonical_curve_key((2, 1, 3, 1)) == (1, 2, 1, 3)
     assert photonic.canonical_curve_key((1, 2, 1, 3)) == (1, 2, 1, 3)
+
+
+# ---------------------------------------------------------------------------
+# overlap envelopes
+# ---------------------------------------------------------------------------
+def uncached_cross_envelope(f_j, f_j2):
+    """(grid, g, i0) of cross_envelope computed afresh on every call."""
+    if np.array_equal(f_j.omega, f_j2.omega):
+        grid, v1, v2 = f_j.omega, f_j.values, f_j2.values
+    else:
+        grid = np.union1d(f_j.omega, f_j2.omega)
+        v1 = np.interp(grid, f_j.omega, f_j.values, left=0.0, right=0.0)
+        v2 = np.interp(grid, f_j2.omega, f_j2.values, left=0.0, right=0.0)
+    w = photonic.trapezoid_weights(grid)
+    i0 = float(np.sum(w * v1 ** 2)) * float(np.sum(w * v2 ** 2))
+    return grid, w * v1 * v2, i0
+
+
+def spectrum_on(omega, center, width):
+    f = np.exp(-((omega - center) ** 2) / (4.0 * width ** 2))
+    f /= np.sqrt(np.sum(photonic.trapezoid_weights(omega) * f ** 2))
+    return photonic.SpectralFunction(omega, f)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(same_grid=st.booleans(),
+       n1=st.integers(5, 90), n2=st.integers(5, 90),
+       lo=st.floats(0.0, 3.0), hi=st.floats(7.0, 12.0),
+       c1=st.floats(4.0, 8.0), c2=st.floats(4.0, 8.0),
+       w1=st.floats(0.4, 2.0), w2=st.floats(0.4, 2.0))
+def test_cached_cross_envelope_equals_uncached(same_grid, n1, n2, lo, hi,
+                                               c1, c2, w1, w2):
+    omega1 = np.linspace(2.0, 10.0, n1)
+    omega2 = omega1 if same_grid else np.linspace(lo, hi, n2)
+    f1 = spectrum_on(omega1, c1, w1)
+    f2 = spectrum_on(omega2, c2, w2)
+    for a, b in ((f1, f2), (f2, f1)):
+        q = photonic.cross_envelope(a, b)
+        grid, g, i0 = uncached_cross_envelope(a, b)
+        assert np.array_equal(q.grid, grid)
+        assert np.array_equal(q.g, g)
+        assert q.i0 == i0
+        assert photonic.cross_envelope(a, b) is q
+
+
+def test_cached_envelope_is_read_only():
+    f1 = photonic.gaussian_spectrum()
+    f2 = photonic.double_peak_spectrum()
+    for q in (photonic.cross_envelope(f1, f1),
+              photonic.cross_envelope(f1, f2)):
+        with pytest.raises(ValueError):
+            q.g[0] = 1.0
+        with pytest.raises(ValueError):
+            q.grid[0] = 1.0
+    # the cache freezes its own arrays, never the caller's spectrum
+    assert f1.omega.flags.writeable and f1.values.flags.writeable
+
+
+def test_scalar_shift_is_the_one_row_path():
+    q = photonic.cross_envelope(photonic.gaussian_spectrum(width=1.1),
+                                photonic.double_peak_spectrum())
+    tau = np.linspace(-4.0, 4.0, 17)
+    for shift in (0.0, 0.37, -1.2):
+        row = np.array([shift])
+        assert np.array_equal(q.shifted(tau, shift), q.shifted(tau, row)[0])
+        value, slope = q.shifted(tau, shift, derivative=True)
+        values, slopes = q.shifted(tau, row, derivative=True)
+        assert np.array_equal(value, values[0])
+        assert np.array_equal(slope, slopes[0])
+    assert np.array_equal(q(tau), q.shifted(tau, 0.0))
+
+
+def test_simulation_and_bootstrap_share_envelopes(monkeypatch):
+    spectra = [photonic.double_peak_spectrum() for _ in range(3)]
+    ds = harness.simulate_dataset(linalg.haar_random_unitary(3, seed=4), 0.9,
+                                  seed=2, spectra=spectra)
+    stacks = []
+    stack = characterize._characterize_stack
+
+    def record(datasets, *args, **kwargs):
+        stacks.append(list(datasets))
+        return stack(datasets, *args, **kwargs)
+
+    monkeypatch.setattr(characterize, "_characterize_stack", record)
+    characterize.bootstrap(ds, n_replicates=3, seed=1, max_failure_rate=1.0)
+    replicates = stacks[-1]
+    assert len(replicates) == 3
+    q = photonic.cross_envelope(spectra[0], spectra[1])
+    assert ds.envelope(1, 2) is q and ds.envelope(2, 1) is q
+    assert ds.calibration_envelope() is q
+    for rep in replicates:
+        assert rep.envelope(1, 2) is q
+        assert rep.calibration_envelope() is q
+        assert set(vars(rep)) == set(vars(ds))
+        assert not any(name.startswith("_") for name in vars(rep))
