@@ -16,7 +16,8 @@ from .curvefit import (CurveModel, fit_curve, fold_angle, param_sigmas,
                        SHAPE_SEEDS)
 from .errors import (BootstrapUnstable, CalibrationOutOfRange,
                      DegenerateAmplitudes, DivisionByZeroCount, FitFailure,
-                     InsufficientData, InterferoError, ParseError, PortError)
+                     InsufficientData, InterferoError, ParseError, PortError,
+                     ShapeError)
 
 
 # ---------------------------------------------------------------------------
@@ -60,16 +61,19 @@ class CharacterizationDataset:
                  calibration_single=None, calibration_curve=None,
                  calibration_spectra=None):
         self.single_counts = np.asarray(single_counts, dtype=float)
-        assert self.single_counts.ndim == 3
-        self.m = self.single_counts.shape[0]
-        assert self.single_counts.shape[0] == self.single_counts.shape[1]
-        self.n_blocks = self.single_counts.shape[2]
+        shape = self.single_counts.shape
+        if len(shape) != 3 or shape[0] != shape[1]:
+            raise ShapeError("single counts must be an (m, m, B) array",
+                             shape=list(shape))
+        self.m, _, self.n_blocks = shape
         self.coincidence = {photonic.canonical_curve_key(k):
                             (np.asarray(v[0], dtype=float),
                              np.asarray(v[1], dtype=float))
                             for k, v in coincidence.items()}
         self.spectra = list(spectra)
-        assert len(self.spectra) == self.m
+        if len(self.spectra) != self.m:
+            raise ShapeError("need one spectrum per input port",
+                             spectra=len(self.spectra), m=self.m)
         self.calibration_single = (None if calibration_single is None
                                    else np.asarray(calibration_single, dtype=float))
         self.calibration_curve = calibration_curve
@@ -153,7 +157,9 @@ def repetition_convergence(single_counts, limit=0.2):
 # ---------------------------------------------------------------------------
 def reflectivity_from_alpha(alpha22):
     """Invert α₂₂ = cot²ϑ for the beam-splitter reflectivity cos ϑ."""
-    assert alpha22 >= 0
+    if not alpha22 >= 0:
+        raise CalibrationOutOfRange("calibration amplitude ratio must be >= 0",
+                                    alpha22=float(alpha22))
     return float(np.sqrt(alpha22 / (1.0 + alpha22)))
 
 
@@ -250,13 +256,13 @@ def calibrate_gamma(calibration_single, calibration_curve, q,
             zip(calibration_single, calibration_curve, q)):
         try:
             alpha, _ = estimate_amplitudes(singles)
+            reflectivity = reflectivity_from_alpha(alpha[1, 1])
         except InterferoError as exc:
             out[k] = exc
             continue
         curve = tuple(np.asarray(v, dtype=float) for v in curve)
         owners.append(k)
-        requests.append(_Request(env, (reflectivity_from_alpha(alpha[1, 1]),),
-                                 curve, seeds))
+        requests.append(_Request(env, (reflectivity,), curve, seeds))
     for k, req, fit in zip(owners, requests,
                            _fit_stage(requests, calibration_curve_model)):
         if isinstance(fit, FitFailure):

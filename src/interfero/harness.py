@@ -9,7 +9,7 @@ import numpy as np
 from . import linalg, photonic
 from .characterize import (CharacterizationDataset, all_curve_keys,
                            characterize_dataset, required_choice_keys)
-from .errors import InterferoError
+from .errors import InterferoError, InvalidDimension, ParseError
 
 DEFAULT_TAU_GRID = np.linspace(-5.0, 5.0, 33)
 VARIANTS = ("full", "nocal", "gauss")
@@ -50,6 +50,8 @@ def simulate_dataset(u, gamma, seed=None, rng=None, spectra=None, loss=None,
     if rng is None:
         rng = np.random.default_rng(seed)
     m = u.shape[0]
+    if m < 2:
+        raise InvalidDimension("characterization needs at least 2 ports", m=m)
     params = photonic.representative_from_unitary(u)
     if spectra is None:
         spectra = [photonic.gaussian_spectrum() for _ in range(m)]
@@ -122,7 +124,8 @@ def run_trials(m, variant, n_trials, seed, gamma=0.9, spectra_kind="gauss",
     Variants: "full" (calibrated fit with the true spectra), "nocal"
     (γ forced to 1), "gauss" (Gaussian spectra substituted in the fit).
     """
-    assert variant in VARIANTS
+    if variant not in VARIANTS:
+        raise ParseError(f"unknown variant {variant!r}", variants=list(VARIANTS))
     per_trial = []
     failures = []
     for t in range(n_trials):

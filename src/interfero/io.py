@@ -24,6 +24,7 @@ result JSON     {"schema": "v1", "w": matrix JSON, "gamma", "gamma_sigma",
 
 import csv
 import json
+import math
 import os
 
 import numpy as np
@@ -58,14 +59,47 @@ def load_json(path):
         raise ParseError(f"cannot read JSON file {path}: {exc}") from exc
 
 
+def _as_object(obj, path):
+    if not isinstance(obj, dict):
+        raise ParseError(f"expected a JSON object in {path}",
+                         found=type(obj).__name__)
+    return obj
+
+
 def _require(obj, key, path):
-    if key not in obj:
+    if key not in _as_object(obj, path):
         raise ParseError(f"missing key {key!r} in {path}")
     return obj[key]
 
 
+def _require_int(obj, key, path, minimum=None):
+    value = _require(obj, key, path)
+    try:
+        out = int(value)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    # int() would truncate 2.7 and accept "2" and true
+    if out is None or out != value or isinstance(value, bool):
+        raise ParseError(f"{key!r} must be an integer in {path}",
+                         value=repr(value))
+    if minimum is not None and out < minimum:
+        raise ParseError(f"{key!r} must be >= {minimum} in {path}", value=out)
+    return out
+
+
+def _float_vector(value, key, path):
+    try:
+        out = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{key!r} must be a list of numbers in {path}") from exc
+    if out.ndim != 1:
+        raise ParseError(f"{key!r} must be a flat list of numbers in {path}",
+                         shape=list(out.shape))
+    return out
+
+
 def _check_schema(obj, path):
-    if obj.get("schema", SCHEMA) != SCHEMA:
+    if _as_object(obj, path).get("schema", SCHEMA) != SCHEMA:
         raise ParseError(f"unsupported schema {obj.get('schema')!r} in {path}")
 
 
@@ -85,15 +119,19 @@ def matrix_to_json(m):
 
 def matrix_from_json(obj, path="<matrix>"):
     _check_schema(obj, path)
-    rows = int(_require(obj, "rows", path))
-    cols = int(_require(obj, "cols", path))
-    re = np.asarray(_require(obj, "re", path), dtype=float)
-    im = np.asarray(obj.get("im", np.zeros(rows * cols)), dtype=float)
+    rows = _require_int(obj, "rows", path, minimum=0)
+    cols = _require_int(obj, "cols", path, minimum=0)
+    re = _float_vector(_require(obj, "re", path), "re", path)
+    im = _float_vector(obj.get("im", np.zeros(rows * cols)), "im", path)
     if re.size != rows * cols or im.size != rows * cols:
         raise ParseError(f"matrix entry count mismatch in {path}",
                          rows=rows, cols=cols, re=int(re.size),
                          im=int(im.size))
-    return (re + 1j * im).reshape(rows, cols)
+    # assign the parts: re + 1j·im would turn a −0.0 imaginary part into +0.0
+    out = np.empty((rows, cols), dtype=complex)
+    out.real = re.reshape(rows, cols)
+    out.imag = im.reshape(rows, cols)
+    return out
 
 
 def read_matrix(path):
@@ -122,19 +160,24 @@ def plan_to_json(plan):
 
 def plan_from_json(obj, path="<plan>"):
     _check_schema(obj, path)
-    n_s = int(_require(obj, "n_s", path))
-    n_p = int(_require(obj, "n_p", path))
+    n_s = _require_int(obj, "n_s", path, minimum=1)
+    n_p = _require_int(obj, "n_p", path, minimum=1)
+    raw_elements = _require(obj, "elements", path)
+    if not isinstance(raw_elements, list):
+        raise ParseError(f"'elements' must be a list in {path}",
+                         found=type(raw_elements).__name__)
     elements = []
-    for raw in _require(obj, "elements", path):
+    for raw in raw_elements:
         kind = _require(raw, "kind", path)
-        mode = int(_require(raw, "mode", path))
+        mode = _require_int(raw, "mode", path)
         if kind == "BS":
             elements.append(csd.bs_element(mode))
         elif kind == "IU":
             elements.append(csd.iu_element(
                 mode, matrix_from_json(_require(raw, "matrix", path), path)))
         elif kind == "IP":
-            elements.append(csd.ip_element(mode, _require(raw, "phases", path)))
+            elements.append(csd.ip_element(mode, _float_vector(
+                _require(raw, "phases", path), "phases", path)))
         else:
             raise ParseError(f"unknown element kind {kind!r} in {path}")
     return csd.DecompositionPlan(n_s, n_p, elements)
@@ -229,23 +272,61 @@ def _read_csv(path, expect_header):
         raise ParseError(f"bad header in {path}",
                          expected=expect_header,
                          found=rows[0] if rows else None)
+    for line, row in enumerate(rows[1:], start=2):
+        if len(row) != len(expect_header):
+            raise ParseError(f"wrong field count in {path}", line=line,
+                             expected=len(expect_header), found=len(row))
     return rows[1:]
+
+
+def _number(token, path):
+    try:
+        x = float(token)
+    except ValueError as exc:
+        raise ParseError(f"not a number: {token!r} in {path}") from exc
+    if not math.isfinite(x):
+        raise ParseError(f"not a finite number: {token!r} in {path}")
+    return x
+
+
+def _count(token, path):
+    x = _number(token, path)
+    if x < 0:
+        raise ParseError(f"negative count {token!r} in {path}")
+    return x
+
+
+def _index(token, upper, name, path):
+    """Parse a 1-based index and check it lies in 1..upper."""
+    try:
+        k = int(token)
+    except ValueError as exc:
+        raise ParseError(f"{name} is not an integer: {token!r} in {path}") from exc
+    if not 1 <= k <= upper:
+        raise ParseError(f"{name} out of range 1..{upper} in {path}",
+                         **{name: k})
+    return k
 
 
 def read_bundle(path):
     """Load a bundle directory into a CharacterizationDataset."""
     manifest = load_json(os.path.join(path, "manifest.json"))
     _check_schema(manifest, path)
-    m = int(_require(manifest, "m", path))
-    n_blocks = int(_require(manifest, "B", path))
+    m = _require_int(manifest, "m", path, minimum=2)
+    n_blocks = _require_int(manifest, "B", path, minimum=1)
 
     singles = np.zeros((m, m, n_blocks))
-    for i, j, b, count in _read_csv(os.path.join(path, "counts.csv"),
-                                    ["i", "j", "b", "count"]):
-        singles[int(i) - 1, int(j) - 1, int(b) - 1] = float(count)
+    counts_path = os.path.join(path, "counts.csv")
+    for i, j, b, count in _read_csv(counts_path, ["i", "j", "b", "count"]):
+        singles[_index(i, m, "i", counts_path) - 1,
+                _index(j, m, "j", counts_path) - 1,
+                _index(b, n_blocks, "b", counts_path) - 1] = \
+            _count(count, counts_path)
 
     curves = {}
     cdir = os.path.join(path, "coincidence")
+    if not os.path.isdir(cdir):
+        raise ParseError(f"missing coincidence directory in {path}")
     for name in sorted(os.listdir(cdir)):
         if not name.endswith(".csv"):
             continue
@@ -253,19 +334,22 @@ def read_bundle(path):
             key = tuple(int(tok) for tok in name[:-4].split("_"))
         except ValueError as exc:
             raise ParseError(f"bad coincidence file name {name!r}") from exc
-        if len(key) != 4:
-            raise ParseError(f"bad coincidence file name {name!r}")
-        rows = _read_csv(os.path.join(cdir, name), ["tau", "count"])
-        tau = np.array([float(r[0]) for r in rows])
-        counts = np.array([float(r[1]) for r in rows])
+        # outputs i ≠ i' and inputs j ≠ j', all in 1..m
+        if (len(key) != 4 or not all(1 <= k <= m for k in key)
+                or key[0] == key[1] or key[2] == key[3]):
+            raise ParseError(f"bad coincidence file name {name!r}", m=m)
+        curve_path = os.path.join(cdir, name)
+        rows = _read_csv(curve_path, ["tau", "count"])
+        tau = np.array([_number(r[0], curve_path) for r in rows])
+        counts = np.array([_count(r[1], curve_path) for r in rows])
         curves[key] = (tau, counts)
 
     spectra = []
     for j in range(1, m + 1):
-        rows = _read_csv(os.path.join(path, "spectra", f"{j}.csv"),
-                         ["omega", "value"])
-        omega = np.array([float(r[0]) for r in rows])
-        values = np.array([float(r[1]) for r in rows])
+        spec_path = os.path.join(path, "spectra", f"{j}.csv")
+        rows = _read_csv(spec_path, ["omega", "value"])
+        omega = np.array([_number(r[0], spec_path) for r in rows])
+        values = np.array([_number(r[1], spec_path) for r in rows])
         spectra.append(SpectralFunction(omega, values))
 
     cal_single = cal_curve = cal_spectra = None
@@ -274,11 +358,15 @@ def read_bundle(path):
         singles_entries, tau_list, count_list = [], [], []
         for record, i, j, b, tau, count in _read_csv(
                 cal_path, ["record", "i", "j", "b", "tau", "count"]):
+            # the reference beam splitter has two ports
             if record == "single":
-                singles_entries.append((int(i), int(j), int(b), float(count)))
+                singles_entries.append((_index(i, 2, "i", cal_path),
+                                        _index(j, 2, "j", cal_path),
+                                        _index(b, n_blocks, "b", cal_path),
+                                        _count(count, cal_path)))
             elif record == "curve":
-                tau_list.append(float(tau))
-                count_list.append(float(count))
+                tau_list.append(_number(tau, cal_path))
+                count_list.append(_count(count, cal_path))
             else:
                 raise ParseError(f"unknown calibration record {record!r}")
         if singles_entries:

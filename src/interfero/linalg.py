@@ -11,6 +11,7 @@ import numpy as np
 from .errors import (
     NumericalFailure,
     InvalidDimension,
+    NotUnitary,
     ShapeError,
     SingularInput,
     PhaseUndefined,
@@ -42,8 +43,6 @@ def assert_unitary(u, tol=DEFAULT_UNITARITY_TOL):
         raise ShapeError("unitary must be square", shape=list(u.shape))
     d = unitarity_defect(u)
     if d > tol:
-        from .errors import NotUnitary
-
         raise NotUnitary(f"unitarity defect {d:.3e} exceeds tolerance {tol:.1e}",
                          defect=d, tol=tol)
     return u

@@ -32,12 +32,21 @@ class RepresentativeParams:
         self.theta = np.asarray(theta, dtype=float)
         self.lambda_ = np.asarray(lambda_, dtype=float)
         self.mu = np.asarray(mu, dtype=float)
-        self.m = self.alpha.shape[0]
-        assert self.alpha.shape == (self.m, self.m)
-        assert self.theta.shape == (self.m, self.m)
-        assert np.allclose(self.alpha[0, :], 1) and np.allclose(self.alpha[:, 0], 1)
-        assert np.allclose(self.theta[0, :], 0) and np.allclose(self.theta[:, 0], 0)
-        assert abs(self.lambda_[0] - 1) < 1e-12
+        shape = self.alpha.shape
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise ShapeError("alpha must be square", shape=list(shape))
+        self.m = shape[0]
+        if self.theta.shape != (self.m, self.m):
+            raise ShapeError("theta must match alpha",
+                             shape=list(self.theta.shape), m=self.m)
+        if not (np.allclose(self.alpha[0, :], 1)
+                and np.allclose(self.alpha[:, 0], 1)):
+            raise ShapeError("alpha must have its first row and column at 1")
+        if not (np.allclose(self.theta[0, :], 0)
+                and np.allclose(self.theta[:, 0], 0)):
+            raise ShapeError("theta must have its first row and column at 0")
+        if not abs(self.lambda_[0] - 1) < 1e-12:
+            raise ShapeError("lambda_1 must be 1", lambda_1=float(self.lambda_[0]))
 
     def assemble(self):
         """The representative matrix diag(√λ)·A·diag(√μ)."""
@@ -68,8 +77,10 @@ class LossModel:
         m = len(self.kappa)
         self.phi = np.zeros(m) if phi is None else np.asarray(phi, dtype=float)
         self.xi = np.zeros(m) if xi is None else np.asarray(xi, dtype=float)
-        assert np.all((self.kappa >= 0) & (self.kappa <= 1))
-        assert np.all((self.nu >= 0) & (self.nu <= 1))
+        for name, eff in (("kappa", self.kappa), ("nu", self.nu)):
+            if not np.all((eff >= 0) & (eff <= 1)):
+                raise ShapeError(f"efficiencies {name} must lie in [0, 1]",
+                                 values=[float(x) for x in np.ravel(eff)])
 
     @classmethod
     def lossless(cls, m):
@@ -120,9 +131,14 @@ class SpectralFunction:
     def __init__(self, omega, values, renormalize=True):
         self.omega = np.asarray(omega, dtype=float)
         self.values = np.asarray(values, dtype=float)
-        assert self.omega.ndim == 1 and self.omega.shape == self.values.shape
-        assert np.all(np.diff(self.omega) > 0), "omega grid must increase"
-        assert np.all(self.values >= 0), "spectral amplitude must be nonnegative"
+        if self.omega.ndim != 1 or self.omega.shape != self.values.shape:
+            raise ShapeError("spectrum needs one value per grid point",
+                             omega=list(self.omega.shape),
+                             values=list(self.values.shape))
+        if not np.all(np.diff(self.omega) > 0):
+            raise ShapeError("omega grid must increase")
+        if not np.all(self.values >= 0):
+            raise ShapeError("spectral amplitude must be nonnegative")
         self.weights = trapezoid_weights(self.omega)
         norm2 = float(np.sum(self.weights * self.values ** 2))
         if renormalize:

@@ -4,7 +4,8 @@ import pytest
 from interfero import characterize, harness, linalg, photonic
 from interfero.errors import (CalibrationOutOfRange, DegenerateAmplitudes,
                               DivisionByZeroCount, FitFailure,
-                              InsufficientData, InterferoError, ParseError)
+                              InsufficientData, InterferoError, ParseError,
+                              ShapeError)
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +102,23 @@ def test_calibrate_gamma_half_visibility():
     assert abs(vis - 0.5) < 1e-6  # V = gamma at the balanced point
     gamma, sigma, _ = characterize.calibrate_gamma(singles, curve, q)
     assert abs(gamma - 0.5) < 0.01
+
+
+@pytest.mark.parametrize("alpha22", [-0.5, np.nan])
+def test_reflectivity_rejects_invalid_ratio(alpha22):
+    with pytest.raises(CalibrationOutOfRange):
+        characterize.reflectivity_from_alpha(alpha22)
+
+
+def test_calibrate_gamma_stack_keeps_invalid_ratio_per_dataset():
+    singles, curve, q = calibration_setup(1.0)
+    bad = singles.copy()
+    bad[1, 1, :] = -bad[1, 1, :]        # α₂₂ of negative counts is NaN
+    with np.errstate(invalid="ignore"):
+        out = characterize.calibrate_gamma([bad, singles], [curve, curve],
+                                           [q, q])
+    assert isinstance(out[0], CalibrationOutOfRange)
+    assert abs(out[1][0] - 1.0) < 1e-3
 
 
 def test_calibrate_gamma_out_of_range():
@@ -488,3 +506,14 @@ def test_scattershot_end_to_end_m2():
     ds, diag = characterize.scattershot_extract(records, 2, 8, spectra=[f, f])
     est = characterize.characterize_dataset(ds)
     assert harness.characterization_error(est.w, u) < 0.05
+
+
+def test_dataset_rejects_malformed_shapes():
+    spectra = [photonic.gaussian_spectrum() for _ in range(3)]
+    with pytest.raises(ShapeError):
+        characterize.CharacterizationDataset(np.ones((3, 3)), {}, spectra)
+    with pytest.raises(ShapeError):
+        characterize.CharacterizationDataset(np.ones((3, 2, 4)), {}, spectra)
+    with pytest.raises(ShapeError):
+        characterize.CharacterizationDataset(np.ones((3, 3, 4)), {},
+                                             spectra[:2])

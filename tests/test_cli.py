@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 
@@ -32,6 +33,65 @@ def test_decompose_reconstruct_round_trip(tmp_path, capsys):
                 "--out", str(tmp_path / "u2.json")]) == 0
     back = io.read_matrix(tmp_path / "u2.json")
     assert linalg.trace_distance(back, u) < 1e-9
+
+
+def _plan_json():
+    plan = csd.decompose(linalg.haar_random_unitary(4, seed=5), 2, 2)
+    return io.plan_to_json(plan)
+
+
+def _first(obj, kind):
+    return next(e for e in obj["elements"] if e["kind"] == kind)
+
+
+MALFORMED_PLANS = {
+    "mode-not-integer": (
+        lambda obj: obj["elements"][0].update(mode="x"), "ParseError"),
+    "mode-fractional": (
+        lambda obj: obj["elements"][0].update(mode=1.5), "ParseError"),
+    "negative-n_s": (lambda obj: obj.update(n_s=-1), "ParseError"),
+    "zero-n_p": (lambda obj: obj.update(n_p=0), "ParseError"),
+    "infinite-n_s": (lambda obj: obj.update(n_s=float("inf")), "ParseError"),
+    "elements-not-a-list": (lambda obj: obj.update(elements=5), "ParseError"),
+    "element-not-an-object": (lambda obj: obj.update(elements=[5]),
+                              "ParseError"),
+    "phase-not-numeric": (lambda obj: _first(obj, "IP")["phases"].__setitem__(
+        0, "half"), "ParseError"),
+    "phases-nested": (lambda obj: _first(obj, "IP").update(phases=[[0.5]]),
+                      "ParseError"),
+    "matrix-rows-not-integer": (
+        lambda obj: _first(obj, "IU")["matrix"].update(rows="two"),
+        "ParseError"),
+    # null and NaN parse as NaN; reconstruct refuses the non-finite product
+    "phase-not-finite": (lambda obj: _first(obj, "IP")["phases"].__setitem__(
+        0, float("nan")), "PlanCorrupt"),
+    "matrix-entry-null": (
+        lambda obj: _first(obj, "IU")["matrix"]["re"].__setitem__(0, None),
+        "PlanCorrupt"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PLANS))
+def test_reconstruct_malformed_plan_exit_1(case, tmp_path, capsys):
+    obj = _plan_json()
+    corrupt, expected = MALFORMED_PLANS[case]
+    corrupt(obj)
+    (tmp_path / "plan.json").write_text(json.dumps(obj))
+    out = tmp_path / "u.json"
+    assert run(["reconstruct", "--in", str(tmp_path / "plan.json"),
+                "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["schema"] == "v1"
+    assert err["error"] == expected
+    assert not out.exists()
+
+
+def test_reconstruct_plan_that_is_not_an_object_exit_1(tmp_path, capsys):
+    (tmp_path / "plan.json").write_text("[1, 2]")
+    assert run(["reconstruct", "--in", str(tmp_path / "plan.json"),
+                "--out", str(tmp_path / "u.json")]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
+    assert not (tmp_path / "u.json").exists()
 
 
 def test_cost_verb(tmp_path, capsys):
@@ -95,6 +155,19 @@ def test_gamma_out_of_range_exit_1(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--m", "1", "--seed", "1"],
+    ["trials", "--m", "1", "--variant", "full", "--trials", "1",
+     "--seed", "1"]])
+def test_single_port_exit_1(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run([*argv, "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["schema"] == "v1"
+    assert err["error"] == "InvalidDimension"
+    assert not out.exists()
+
+
 def test_characterize_short_curve_exit_1(tmp_path, capsys):
     bundle = tmp_path / "bundle"
     assert run(["simulate", "--m", "3", "--gamma", "0.9", "--seed", "3",
@@ -108,6 +181,109 @@ def test_characterize_short_curve_exit_1(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["schema"] == "v1"
     assert err["error"] == "InsufficientData"
+
+
+@pytest.fixture(scope="module")
+def m4_bundle(tmp_path_factory):
+    bundle = tmp_path_factory.mktemp("bundle") / "m4"
+    assert run(["simulate", "--m", "4", "--seed", "3",
+                "--out", str(bundle)]) == 0
+    return bundle
+
+
+def _edit_line(relpath, line, edit):
+    """Replace data line ``line`` (1 = first after the header)."""
+    def apply(bundle):
+        path = bundle / relpath
+        lines = path.read_text().splitlines(True)
+        lines[line] = edit(lines[line])
+        path.write_text("".join(lines))
+    return apply
+
+
+def _field(k, value):
+    def edit(text):
+        fields = text.rstrip("\n").split(",")
+        fields[k] = value
+        return ",".join(fields) + "\n"
+    return edit
+
+
+def _swap_first_rows(relpath):
+    def apply(bundle):
+        path = bundle / relpath
+        lines = path.read_text().splitlines(True)
+        lines[1], lines[2] = lines[2], lines[1]
+        path.write_text("".join(lines))
+    return apply
+
+
+def _copy(src, dst):
+    return lambda bundle: shutil.copy(bundle / src, bundle / dst)
+
+
+def _manifest(**changes):
+    def apply(bundle):
+        path = bundle / "manifest.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), **changes}))
+    return apply
+
+
+MALFORMED_BUNDLES = {
+    "omega-not-increasing": (_swap_first_rows("spectra/1.csv"), "ShapeError"),
+    "negative-spectrum": (_edit_line("spectra/2.csv", 1, _field(1, "-0.5")),
+                          "ShapeError"),
+    "counts-i-above-m": (_edit_line("counts.csv", 1, _field(0, "5")),
+                         "ParseError"),
+    "counts-i-zero": (_edit_line("counts.csv", 1, _field(0, "0")),
+                      "ParseError"),
+    "counts-j-zero": (_edit_line("counts.csv", 1, _field(1, "0")),
+                      "ParseError"),
+    "counts-b-above-B": (_edit_line("counts.csv", 1, _field(2, "11")),
+                         "ParseError"),
+    "counts-i-not-integer": (_edit_line("counts.csv", 1, _field(0, "x")),
+                             "ParseError"),
+    "counts-count-not-numeric": (_edit_line("counts.csv", 1, _field(3, "n/a")),
+                                 "ParseError"),
+    "counts-negative": (_edit_line("counts.csv", 1, _field(3, "-8129.0")),
+                        "ParseError"),
+    "counts-nan": (_edit_line("counts.csv", 1, _field(3, "nan")),
+                   "ParseError"),
+    "calibration-count-negative": (
+        _edit_line("calibration.csv", 1, _field(5, "-1.0")), "ParseError"),
+    "curve-count-infinite": (_edit_line("coincidence/1_2_1_2.csv", 1,
+                                        _field(1, "inf")), "ParseError"),
+    "counts-short-row": (_edit_line("counts.csv", 1, lambda t: "1,1,1\n"),
+                         "ParseError"),
+    "calibration-i-above-2": (_edit_line("calibration.csv", 1, _field(1, "3")),
+                              "ParseError"),
+    "calibration-b-zero": (_edit_line("calibration.csv", 1, _field(3, "0")),
+                           "ParseError"),
+    "curve-tau-not-numeric": (_edit_line("coincidence/1_2_1_2.csv", 1,
+                                         _field(0, "soon")), "ParseError"),
+    "curve-port-above-m": (_copy("coincidence/1_2_1_2.csv",
+                                 "coincidence/1_9_1_2.csv"), "ParseError"),
+    "curve-repeated-port": (_copy("coincidence/1_2_1_2.csv",
+                                  "coincidence/1_1_1_2.csv"), "ParseError"),
+    "manifest-m-not-integer": (_manifest(m="four"), "ParseError"),
+    "manifest-B-zero": (_manifest(B=0), "ParseError"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_BUNDLES))
+def test_characterize_malformed_bundle_exit_1(case, m4_bundle, tmp_path,
+                                              capsys):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(m4_bundle, bundle)
+    corrupt, expected = MALFORMED_BUNDLES[case]
+    corrupt(bundle)
+    capsys.readouterr()
+    out = tmp_path / "result.json"
+    assert run(["characterize", "--data", str(bundle), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["schema"] == "v1"
+    assert err["error"] == expected
+    assert not out.exists()
 
 
 def test_threads_flag_is_gone():

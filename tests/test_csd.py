@@ -12,29 +12,50 @@ from interfero.errors import (
 )
 
 
+def cs_matrix(thetas, extra=0):
+    """Dense oracle: the orthogonal CS matrix S_2m(θ) ⊕ I_extra."""
+    t = np.asarray(thetas, dtype=float)
+    m = len(t)
+    c = np.diag(np.cos(t))
+    s = np.diag(np.sin(t))
+    out = np.eye(2 * m + extra, dtype=complex)
+    out[:2 * m, :2 * m] = np.block([[c, s], [-s, c]])
+    return out
+
+
+def block_diag(a, b):
+    out = np.zeros((a.shape[0] + b.shape[0],) * 2, dtype=complex)
+    out[:a.shape[0], :a.shape[0]] = a
+    out[a.shape[0]:, a.shape[0]:] = b
+    return out
+
+
 def check_csd(u, m, tol=1e-10):
-    blocks = csd.csd(u, m)
+    l, l_prime, thetas, r, r_prime = csd.csd(u, m)
     dim = u.shape[0]
     n = dim - m
-    # block-diagonal structure of the factors
-    assert np.max(np.abs(blocks.left[:m, m:])) == 0
-    assert np.max(np.abs(blocks.left[m:, :m])) == 0
-    assert linalg.unitarity_defect(blocks.left) < 1e-10
-    assert linalg.unitarity_defect(blocks.right) < 1e-10
-    assert np.all(blocks.thetas >= 0) and np.all(blocks.thetas <= np.pi / 2 + 1e-12)
-    assert np.max(np.abs(blocks.reconstruct() - u)) < tol
-    return blocks
+    # block shapes, then the dense factors L ⊕ L' and R ⊕ R'
+    assert l.shape == r.shape == (m, m)
+    assert l_prime.shape == r_prime.shape == (n, n)
+    left = block_diag(l, l_prime)
+    right = block_diag(r, r_prime)
+    assert linalg.unitarity_defect(left) < 1e-10
+    assert linalg.unitarity_defect(right) < 1e-10
+    assert np.all(thetas >= 0) and np.all(thetas <= np.pi / 2 + 1e-12)
+    assert np.max(np.abs(left @ cs_matrix(thetas, n - m) @ right.conj().T
+                         - u)) < tol
+    return thetas
 
 
 def test_csd_identity():
-    blocks = check_csd(np.eye(4, dtype=complex), 2)
-    assert np.allclose(blocks.thetas, 0, atol=1e-12)
+    thetas = check_csd(np.eye(4, dtype=complex), 2)
+    assert np.allclose(thetas, 0, atol=1e-12)
 
 
 def test_csd_cs_matrix_input():
-    target = csd.cs_matrix([np.pi / 6, np.pi / 3])
-    blocks = check_csd(target, 2)
-    assert np.allclose(sorted(blocks.thetas), [np.pi / 6, np.pi / 3], atol=1e-10)
+    target = cs_matrix([np.pi / 6, np.pi / 3])
+    thetas = check_csd(target, 2)
+    assert np.allclose(sorted(thetas), [np.pi / 6, np.pi / 3], atol=1e-10)
     # L and R must jointly cancel: L (S ⊕ I) R == S means the gauge freedom
     # is only block-diagonal; verify via reconstruction (done in check_csd)
 
@@ -54,8 +75,8 @@ def test_csd_random_many(dim, m):
 
 def test_csd_angles_sorted_by_descending_cos():
     u = linalg.haar_random_unitary(8, seed=55)
-    blocks = csd.csd(u, 3)
-    assert np.all(np.diff(np.cos(blocks.thetas)) <= 1e-12)
+    thetas = csd.csd(u, 3)[2]
+    assert np.all(np.diff(np.cos(thetas)) <= 1e-12)
 
 
 def test_csd_theta_near_zero():
@@ -64,8 +85,8 @@ def test_csd_theta_near_zero():
     u = np.zeros((6, 6), dtype=complex)
     u[:2, :2] = linalg.haar_random_unitary(2, rng=rng)
     u[2:, 2:] = linalg.haar_random_unitary(4, rng=rng)
-    blocks = check_csd(u, 2)
-    assert np.allclose(blocks.thetas, 0, atol=1e-10)
+    thetas = check_csd(u, 2)
+    assert np.allclose(thetas, 0, atol=1e-10)
 
 
 def test_csd_theta_near_half_pi():
@@ -74,13 +95,13 @@ def test_csd_theta_near_half_pi():
     u = np.zeros((4, 4), dtype=complex)
     u[:2, 2:] = linalg.haar_random_unitary(2, rng=rng)
     u[2:, :2] = linalg.haar_random_unitary(2, rng=rng)
-    blocks = check_csd(u, 2)
-    assert np.allclose(blocks.thetas, np.pi / 2, atol=1e-10)
+    thetas = check_csd(u, 2)
+    assert np.allclose(thetas, np.pi / 2, atol=1e-10)
 
 
 def test_csd_mixed_tiny_angle():
     # one angle moderately small but exact reconstruction still required
-    s = csd.cs_matrix([1e-5, 0.7], extra=1)
+    s = cs_matrix([1e-5, 0.7], extra=1)
     rng = np.random.default_rng(7)
     lm = linalg.haar_random_unitary(2, rng=rng)
     lp = linalg.haar_random_unitary(3, rng=rng)
@@ -98,7 +119,7 @@ def test_csd_angles_match_lapack_cossin(dim, m):
     for _ in range(3):
         u = linalg.haar_random_unitary(dim, rng=rng)
         _, theta, _ = cossin(u, p=m, q=m, separate=True)
-        ours = csd.csd(u, m).thetas
+        ours = csd.csd(u, m)[2]
         assert np.allclose(np.sort(ours), np.sort(theta), atol=1e-10)
 
 
@@ -148,7 +169,7 @@ def test_factor_cs_np2():
     angles = [np.pi / 3, np.pi / 7]
     els = csd.factor_cs_matrix(angles, 2)
     prod = elements_product(els, 2, 2)
-    assert np.max(np.abs(prod - csd.cs_matrix(angles))) < 1e-12
+    assert np.max(np.abs(prod - cs_matrix(angles))) < 1e-12
 
 
 def test_factor_cs_np1_single_angle():
@@ -168,7 +189,7 @@ def test_factor_cs_random_angles_exact():
         assert len([e for e in els if e["kind"] == "BS"]) == 2
         assert len([e for e in els if e["kind"] == "IP"]) == 2
         prod = elements_product(els, 2, n_p)
-        assert np.max(np.abs(prod - csd.cs_matrix(angles))) < 1e-12
+        assert np.max(np.abs(prod - cs_matrix(angles))) < 1e-12
 
 
 # ---------------------------------------------------------------------------

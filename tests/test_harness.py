@@ -1,7 +1,8 @@
 import numpy as np
+import pytest
 
 from interfero import characterize, harness, linalg, photonic
-from interfero.errors import FitFailure
+from interfero.errors import FitFailure, ParseError
 
 
 def test_simulate_deterministic():
@@ -127,3 +128,8 @@ def test_run_trials_failures_carry_class(monkeypatch):
     assert report["failures"] == [
         {"trial": t, "error": "no start converged", "class": "FitFailure"}
         for t in range(2)]
+
+
+def test_run_trials_rejects_unknown_variant():
+    with pytest.raises(ParseError):
+        harness.run_trials(3, "bogus", 1, seed=1)

@@ -1,5 +1,8 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from interfero import csd, harness, io, linalg
 from interfero.errors import ParseError
@@ -87,3 +90,42 @@ def test_plot_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "x,y,series"
     assert lines[1] == "0.0,1.5,full"
+
+
+# ---------------------------------------------------------------------------
+# round-trip properties
+# ---------------------------------------------------------------------------
+@st.composite
+def complex_matrices(draw):
+    """(rows, cols, parts): interleaved real and imaginary finite floats."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return rows, cols, draw(st.lists(finite, min_size=2 * rows * cols,
+                                     max_size=2 * rows * cols))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(complex_matrices())
+# signed zeros, the smallest subnormal and the largest finite float
+@example((1, 4, [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                 -1.7976931348623157e308, -0.0, 0.0]))
+def test_matrix_json_round_trip_is_bit_exact(matrix):
+    rows, cols, parts = matrix
+    m = np.empty((rows, cols), dtype=complex)
+    m.real = np.reshape(parts[0::2], (rows, cols))
+    m.imag = np.reshape(parts[1::2], (rows, cols))
+    back = io.matrix_from_json(json.loads(io.json_text(io.matrix_to_json(m))))
+    assert back.shape == m.shape
+    assert back.tobytes() == m.tobytes()
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(n_s=st.integers(1, 4), n_p=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_plan_json_round_trip_reconstructs_bitwise(n_s, n_p, seed):
+    u = linalg.haar_random_unitary(n_s * n_p, seed=seed)
+    plan = csd.decompose(u, n_s, n_p)
+    back = io.plan_from_json(json.loads(io.json_text(io.plan_to_json(plan))))
+    assert (back.n_s, back.n_p) == (n_s, n_p)
+    assert back.census() == plan.census()
+    assert csd.reconstruct(back).tobytes() == csd.reconstruct(plan).tobytes()

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from interfero import characterize, csd, harness, linalg, photonic
-from interfero.errors import InvalidGamma, PortError
+from interfero.errors import InvalidGamma, PortError, ShapeError
 
 
 def random_params(m, seed):
@@ -370,3 +370,40 @@ def test_simulation_and_bootstrap_share_envelopes(monkeypatch):
         assert rep.calibration_envelope() is q
         assert set(vars(rep)) == set(vars(ds))
         assert not any(name.startswith("_") for name in vars(rep))
+
+
+@pytest.mark.parametrize("omega,values", [
+    ([0.0, 1.0, 2.0], [0.1, 0.2]),
+    ([[0.0, 1.0]], [[0.1, 0.2]]),
+    ([0.0, 2.0, 1.0], [0.1, 0.2, 0.1]),
+    ([0.0, 1.0, 2.0], [0.1, -0.2, 0.1]),
+    ([0.0, 1.0, 2.0], [0.1, np.nan, 0.1]),
+], ids=["length-mismatch", "two-d", "not-increasing", "negative", "nan"])
+def test_spectral_function_rejects_malformed_input(omega, values):
+    with pytest.raises(ShapeError):
+        photonic.SpectralFunction(omega, values, renormalize=False)
+
+
+def test_representative_params_reject_malformed_input():
+    rep = photonic.representative_from_unitary(
+        linalg.haar_random_unitary(3, seed=2))
+    good = (rep.alpha, rep.theta, rep.lambda_, rep.mu)
+    bad = [
+        (rep.alpha[:, :2], *good[1:]),
+        (rep.alpha, rep.theta[:2], *good[2:]),
+        (rep.alpha * 2, *good[1:]),
+        (rep.alpha, rep.theta + 0.1, *good[2:]),
+        (*good[:2], rep.lambda_ * 2, rep.mu),
+    ]
+    for args in bad:
+        with pytest.raises(ShapeError):
+            photonic.RepresentativeParams(*args)
+
+
+@pytest.mark.parametrize("kappa,nu", [([1.0, 1.5], [1.0, 1.0]),
+                                      ([1.0, 1.0], [-0.1, 1.0]),
+                                      ([np.nan, 1.0], [1.0, 1.0])],
+                         ids=["kappa-above-1", "nu-negative", "kappa-nan"])
+def test_loss_model_rejects_efficiencies_outside_unit_interval(kappa, nu):
+    with pytest.raises(ShapeError):
+        photonic.LossModel(kappa, nu)
