@@ -3,10 +3,11 @@
 A state is a polynomial in creation operators a†_{i,k} (site i = 1..n,
 species k = 1..n-1) acting on the vacuum, stored as a sparse map from
 occupation matrices to coefficients.  Construction work (highest-weight
-states, generator actions, basis growth, orthogonalization) is carried out
-with exact ``Fraction`` coefficients, so linear-independence and
-orthogonality decisions are made without tolerances; floating point enters
-only when ``sunrep`` tabulates normalized coefficients for D-functions.
+states, generator actions, basis growth, orthogonalization) keeps every
+state as a primitive integer vector: eliminations are fraction-free and
+content is divided out, so linear-independence and orthogonality decisions
+are exact and need no tolerances; floating point enters only when
+``sunrep`` tabulates normalized coefficients for D-functions.
 
 Generators, acting on site indices only (summed over species):
 
@@ -19,6 +20,8 @@ import itertools
 from array import array
 from collections import deque
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd
 
 from .errors import (
     InternalInconsistency,
@@ -53,7 +56,7 @@ class BosonPolynomial:
 
     __slots__ = ("n_sites", "n_species", "terms", "scale2")
 
-    def __init__(self, n_sites, n_species, terms=None, scale2=Fraction(1)):
+    def __init__(self, n_sites, n_species, terms=None, scale2=1):
         self.n_sites = int(n_sites)
         self.n_species = int(n_species)
         self.terms = dict(terms) if terms else {}
@@ -64,10 +67,6 @@ class BosonPolynomial:
     def vacuum(cls, n_sites, n_species):
         empty = tuple((0,) * n_species for _ in range(n_sites))
         return cls(n_sites, n_species, {empty: 1})
-
-    def copy(self):
-        return BosonPolynomial(self.n_sites, self.n_species, self.terms,
-                               self.scale2)
 
     # -- structure ----------------------------------------------------------
     def is_zero(self):
@@ -150,35 +149,16 @@ class BosonPolynomial:
         return BosonPolynomial(self.n_sites, self.n_species, out)
 
     def reduce_content(self):
-        """Divide out the rational content (gcd of all coefficients).
+        """Divide out the content (gcd of all integer coefficients).
 
         Keeps coefficient growth in check along chains of generator
         applications; only the ray matters until the final normalization.
         """
-        if not self.terms:
+        terms = _primitive(self.terms)
+        if terms is self.terms:
             return self
-        from math import gcd
-        if all(isinstance(c, int) for c in self.terms.values()):
-            g = 0
-            for c in self.terms.values():
-                g = gcd(g, c)
-                if g == 1:
-                    return self
-            return BosonPolynomial(
-                self.n_sites, self.n_species,
-                {mono: c // g for mono, c in self.terms.items()}, self.scale2)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            f = Fraction(c)
-            num = gcd(num, abs(f.numerator))
-            den = den * f.denominator // gcd(den, f.denominator)
-        g = Fraction(num, den)
-        if g in (0, 1):
-            return self
-        return BosonPolynomial(
-            self.n_sites, self.n_species,
-            {mono: c / g for mono, c in self.terms.items()}, self.scale2)
+        return BosonPolynomial(self.n_sites, self.n_species, terms,
+                               self.scale2)
 
     # -- generator actions --------------------------------------------------
     def apply_c(self, i, j):
@@ -198,24 +178,11 @@ class BosonPolynomial:
                     del out[new]
         return BosonPolynomial(self.n_sites, self.n_species, out, self.scale2)
 
-    def apply_h(self, i):
-        """Apply h_i = number(site i) - number(site i+1) (1-based)."""
-        if not (1 <= i <= self.n_sites - 1):
-            raise InvalidDimension("Cartan index out of range", i=i,
-                                   n_sites=self.n_sites)
-        out = {}
-        for mono, c in self.terms.items():
-            ev = sum(mono[i - 1]) - sum(mono[i])
-            if ev:
-                out[mono] = c * ev
-        return BosonPolynomial(self.n_sites, self.n_species, out, self.scale2)
-
     # -- metric -------------------------------------------------------------
     def raw_inner(self, other):
         """Bosonic inner product of the raw coefficient parts.
 
         <mono, mono'> = delta_{mono,mono'} * prod factorial(exponent).
-        Exact (Fraction/int) when both coefficient sets are rational.
         """
         self._check_compatible(other)
         small, big = ((self.terms, other.terms)
@@ -227,16 +194,8 @@ class BosonPolynomial:
             cb = other.terms.get(mono)
             if ca is None or cb is None:
                 continue
-            total += _conj(ca) * cb * monomial_weight(mono)
+            total += ca * cb * monomial_weight(mono)
         return total
-
-    def inner(self, other):
-        """Inner product of the (scale2-normalized) states, as a number."""
-        raw = self.raw_inner(other)
-        if self.scale2 == 1 and other.scale2 == 1:
-            return raw
-        import math
-        return raw / math.sqrt(float(self.scale2) * float(other.scale2))
 
     def norm2_raw(self):
         return self.raw_inner(self)
@@ -249,11 +208,19 @@ class BosonPolynomial:
         return BosonPolynomial(self.n_sites, self.n_species, self.terms, n2)
 
 
-def _conj(c):
-    return c.conjugate() if isinstance(c, complex) else c
+def _primitive(terms):
+    """``terms`` divided by the gcd of its integer coefficients.
 
-
-from functools import lru_cache
+    Returns ``terms`` itself when the content is already 1 (or it is empty).
+    """
+    g = 0
+    for c in terms.values():
+        g = gcd(g, c)
+        if g == 1:
+            return terms
+    if g > 1:
+        return {mono: c // g for mono, c in terms.items()}
+    return terms
 
 
 @lru_cache(maxsize=1 << 18)
@@ -354,57 +321,34 @@ def _perm_sign(perm):
 class _EchelonSpace:
     """Incrementally reduced row space over monomial coordinates (exact).
 
-    Integer-coefficient vectors go through a fraction-free elimination
-    (cross-multiplied rows, content removed afterwards) so no Fraction
-    objects are created on the hot path; anything else falls back to
-    exact rational elimination.
+    Integer vectors go through a fraction-free elimination (cross-multiplied
+    rows, content removed afterwards), so every row stays integral.
     """
 
     def __init__(self):
-        self.rows = []  # list of (pivot_mono, {mono: int|Fraction})
+        self.rows = []  # list of (pivot_mono, {mono: int})
 
     def try_insert(self, terms):
-        from math import gcd
-        if all(isinstance(c, int) for c in terms.values()):
-            vec = dict(terms)
-            for pivot, row in self.rows:
-                coef = vec.get(pivot)
-                if not coef:
-                    continue
-                rp = row[pivot]
-                g = gcd(coef, rp)
-                a, b = rp // g, coef // g
-                # vec <- a*vec - b*row  (kills the pivot, stays integral)
-                for m, c in row.items():
-                    s = a * vec.get(m, 0) - b * c
-                    if s:
-                        vec[m] = s
-                    else:
-                        vec.pop(m, None)
-                if a != 1:
-                    for m in list(vec):
-                        if m not in row:
-                            vec[m] = a * vec[m]
-                g = 0
-                for c in vec.values():
-                    g = gcd(g, c)
-                    if g == 1:
-                        break
-                if g > 1:
-                    vec = {m: c // g for m, c in vec.items()}
-        else:
-            vec = {m: Fraction(c) for m, c in terms.items()}
-            for pivot, row in self.rows:
-                coef = vec.get(pivot)
-                if not coef:
-                    continue
-                factor = coef / row[pivot]
-                for m, c in row.items():
-                    s = vec.get(m, 0) - factor * c
-                    if s:
-                        vec[m] = s
-                    else:
-                        vec.pop(m, None)
+        vec = dict(terms)
+        for pivot, row in self.rows:
+            coef = vec.get(pivot)
+            if not coef:
+                continue
+            rp = row[pivot]
+            g = gcd(coef, rp)
+            a, b = rp // g, coef // g
+            # vec <- a*vec - b*row  (kills the pivot, stays integral)
+            for m, c in row.items():
+                s = a * vec.get(m, 0) - b * c
+                if s:
+                    vec[m] = s
+                else:
+                    vec.pop(m, None)
+            if a != 1:
+                for m in list(vec):
+                    if m not in row:
+                        vec[m] = a * vec[m]
+            vec = _primitive(vec)
         if not vec:
             return False
         pivot = max(vec)
@@ -675,14 +619,7 @@ def minor_basis_count(kappas, n=None, seed=0, n_points=24):
                         del out[new]
             if not out:
                 continue
-            from math import gcd
-            g = 0
-            for c in out.values():
-                g = gcd(g, c)
-                if g == 1:
-                    break
-            if g > 1:
-                out = {m: c // g for m, c in out.items()}
+            out = _primitive(out)
             if admit(out):
                 count += 1
                 queue.append(out)

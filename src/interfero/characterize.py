@@ -648,8 +648,10 @@ def max_likely_unitary(alpha, theta):
         raise DegenerateAmplitudes("vanishing first dressing element")
     lam = np.linalg.solve(a.conj().T, e1 / mu[0])
     lam = lam / lam[0]
-    mu_r = np.maximum(np.real(mu), 1e-300)
-    lam_r = np.maximum(np.real(lam), 1e-300)
+    # noise can make a real part negative; its magnitude keeps the row or
+    # column of the dressed matrix that a zero would empty
+    mu_r = np.abs(np.real(mu))
+    lam_r = np.abs(np.real(lam))
     dressed = np.sqrt(lam_r)[:, None] * a * np.sqrt(mu_r)[None, :]
     w = linalg.nearest_unitary(dressed)
     return linalg.canonicalize_representative(w)

@@ -266,8 +266,7 @@ def _solve(a, b):
     return step, solved
 
 
-def fit_curve(model, tau, counts, seeds=None, scale_guess=None,
-              shift_guess=None, max_iter=200):
+def fit_curve(model, tau, counts, seeds=None, max_iter=200):
     """Fit (shape, scale, shift) to measured counts; the best start wins.
 
     With ``counts`` of shape (T,) one curve is fitted and its FitResult
@@ -298,19 +297,12 @@ def fit_curve(model, tau, counts, seeds=None, scale_guess=None,
     span = counts.max(axis=1) - counts.min(axis=1)
     flat = span <= 1e-12 * np.maximum(1.0, counts.max(axis=1))
 
-    if shift_guess is None:
-        shift0 = np.array([guess_shift(tau, c) for c in counts])
-    else:
-        shift0 = np.broadcast_to(np.asarray(shift_guess, dtype=float), (n,))
-    if scale_guess is not None:
-        scale0 = np.broadcast_to(np.asarray(scale_guess, dtype=float),
-                                 seeds.shape)
-    else:
-        base = np.broadcast_to(model.base(seeds), seeds.shape)
-        fallback = np.maximum(counts.mean(axis=1), 1e-12)[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scale0 = np.where(np.abs(base) > 1e-12, c_inf[:, None] / base,
-                              fallback)
+    shift0 = np.array([guess_shift(tau, c) for c in counts])
+    base = np.broadcast_to(model.base(seeds), seeds.shape)
+    fallback = np.maximum(counts.mean(axis=1), 1e-12)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale0 = np.where(np.abs(base) > 1e-12, c_inf[:, None] / base,
+                          fallback)
     x0 = np.stack([seeds, scale0,
                    np.broadcast_to(shift0[:, None], seeds.shape)], axis=2)
     active = np.broadcast_to(~flat[:, None], seeds.shape)

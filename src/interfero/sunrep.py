@@ -7,8 +7,10 @@ at every level of the chain; the construction partitions an irrep copy of
 su(m) into su(m-1) copies by extracting highest-weight vectors from the
 orthogonal complement of what has already been claimed.  Because the
 u(m) -> u(m-1) branching is multiplicity-free, the extracted copies are
-exactly orthogonal, and the whole construction runs in exact rational
-arithmetic.
+exactly orthogonal.  The whole construction runs on integer coefficient
+vectors: the orthogonal complement is taken fraction-free (each projection
+is cross-multiplied by the claimed state's squared norm), so every state
+stays a primitive integer vector on the ray of the exact rational one.
 
 D-functions work on a float table of each irrep's basis, built once on the
 first D-function call: the normalized coefficients in CSR form and, per
@@ -32,7 +34,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import bosonrep, linalg
-from .bosonrep import BosonPolynomial
 from .errors import (
     InternalInconsistency,
     LabelError,
@@ -89,8 +90,8 @@ def canonical_basis_states(n, kappas):
     """Orthonormal canonical basis of the su(n) irrep labelled ``kappas``.
 
     Returns a list of (CanonicalStateLabel, BosonPolynomial) pairs; the
-    polynomials carry exact rational coefficients with the normalization
-    recorded in ``scale2``, and are exactly orthogonal.
+    polynomials carry primitive integer coefficients with the squared
+    normalization recorded in ``scale2``, and are exactly orthogonal.
     """
     kappas = tuple(int(k) for k in kappas)
     key = (int(n), kappas)
@@ -98,8 +99,7 @@ def canonical_basis_states(n, kappas):
         return _CANONICAL_CACHE[key]
 
     h = bosonrep.hws(kappas, n)
-    top = bosonrep.basis_set(BosonPolynomial(h.n_sites, h.n_species, h.terms),
-                             n)
+    top = bosonrep.basis_set(h, n)
     out = []
     _partition_su(top.states, n, (kappas,), out)
     dim = bosonrep.irrep_dimension(kappas)
@@ -122,16 +122,18 @@ def _weight_from_occ(occ, m):
 
 
 def _residual(state, orth):
-    """Exact orthogonal complement of ``state`` w.r.t. pairs (e, |e|^2)."""
+    """Orthogonal complement of ``state`` to pairs (e, |e|^2), fraction-free.
+
+    Each projection maps r to (|e|^2/g) r - (c/g) e with c = <e, r> and
+    g = gcd(c, |e|^2): a positive integer multiple of the exact complement
+    r - (c/|e|^2) e, so every later zero test, pivot and sign is unchanged.
+    """
     r = state
     for e, n2 in orth:
         c = e.raw_inner(r)
         if c:
-            if isinstance(c, int) and isinstance(n2, int):
-                c = Fraction(c, n2)
-            else:
-                c = c / n2
-            r = r - e.scaled(c)
+            g = math.gcd(c, n2)
+            r = r.scaled(n2 // g) - e.scaled(c // g)
     return r
 
 

@@ -1,8 +1,9 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from interfero import bosonrep
+from interfero import bosonrep, sunrep
 from interfero.bosonrep import BosonPolynomial
 from interfero.errors import (
     InternalInconsistency,
@@ -48,20 +49,31 @@ def test_hws_annihilated_by_raising():
                 assert h.apply_c(i, j).is_zero()
 
 
+def apply_h(state, i):
+    """h_i = number(site i) - number(site i+1) (1-based) applied to a state."""
+    out = {}
+    for mono, c in state.terms.items():
+        ev = sum(mono[i - 1]) - sum(mono[i])
+        if ev:
+            out[mono] = c * ev
+    return BosonPolynomial(state.n_sites, state.n_species, out, state.scale2)
+
+
 def test_generator_commutator_on_random_state():
     # [c_{1,2}, c_{2,1}] acts as h_1 on any state
     h = bosonrep.hws((2, 1))
     state = h.apply_c(3, 1).apply_c(2, 1)
     lhs = state.apply_c(2, 1).apply_c(1, 2) - state.apply_c(1, 2).apply_c(2, 1)
-    rhs = state.apply_h(1)
+    rhs = apply_h(state, 1)
+    assert not rhs.is_zero()
     assert (lhs - rhs).is_zero()
 
 
 def test_inner_product_is_bosonic():
     # <0|a a† a a†|0> bookkeeping: ||(a†)^2|0>||^2 = 2
-    p = BosonPolynomial(2, 1, {((2,), (0,)): Fraction(1)})
+    p = BosonPolynomial(2, 1, {((2,), (0,)): 1})
     assert p.norm2_raw() == 2
-    q = BosonPolynomial(2, 1, {((1,), (1,)): Fraction(1)})
+    q = BosonPolynomial(2, 1, {((1,), (1,)): 1})
     assert q.norm2_raw() == 1
     assert p.raw_inner(q) == 0
 
@@ -78,7 +90,7 @@ def test_irrep_dimension_known_values():
 
 
 def test_adding_differently_scaled_states_is_typed():
-    p = BosonPolynomial(2, 1, {((1,), (0,)): 1}, scale2=Fraction(2))
+    p = BosonPolynomial(2, 1, {((1,), (0,)): 1}, scale2=2)
     q = BosonPolynomial(2, 1, {((0,), (1,)): 1})
     with pytest.raises(InternalInconsistency):
         p + q
@@ -127,11 +139,32 @@ def test_basis_set_rejects_non_hws():
         bosonrep.basis_set(BosonPolynomial(3, 2), 3)
 
 
+def assert_primitive_integer(state):
+    """Every coefficient a Python int, their gcd (the content) 1."""
+    assert state.terms
+    content = 0
+    for c in state.terms.values():
+        assert type(c) is int
+        content = gcd(content, c)
+    assert content == 1
+
+
 def test_basis_states_stay_exact():
-    bs = bosonrep.basis_set(bosonrep.hws((2, 1)), 3)
-    for s in bs.states:
-        for c in s.terms.values():
-            assert isinstance(c, (int, Fraction))
+    # primitive integer vectors from basis growth through the canonical
+    # chain, and states sharing occupations exactly orthogonal
+    for n, kap in [(3, (2, 1)), (3, (2, 2)), (4, (1, 0, 1))]:
+        bs = bosonrep.basis_set(bosonrep.hws(kap, n), n)
+        for s in bs.states:
+            assert_primitive_integer(s)
+        basis = sunrep.canonical_basis_states(n, kap)
+        for _, state in basis:
+            assert_primitive_integer(state)
+            assert type(state.scale2) is int
+            assert state.scale2 == state.norm2_raw()
+        for i, (_, a) in enumerate(basis):
+            for _, b in basis[:i]:
+                if a.occupations() == b.occupations():
+                    assert a.raw_inner(b) == 0
 
 
 def test_minor_basis_count_matches_exact_route():

@@ -298,6 +298,38 @@ def test_max_likely_perturbed_still_unitary():
     assert linalg.unitarity_defect(w) < 1e-10
 
 
+def test_max_likely_negative_dressing_keeps_its_row():
+    # 30 % noise drives Re mu_2 of this draw to -0.0048; clipping it to
+    # zero emptied a column and nearest_unitary raised SingularInput
+    rng = np.random.default_rng(8)
+    p = photonic.representative_from_unitary(
+        linalg.haar_random_unitary(3, seed=8))
+    alpha = np.abs(p.alpha * (1 + 0.3 * rng.normal(size=(3, 3))))
+    alpha[0, :] = 1
+    alpha[:, 0] = 1
+    theta = p.theta + 0.3 * rng.normal(size=(3, 3))
+    theta[0, :] = 0
+    theta[:, 0] = 0
+    mu = np.linalg.solve(alpha * np.exp(1j * theta), np.eye(3)[0])
+    assert np.real(mu[1]) < 0
+    w = characterize.max_likely_unitary(alpha, theta)
+    assert linalg.unitarity_defect(w) < 1e-10
+
+
+def test_bootstrap_negative_dressing_is_not_a_failure():
+    # three replicates of this low-count m=3 run used to fail with
+    # SingularInput on a well-conditioned amplitude matrix
+    ds = harness.simulate_dataset(linalg.haar_random_unitary(3, seed=4), 0.9,
+                                  seed=4, photons_per_input=2e3,
+                                  pair_rate=4e2)
+    res = characterize.bootstrap(ds, n_replicates=20, seed=3,
+                                 max_failure_rate=1.0)
+    failures, = [d for d in res.diagnostics
+                 if d["type"] == "bootstrap-failures"]
+    assert "SingularInput" not in failures["by_class"]
+    assert failures["count"] == 3
+
+
 def test_max_likely_singular():
     with pytest.raises(DegenerateAmplitudes):
         characterize.max_likely_unitary(np.ones((3, 3)), np.zeros((3, 3)))

@@ -1,6 +1,9 @@
 import itertools
 import math
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,6 +175,17 @@ def test_label_pair_fit_recovers_the_shipped_fixture():
         assert fit.expected_terms == len(pairs)
         chosen = [fit.candidates[i] for i in np.nonzero(fit.rounded)[0]]
         assert chosen == pairs
+
+
+def test_fixture_generator_check_passes():
+    # the shipped fixture names labels of the canonical construction, so the
+    # generator's --check run guards those labels end to end
+    tools = Path(__file__).resolve().parents[1] / "tools"
+    proc = subprocess.run([sys.executable,
+                           str(tools / "gen_submatrix_fixture.py"), "--check"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "shipped fixture matches the derivation" in proc.stdout
 
 
 def test_nonprincipal_untabulated_raises():

@@ -1,4 +1,6 @@
 import math
+from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -18,8 +20,10 @@ def special_unitary(m, seed):
 
 
 def gram(basis):
-    return np.array([[complex(si.inner(sj)) for _, sj in basis]
-                     for _, si in basis])
+    """Inner products of the scale2-normalized states."""
+    return np.array([[si.raw_inner(sj)
+                      / math.sqrt(float(si.scale2) * float(sj.scale2))
+                      for _, sj in basis] for _, si in basis])
 
 
 # ---------------------------------------------------------------------------
@@ -391,3 +395,94 @@ def test_gt_incompatible_label_raises():
     bad = sunrep.CanonicalStateLabel(((1, 1), (1,)), (3, 0, 0))
     with pytest.raises(LabelError):
         sunrep.state_to_gt(bad)
+
+
+# ---------------------------------------------------------------------------
+# Rational-route oracle for the integer construction
+# ---------------------------------------------------------------------------
+# Rational versions of the orthogonal complement, content reduction and
+# echelon insertion.  Patched in, they rebuild every basis in Fraction
+# arithmetic: a second exact route, sharing none of the integer
+# elimination, that the integer construction must match bit for bit.
+def _rational_residual(state, orth):
+    r = state
+    for e, n2 in orth:
+        c = e.raw_inner(r)
+        if c:
+            r = r - e.scaled(Fraction(c) / n2)
+    return r
+
+
+def _rational_reduce_content(self):
+    num, den = 0, 1
+    for c in self.terms.values():
+        f = Fraction(c)
+        num = gcd(num, f.numerator)
+        den = lcm(den, f.denominator)
+    if not num:
+        return self
+    g = Fraction(num, den)
+    return bosonrep.BosonPolynomial(
+        self.n_sites, self.n_species,
+        {mono: c / g for mono, c in self.terms.items()}, self.scale2)
+
+
+def _rational_try_insert(self, terms):
+    vec = {m: Fraction(c) for m, c in terms.items()}
+    for pivot, row in self.rows:
+        coef = vec.get(pivot)
+        if not coef:
+            continue
+        factor = coef / row[pivot]
+        for m, c in row.items():
+            s = vec.get(m, 0) - factor * c
+            if s:
+                vec[m] = s
+            else:
+                vec.pop(m, None)
+    if not vec:
+        return False
+    self.rows.append((max(vec), vec))
+    return True
+
+
+# every irrep the group-functions benchmark warms: the duals of the
+# partitions of 3, 4 and 5, the submatrix-identity and basis irreps, and
+# the D-function irreps
+WARM_IRREPS = sorted(
+    {(n, kap) for n in (3, 4, 5) for kap in _dual_irreps(n)}
+    | {(5, (1, 1, 0, 0)), (5, (2, 1, 0, 0)), (4, (1, 1, 0))}
+    | {(3, (2, 1)), (3, (2, 2)), (4, (1, 0, 1)), (4, (0, 2, 0))})
+
+
+def _cold_tables(monkeypatch):
+    monkeypatch.setattr(sunrep, "_CANONICAL_CACHE", {})
+    monkeypatch.setattr(sunrep, "_TABLE_CACHE", {})
+    return {key: sunrep._irrep_table(*key) for key in WARM_IRREPS}
+
+
+def test_integer_construction_matches_rational_oracle(monkeypatch):
+    assert len(WARM_IRREPS) == 20
+    with monkeypatch.context() as mp:
+        integer = _cold_tables(mp)
+    with monkeypatch.context() as mp:
+        mp.setattr(sunrep, "_residual", _rational_residual)
+        mp.setattr(bosonrep.BosonPolynomial, "reduce_content",
+                   _rational_reduce_content)
+        mp.setattr(bosonrep._EchelonSpace, "try_insert", _rational_try_insert)
+        rational = _cold_tables(mp)
+        # every state below the highest-weight one went through the patches
+        assert all(type(c) is Fraction
+                   for basis in sunrep._CANONICAL_CACHE.values()
+                   for _, state in basis[1:] for c in state.terms.values())
+    for key in WARM_IRREPS:
+        a, b = integer[key], rational[key]
+        assert a.labels == b.labels, key
+        for name in ("indptr", "mono", "data", "multiset"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and x.shape == y.shape, (key, name)
+            assert x.tobytes() == y.tobytes(), (key, name)
+        assert len(a.sites) == len(b.sites), key
+        for x, y in zip(a.sites, b.sites):
+            assert x.dtype == y.dtype and x.shape == y.shape, key
+            assert x.tobytes() == y.tobytes(), key
