@@ -23,29 +23,24 @@ from .errors import (BootstrapUnstable, CalibrationOutOfRange,
 # ---------------------------------------------------------------------------
 # dataset container
 # ---------------------------------------------------------------------------
+def _curve_keys(m, firsts):
+    """Canonical keys of the coincidence curves on ports (i,i',j,j') of m
+    ports with i, j ∈ ``firsts``."""
+    ports = range(1, m + 1)
+    return {photonic.canonical_curve_key((i, i2, j, j2))
+            for i in firsts for i2 in ports for j in firsts for j2 in ports
+            if i != i2 and j != j2}
+
+
 def required_choice_keys(m):
     """Canonical keys of every coincidence curve the argument sweep may
     consume without relabeling: ports (i,i',j,j') with i,j ∈ {1,2}."""
-    keys = set()
-    for i in (1, 2):
-        for i2 in range(1, m + 1):
-            for j in (1, 2):
-                for j2 in range(1, m + 1):
-                    if i != i2 and j != j2:
-                        keys.add(photonic.canonical_curve_key((i, i2, j, j2)))
-    return keys
+    return _curve_keys(m, (1, 2))
 
 
 def all_curve_keys(m):
     """Every distinct canonical coincidence key on m ports."""
-    keys = set()
-    for i in range(1, m + 1):
-        for i2 in range(1, m + 1):
-            for j in range(1, m + 1):
-                for j2 in range(1, m + 1):
-                    if i != i2 and j != j2:
-                        keys.add(photonic.canonical_curve_key((i, i2, j, j2)))
-    return keys
+    return _curve_keys(m, range(1, m + 1))
 
 
 class CharacterizationDataset:
@@ -163,40 +158,21 @@ def reflectivity_from_alpha(alpha22):
     return float(np.sqrt(alpha22 / (1.0 + alpha22)))
 
 
-def _column(const):
-    """Per-curve constants as an (N, 1) column for stacked shape terms."""
-    return np.reshape(np.asarray(const, dtype=float), (-1, 1))
-
-
 def cosine_curve_model(q, base_const, amp_const):
     """C(τ) = scale·(base + amp_const·cos(shape)·Q(τ−shift)): the common
     form of every coincidence curve with the phase combination as shape.
     The constants may be arrays, one entry per curve of a stacked ``q``."""
-    base_c, amp_c = _column(base_const), _column(amp_const)
-    return CurveModel(
-        q,
-        base=lambda s: base_c,
-        amp=lambda s: amp_c * np.cos(s),
-        dbase=lambda s: 0.0,
-        damp=lambda s: -amp_c * np.sin(s),
-    )
+    return CurveModel(q, base_const, amp_const, np.cos, lambda s: -np.sin(s))
 
 
 def calibration_curve_model(q, cos_vartheta):
     """Reference beam-splitter coincidence with γ as the shape parameter:
     C(τ) = scale·(c⁴ + s⁴ − 2γc²s²·Q(τ−shift)).  ``cos_vartheta`` may be
     an array, one entry per curve of a stacked ``q``."""
-    c2 = _column(cos_vartheta) ** 2
+    c2 = np.asarray(cos_vartheta, dtype=float) ** 2
     s2 = 1.0 - c2
-    base_const = c2 ** 2 + s2 ** 2
-    amp_const = -2.0 * c2 * s2
-    return CurveModel(
-        q,
-        base=lambda g: base_const,
-        amp=lambda g: amp_const * g,
-        dbase=lambda g: 0.0,
-        damp=lambda g: amp_const,
-    )
+    return CurveModel(q, c2 ** 2 + s2 ** 2, -2.0 * c2 * s2,
+                      lambda g: g, lambda g: 1.0)
 
 
 # one curve of a pipeline stage: the constants are the model family's
@@ -239,16 +215,12 @@ def _unwrap(outcome):
 def calibrate_gamma(calibration_single, calibration_curve, q,
                     eps=0.05, warm=None):
     """Estimate the mode-matching parameter γ from the reference
-    beam-splitter data; returns (γ̃, σ(γ̃), fit).
+    beam-splitter data of every dataset in one stacked fit.
 
-    Lists of singles, curves and envelopes, one entry per dataset (``warm``
-    shared), calibrate every dataset in one stacked fit; the list returned
-    holds each dataset's (γ̃, σ(γ̃), fit) or the InterferoError it raised.
+    Takes lists of singles, curves and envelopes, one entry per dataset
+    (``warm`` shared).  Returns a list holding each dataset's
+    (γ̃, σ(γ̃), fit) or the InterferoError it raised.
     """
-    stacked = isinstance(calibration_single, list)
-    if not stacked:
-        calibration_single, calibration_curve, q = (
-            [calibration_single], [calibration_curve], [q])
     seeds = (warm,) if warm is not None else SHAPE_SEEDS
     out = [None] * len(calibration_single)
     owners, requests = [], []
@@ -277,7 +249,7 @@ def calibrate_gamma(calibration_single, calibration_curve, q,
         model = calibration_curve_model(req.envelope, req.consts[0])
         sigma = float(param_sigmas(model, *req.curve, fit)[0])
         out[k] = (float(np.clip(gamma, 0.0, 1.0)), sigma, fit)
-    return out if stacked else _unwrap(out[0])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -592,9 +564,10 @@ def _batched_stage(sweeps, requests_of, consume):
         consume(sw, [next(results) for _ in reqs])
 
 
-def estimate_arguments(dataset, alpha, gamma, threshold=0.1, plan=None,
+def estimate_arguments(datasets, alphas, gammas, threshold=0.1, plan=None,
                        warm_theta=None):
-    """Full argument matrix θ̃ with first row/column ≡ 0 and sgn θ₂₂ = +1.
+    """Full argument matrices θ̃ with first row/column ≡ 0 and sgn θ₂₂ = +1
+    for a list of datasets, with their lists of alphas and gammas.
 
     Magnitudes come from two-port curves against the reference ports;
     signs follow the standard sweep (second column, second row, interior)
@@ -602,19 +575,15 @@ def estimate_arguments(dataset, alpha, gamma, threshold=0.1, plan=None,
     Sign decisions whose reference combination lies within ``threshold`` of
     {0, π} are re-derived from the best available alternate port pair.
 
-    Returns (theta, diagnostics, plan, fits); pass ``plan`` back in to
-    reuse the relabeling and tuple choices (bootstrap replicates).
-
-    Lists of datasets, alphas and gammas (``plan`` and ``warm_theta``
-    shared) are estimated together: the magnitudes are one stacked fit, and
-    so is each dependency level of sign fits.  The list returned holds each
-    dataset's result or the InterferoError it raised.
+    The datasets are estimated together (``plan`` and ``warm_theta``
+    shared): the magnitudes are one stacked fit, and so is each dependency
+    level of sign fits.  Returns a list holding each dataset's
+    (theta, diagnostics, plan, fits) or the InterferoError it raised; pass
+    a ``plan`` back in to reuse the relabeling and tuple choices (bootstrap
+    replicates).
     """
-    stacked = isinstance(dataset, list)
-    if not stacked:
-        dataset, alpha, gamma = [dataset], [alpha], [gamma]
     sweeps = [_ArgumentSweep(ds, a, g, threshold, plan, warm_theta)
-              for ds, a, g in zip(dataset, alpha, gamma)]
+              for ds, a, g in zip(datasets, alphas, gammas)]
     _batched_stage(sweeps, _ArgumentSweep.magnitude_requests,
                    _ArgumentSweep.set_magnitudes)
     live = [sw for sw in sweeps if sw.error is None]
@@ -622,8 +591,7 @@ def estimate_arguments(dataset, alpha, gamma, threshold=0.1, plan=None,
     for level in range(n_levels):
         _batched_stage(live, lambda sw, level=level: sw.sign_requests(level),
                        _ArgumentSweep.decide)
-    out = [sw.result() for sw in sweeps]
-    return out if stacked else _unwrap(out[0])
+    return [sw.result() for sw in sweeps]
 
 
 # ---------------------------------------------------------------------------

@@ -41,30 +41,21 @@ def _env_tol(default):
     return tol
 
 
-def _parse_irrep(text):
-    try:
-        kap = tuple(int(tok) for tok in text.split(","))
-    except ValueError:
-        raise ParseError(f"irrep label must be comma-separated integers, "
-                         f"got {text!r}")
-    return kap
-
-
-def _parse_partition(text):
+def _parse_ints(text, what):
+    """A comma-separated integer list such as an irrep label or a
+    partition; ``what`` names it in the error message."""
     try:
         return tuple(int(tok) for tok in text.split(","))
     except ValueError:
-        raise ParseError(f"partition must be comma-separated integers, "
+        raise ParseError(f"{what} must be comma-separated integers, "
                          f"got {text!r}")
 
 
 def _emit(obj, out_path):
-    text = io.json_text(obj)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        io.dump_json(obj, out_path)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(io.json_text(obj))
 
 
 # ---------------------------------------------------------------------------
@@ -125,16 +116,11 @@ def cmd_simulate(args):
                              rows=int(u.shape[0]), m=args.m)
     else:
         u = linalg.haar_random_unitary(args.m, rng=rng)
-    if args.spectra == "gauss":
-        from .photonic import gaussian_spectrum
-        spectra = [gaussian_spectrum() for _ in range(args.m)]
-    else:
-        from .photonic import double_peak_spectrum
-        spectra = [double_peak_spectrum() for _ in range(args.m)]
     dataset = harness.simulate_dataset(
-        u, args.gamma, rng=rng, spectra=spectra, n_blocks=args.blocks,
-        photons_per_input=args.photons, pair_rate=args.pairs,
-        noise=not args.noiseless,
+        u, args.gamma, rng=rng,
+        spectra=harness.source_spectra(args.spectra, args.m),
+        n_blocks=args.blocks, photons_per_input=args.photons,
+        pair_rate=args.pairs, noise=not args.noiseless,
         include_calibration=not args.no_calibration)
     io.write_bundle(dataset, args.out, seed=args.seed,
                     extra_manifest={"gamma": args.gamma,
@@ -160,7 +146,7 @@ def cmd_trials(args):
 
 
 def cmd_dfunc(args):
-    kap = _parse_irrep(args.irrep)
+    kap = _parse_ints(args.irrep, "irrep label")
     n = len(kap) + 1
     omega = io.read_matrix(getattr(args, "in"))
     omega_checked = sunrep.fundamental_matrix(n, omega, tol=_env_tol(1e-8))
@@ -179,7 +165,7 @@ def cmd_dfunc(args):
 
 
 def cmd_basis(args):
-    kap = _parse_irrep(args.irrep)
+    kap = _parse_ints(args.irrep, "irrep label")
     if len(kap) != args.n - 1:
         raise ParseError("irrep label must have n-1 entries",
                          n=args.n, got=len(kap))
@@ -200,7 +186,7 @@ def cmd_basis(args):
 
 def cmd_immanant(args):
     t = io.read_matrix(getattr(args, "in"))
-    lam = _parse_partition(args.partition)
+    lam = _parse_ints(args.partition, "partition")
     value = immanants.immanant(t, lam)
     _emit({"schema": "v1", "partition": list(lam),
            "re": float(value.real), "im": float(value.imag)}, args.out)

@@ -1,9 +1,10 @@
 """Weighted least-squares fitting of coincidence curves.
 
-All fitted curves share one shape: C(τ) = scale·(base(s) + amp(s)·Q(τ−shift))
-with a single shape parameter s (the mode-matching parameter, an argument
-magnitude |θ| or a phase combination β), an ordinate scale and an abscissa
-shift.  Fits are multi-started over the four canonical shape seeds
+All fitted curves share one shape: C(τ) = scale·(base + amp·f(s)·Q(τ−shift))
+with per-curve constants base and amp, a shape factor f of the single shape
+parameter s (the mode-matching parameter, an argument magnitude |θ| or a
+phase combination β), an ordinate scale and an abscissa shift.  Fits take a
+stack of N curves and are multi-started over the four canonical shape seeds
 {π/4, 3π/4, 5π/4, 7π/4} (one per qualitative curve shape).
 
 The optimizer is one batched Levenberg–Marquardt loop (Moré 1978) with
@@ -40,47 +41,40 @@ _EVAL_ROWS = 32
 
 
 class CurveModel:
-    """N stacked curves C_n(τ) = scale·(base_n(s) + amp_n(s)·Q_n(τ−shift)).
+    """N stacked curves C_n(τ) = scale·(base_n + amp_n·f(s)·Q_n(τ−shift)).
 
     ``q`` is a photonic.Envelope with one row per curve, or a single row
-    that every curve shares.  base, amp and their derivatives map an array
-    of shapes to values of the same shape.  The fitter calls them with an
-    (N, S) array, one row per curve and one column per start, so per-curve
-    constants enter as (N, 1) columns.
+    that every curve shares.  ``base`` and ``amp`` hold one constant per
+    curve; ``f`` is the shape factor and ``df`` its derivative, both
+    elementwise on an array of shapes.
     """
 
-    def __init__(self, q, base, amp, dbase, damp):
+    def __init__(self, q, base, amp, f, df):
         self.q = q
-        self.base = base
-        self.amp = amp
-        self.dbase = dbase
-        self.damp = damp
+        self.base = np.atleast_1d(np.asarray(base, dtype=float))
+        self.amp = np.atleast_1d(np.asarray(amp, dtype=float))
+        self.f = f
+        self.df = df
 
-    def evaluate(self, tau, shapes, x, rows, derivative=False):
-        """Curve values (K, T) at the parameter rows ``x`` (K, 3), and the
-        Jacobian (K, T, 3) first when ``derivative`` is set.
-
-        ``rows`` are the flat (curve, start) indices of ``x`` in the (N, S)
-        array ``shapes``, which holds the shape of every row.
-        """
-        def term(f):
-            return (f(shapes) + np.zeros(shapes.shape)).ravel()[rows, None]
-
-        base, amp = term(self.base), term(self.amp)
-        curves = rows // shapes.shape[1]
-        scale = x[:, 1:2]
+    def evaluate(self, tau, x, curves, derivative=False):
+        """Curve values (K, T) at the parameter rows ``x`` (K, 3), where row
+        k belongs to curve ``curves[k]``; the Jacobian (K, T, 3) first when
+        ``derivative`` is set."""
+        s, scale = x[:, 0], x[:, 1:2]
+        base, amp_c = self.base[curves, None], self.amp[curves]
+        amp = (amp_c * self.f(s))[:, None]
         if not derivative:
             qv = self.q.shifted(tau, x[:, 2], rows=curves)
             return scale * (base + amp * qv)
         qv, dq = self.q.shifted(tau, x[:, 2], rows=curves, derivative=True)
         inner = base + amp * qv
-        d_shape = scale * (term(self.dbase) + term(self.damp) * qv)
+        d_shape = scale * ((amp_c * self.df(s))[:, None] * qv)
         jac = np.stack([d_shape, inner, -scale * amp * dq], axis=2)
         return jac, scale * inner
 
     def _single(self, tau, shape, scale, shift, derivative):
         x = np.array([[shape, scale, shift]], dtype=float)
-        out = self.evaluate(np.asarray(tau, dtype=float), x[:, :1], x,
+        out = self.evaluate(np.asarray(tau, dtype=float), x,
                             np.zeros(1, dtype=int), derivative)
         return (out[0][0], out[1][0]) if derivative else out[0]
 
@@ -143,7 +137,7 @@ def _lm(model, tau, counts, w, x0, active, max_iter=200, lam0=1e-3):
     stop reasons (indices into REASONS, -1 for rows not fitted), iteration
     counts and rejected-step counts, flattened to K = N·S rows.
     """
-    n, n_starts = active.shape
+    n_starts = active.shape[1]
     x = np.array(x0, dtype=float).reshape(-1, 3)
     counts = np.repeat(counts, n_starts, axis=0)
     w = np.repeat(w, n_starts, axis=0)
@@ -158,9 +152,8 @@ def _lm(model, tau, counts, w, x0, active, max_iter=200, lam0=1e-3):
     g = np.zeros((k, 3))
     r = np.zeros_like(counts)
     obj = np.full(k, np.inf)
-    shapes = x[:, 0].reshape(n, n_starts)   # view: tracks accepted shapes
     rows = np.flatnonzero(live)
-    r[rows] = counts[rows] - _evaluate(model, tau, shapes, x[rows], rows)
+    r[rows] = counts[rows] - _evaluate(model, tau, x[rows], rows // n_starts)
     obj[rows] = np.sum(w[rows] * r[rows] * r[rows], axis=1)
     fresh = live.copy()                     # rows starting an iteration
     diag = np.arange(3)
@@ -173,7 +166,7 @@ def _lm(model, tau, counts, w, x0, active, max_iter=200, lam0=1e-3):
             live[rows[spent]] = False
             rows = rows[~spent]
             iterations[rows] += 1
-            jac = _evaluate(model, tau, shapes, x[rows], rows, True)
+            jac = _evaluate(model, tau, x[rows], rows // n_starts, True)
             jtw = jac * w[rows, :, None]
             h[rows] = np.matmul(jtw.transpose(0, 2, 1), jac)
             g[rows] = np.matmul(jtw.transpose(0, 2, 1), r[rows, :, None])[..., 0]
@@ -200,16 +193,12 @@ def _lm(model, tau, counts, w, x0, active, max_iter=200, lam0=1e-3):
                                   * np.maximum(damped[:, diag, diag], 1e-30))
         step, solved = _solve(damped, g[cand])
         x_new = x[cand] + step
-        # candidate (row, t) sits at column (start)·width + t of its curve
-        slots = cand * width + t
-        trial = np.zeros((n, n_starts * width))
-        trial.flat[slots] = x_new[:, 0]
         # a step too small to move x reproduces obj exactly: rejected as is
         ok = np.flatnonzero(solved & np.any(x_new != x[cand], axis=1))
         r_new = np.zeros((len(cand), counts.shape[1]))
         obj_new = np.full(len(cand), np.inf)
-        r_new[ok] = counts[cand[ok]] - _evaluate(model, tau, trial,
-                                                 x_new[ok], slots[ok])
+        r_new[ok] = counts[cand[ok]] - _evaluate(model, tau, x_new[ok],
+                                                 cand[ok] // n_starts)
         obj_new[ok] = np.sum(w[cand[ok]] * r_new[ok] * r_new[ok], axis=1)
         better = np.zeros(valid.shape, dtype=bool)
         better[valid] = solved & (obj_new < obj[cand])
@@ -240,12 +229,12 @@ def _lm(model, tau, counts, w, x0, active, max_iter=200, lam0=1e-3):
     return x, r, obj, reason, iterations, rejected
 
 
-def _evaluate(model, tau, shapes, x, rows, jacobian=False):
+def _evaluate(model, tau, x, curves, jacobian=False):
     """model.evaluate over at most _EVAL_ROWS rows at a time, which bounds
     the temporaries; returns the curve values, or the Jacobian."""
-    parts = [model.evaluate(tau, shapes, x[lo:lo + _EVAL_ROWS],
-                            rows[lo:lo + _EVAL_ROWS], jacobian)
-             for lo in range(0, max(len(rows), 1), _EVAL_ROWS)]
+    parts = [model.evaluate(tau, x[lo:lo + _EVAL_ROWS],
+                            curves[lo:lo + _EVAL_ROWS], jacobian)
+             for lo in range(0, max(len(curves), 1), _EVAL_ROWS)]
     return np.concatenate([p[0] if jacobian else p for p in parts])
 
 
@@ -267,22 +256,24 @@ def _solve(a, b):
 
 
 def fit_curve(model, tau, counts, seeds=None, max_iter=200):
-    """Fit (shape, scale, shift) to measured counts; the best start wins.
+    """Fit (shape, scale, shift) to each of N measured curves; the best
+    start of each curve wins.
 
-    With ``counts`` of shape (T,) one curve is fitted and its FitResult
-    returned; FitFailure is raised when no start converges or when the data
-    carry no shape information (flat curve).  With ``counts`` of shape
-    (N, T) the N curves of a stacked model are fitted in one batched loop
-    and a FitBatch is returned, which holds each curve's FitResult or
-    FitFailure.  ``seeds`` gives the shape starts, shared by every curve or
-    as an (N, S) array per curve.  Near-degenerate fits are returned with
-    ``degenerate=True``.  Every start is recorded with its seed, objective,
-    ``converged``, ``iterations``, ``rejected`` steps and stop ``reason``.
+    ``counts`` is (N, T), one row per curve of the stacked ``model``; the
+    N curves are fitted in one batched loop.  Returns a FitBatch holding
+    each curve's FitResult, or the FitFailure of a curve for which no start
+    converged or whose data carry no shape information (flat curve).
+    ``seeds`` gives the shape starts, shared by every curve or as an (N, S)
+    array per curve.  Near-degenerate fits carry ``degenerate=True``.
+    Every start is recorded with its seed, objective, ``converged``,
+    ``iterations``, ``rejected`` steps and stop ``reason``.
     """
     tau = np.asarray(tau, dtype=float)
     counts = np.asarray(counts, dtype=float)
-    single = counts.ndim == 1
-    counts = np.atleast_2d(counts)
+    if counts.ndim != 2 or counts.shape[1:] != tau.shape:
+        raise ShapeError("coincidence counts must be an (N, T) array with "
+                         "one column per delay", counts=list(counts.shape),
+                         tau=list(tau.shape))
     n = len(counts)
     if len(tau) < 5:
         raise InsufficientData("need at least 5 data points per curve",
@@ -298,7 +289,7 @@ def fit_curve(model, tau, counts, seeds=None, max_iter=200):
     flat = span <= 1e-12 * np.maximum(1.0, counts.max(axis=1))
 
     shift0 = np.array([guess_shift(tau, c) for c in counts])
-    base = np.broadcast_to(model.base(seeds), seeds.shape)
+    base = np.broadcast_to(model.base[:, None], seeds.shape)
     fallback = np.maximum(counts.mean(axis=1), 1e-12)[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         scale0 = np.where(np.abs(base) > 1e-12, c_inf[:, None] / base,
@@ -344,9 +335,7 @@ def fit_curve(model, tau, counts, seeds=None, max_iter=200):
         # the residual noise floor
         best_rows = np.array(best_rows)
         curves = best_rows // n_starts
-        fitted = np.zeros((n, 1))
-        fitted[curves, 0] = x[best_rows, 0]
-        amp = np.broadcast_to(model.amp(fitted), (n, 1))[curves, 0]
+        amp = model.amp[curves] * model.f(x[best_rows, 0])
         qspan = np.ptp(model.q.shifted(tau, x[best_rows, 2], rows=curves),
                        axis=1)
         signal = np.abs(x[best_rows, 1] * amp) * qspan
@@ -354,11 +343,6 @@ def fit_curve(model, tau, counts, seeds=None, max_iter=200):
                  * np.sqrt(np.maximum(counts[curves].mean(axis=1), 1e-300)))
         for c, flag in zip(curves, signal < 3.0 * noise):
             results[c].degenerate = bool(flag)
-
-    if single:
-        if isinstance(results[0], FitFailure):
-            raise results[0]
-        return results[0]
     return FitBatch(results, starts)
 
 

@@ -21,6 +21,14 @@ def beam_splitter_matrix(vartheta):
     return np.array([[c, 1j * s], [1j * s, c]])
 
 
+def source_spectra(kind, m):
+    """m identical source spectra: "gauss" for Gaussian ones, anything else
+    for the double-peak profile."""
+    make = (photonic.gaussian_spectrum if kind == "gauss"
+            else photonic.double_peak_spectrum)
+    return [make() for _ in range(m)]
+
+
 def gaussian_approximation(spec):
     """Gaussian spectral amplitude with the mean and standard deviation of
     the measured intensity |f(ω)|² — the mismatched fit model."""
@@ -54,7 +62,7 @@ def simulate_dataset(u, gamma, seed=None, rng=None, spectra=None, loss=None,
         raise InvalidDimension("characterization needs at least 2 ports", m=m)
     params = photonic.representative_from_unitary(u)
     if spectra is None:
-        spectra = [photonic.gaussian_spectrum() for _ in range(m)]
+        spectra = source_spectra("gauss", m)
     if loss is None:
         loss = photonic.LossModel.lossless(m)
     if tau_grid is None:
@@ -131,10 +139,7 @@ def run_trials(m, variant, n_trials, seed, gamma=0.9, spectra_kind="gauss",
     for t in range(n_trials):
         rng = np.random.default_rng([int(seed), t])
         u = linalg.haar_random_unitary(m, rng=rng)
-        if spectra_kind == "gauss":
-            spectra = [photonic.gaussian_spectrum() for _ in range(m)]
-        else:
-            spectra = [photonic.double_peak_spectrum() for _ in range(m)]
+        spectra = source_spectra(spectra_kind, m)
         fit_spectra = None
         if variant == "gauss":
             fit_spectra = [gaussian_approximation(s) for s in spectra]

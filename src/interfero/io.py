@@ -42,9 +42,8 @@ SCHEMA = "v1"
 # ---------------------------------------------------------------------------
 def dump_json(obj, path):
     """Write JSON with a canonical byte representation."""
-    text = json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1)
     with open(path, "w") as fh:
-        fh.write(text + "\n")
+        fh.write(json_text(obj))
 
 
 def json_text(obj):

@@ -126,6 +126,8 @@ class SpectralFunction:
 
     Normalized on construction so that the trapezoid quadrature of |f|²
     equals 1; a warning is emitted if the raw norm is off by more than 10%.
+    A spectrum whose quadrature norm is not positive and finite (all zero,
+    or a single grid point) is rejected.
     """
 
     def __init__(self, omega, values, renormalize=True):
@@ -141,6 +143,9 @@ class SpectralFunction:
             raise ShapeError("spectral amplitude must be nonnegative")
         self.weights = trapezoid_weights(self.omega)
         norm2 = float(np.sum(self.weights * self.values ** 2))
+        if not 0.0 < norm2 < np.inf:
+            raise ShapeError("spectrum needs a positive finite quadrature "
+                             "norm", norm_squared=norm2)
         if renormalize:
             if abs(norm2 - 1.0) > 0.1:
                 warnings.warn(

@@ -26,7 +26,12 @@ the distinct multiset pairs the requested states touch.
 Overall phases follow the convention that the matrix element of the
 ordered product c_{1,2}^{p_1} c_{2,3}^{p_2} ... c_{n-1,n}^{p_{n-1}}
 between the highest-weight state and the basis state is positive, with
-the powers p_l fixed by the occupation deficit below site l.
+the powers p_l fixed by the occupation deficit below site l.  That matrix
+element vanishes for many states (490 of the 1093 states of the 20 irreps
+that the group-functions benchmark builds).  Their sign is fixed by greedy
+simple raising instead: apply the first c_{l,l+1} (smallest l) that does
+not annihilate the state, repeat until every one does, and make the
+overlap of the result with the highest-weight state positive.
 """
 import math
 from fractions import Fraction
@@ -207,8 +212,11 @@ def _fix_phase(h, state):
     """Flip the sign so the canonical raising-product overlap is positive.
 
     The powers are fixed by occupations: p_l = sum_{j>l} (nu_j - nu_j^hws).
-    The product is applied rightmost factor (c_{n-1,n}) first; if the
-    resulting overlap vanishes, fall back to greedy simple raising.
+    The product is applied rightmost factor (c_{n-1,n}) first.  If the
+    resulting overlap vanishes, the sign is fixed by greedy simple raising
+    instead: the first c_{l,l+1} (smallest l) with a nonzero image is
+    applied until none has one, and the overlap of that result with the
+    highest-weight state is made positive.
     """
     n = state.n_sites
     nu = state.occupations()

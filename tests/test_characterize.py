@@ -74,6 +74,25 @@ def test_reflectivity_inversion():
     assert abs(characterize.reflectivity_from_alpha(3.0) - np.sqrt(3) / 2) < 1e-12
 
 
+def one(outcome):
+    """A stacked call's entry for one dataset: raised if it is an error."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def calibrate_one(singles, curve, q, **kwargs):
+    """calibrate_gamma on one dataset."""
+    return one(characterize.calibrate_gamma([singles], [curve], [q],
+                                            **kwargs)[0])
+
+
+def estimate_one(ds, alpha, gamma, **kwargs):
+    """estimate_arguments on one dataset."""
+    return one(characterize.estimate_arguments([ds], [alpha], [gamma],
+                                               **kwargs)[0])
+
+
 def calibration_setup(gamma, vartheta=np.pi / 4, scale=2000.0):
     f = photonic.gaussian_spectrum()
     q = photonic.cross_envelope(f, f)
@@ -91,7 +110,7 @@ def calibration_setup(gamma, vartheta=np.pi / 4, scale=2000.0):
 
 def test_calibrate_gamma_perfect():
     singles, curve, q = calibration_setup(1.0)
-    gamma, sigma, _ = characterize.calibrate_gamma(singles, curve, q)
+    gamma, sigma, _ = calibrate_one(singles, curve, q)
     assert abs(gamma - 1.0) < 1e-3
 
 
@@ -100,7 +119,7 @@ def test_calibrate_gamma_half_visibility():
     tau, counts = curve
     vis = (max(counts) - min(counts)) / max(counts)
     assert abs(vis - 0.5) < 1e-6  # V = gamma at the balanced point
-    gamma, sigma, _ = characterize.calibrate_gamma(singles, curve, q)
+    gamma, sigma, _ = calibrate_one(singles, curve, q)
     assert abs(gamma - 0.5) < 0.01
 
 
@@ -127,7 +146,7 @@ def test_calibrate_gamma_out_of_range():
     tau = np.linspace(-5, 5, 33)
     counts = 2000 * (0.5 - 0.5 * 1.3 * q(tau))  # impossible dip depth
     with pytest.raises(CalibrationOutOfRange):
-        characterize.calibrate_gamma(singles, (tau, counts), q)
+        calibrate_one(singles, (tau, counts), q)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +195,7 @@ def forward_dataset(theta22, m=2, gamma=1.0):
 
 def magnitude22(ds):
     """|θ̃₂₂| as the staged argument fit reads it from the (1,2,1,2) curve."""
-    theta, _, _, _ = characterize.estimate_arguments(ds, np.ones((2, 2)), 1.0)
+    theta, _, _, _ = estimate_one(ds, np.ones((2, 2)), 1.0)
     return abs(theta[1, 1])
 
 
@@ -203,7 +222,7 @@ def test_arguments_noiseless_roundtrip_4x4():
                                   include_calibration=False)
     p = photonic.representative_from_unitary(u)
     alpha, _ = characterize.estimate_amplitudes(ds.single_counts)
-    theta, diag, plan, fits = characterize.estimate_arguments(ds, alpha, 1.0)
+    theta, diag, plan, fits = estimate_one(ds, alpha, 1.0)
     err_direct = np.max(np.abs(np.angle(np.exp(1j * (theta - p.theta)))))
     err_conj = np.max(np.abs(np.angle(np.exp(1j * (theta + p.theta)))))
     assert min(err_direct, err_conj) < 1e-3
@@ -217,7 +236,7 @@ def test_arguments_real_unitary_degenerate_phases():
                                   include_calibration=False)
     p = photonic.representative_from_unitary(u)
     alpha, _ = characterize.estimate_amplitudes(ds.single_counts)
-    theta, diag, plan, fits = characterize.estimate_arguments(ds, alpha, 1.0)
+    theta, diag, plan, fits = estimate_one(ds, alpha, 1.0)
     assert any(d["type"] == "sign-unstable" for d in diag)
     # magnitudes still recovered: every |theta| near 0 or pi as in truth
     for i in range(1, 4):
@@ -249,10 +268,8 @@ def adversarial_curves(phi_noise):
 
 def test_mitigation_fixes_adversarial_sign():
     ds, alpha, truth = adversarial_curves(0.05)
-    bad, _, _, _ = characterize.estimate_arguments(ds, alpha, 1.0,
-                                                   threshold=0.0)
-    good, diag, _, _ = characterize.estimate_arguments(ds, alpha, 1.0,
-                                                       threshold=0.1)
+    bad, _, _, _ = estimate_one(ds, alpha, 1.0, threshold=0.0)
+    good, diag, _, _ = estimate_one(ds, alpha, 1.0, threshold=0.1)
     assert np.sign(bad[2, 2]) == +1          # fooled without mitigation
     assert np.sign(good[2, 2]) == -1         # rescued by the alternate pair
     assert any(d["type"] == "sign-rederived" for d in diag)
@@ -263,7 +280,7 @@ def test_mitigation_missing_alternates():
     del ds.coincidence[(2, 3, 1, 3)]
     del ds.coincidence[(1, 3, 2, 3)]
     with pytest.raises(InsufficientData):
-        characterize.estimate_arguments(ds, alpha, 1.0, threshold=0.1)
+        estimate_one(ds, alpha, 1.0, threshold=0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -218,6 +218,23 @@ def _swap_first_rows(relpath):
     return apply
 
 
+def _zero_values(relpath):
+    """Set the value column of every data line to 0.0."""
+    def apply(bundle):
+        path = bundle / relpath
+        header, *rows = path.read_text().splitlines(True)
+        path.write_text(header + "".join(_field(1, "0.0")(r) for r in rows))
+    return apply
+
+
+def _keep_rows(relpath, n):
+    """Cut the file down to its header and first ``n`` data lines."""
+    def apply(bundle):
+        path = bundle / relpath
+        path.write_text("".join(path.read_text().splitlines(True)[:n + 1]))
+    return apply
+
+
 def _copy(src, dst):
     return lambda bundle: shutil.copy(bundle / src, bundle / dst)
 
@@ -233,6 +250,8 @@ MALFORMED_BUNDLES = {
     "omega-not-increasing": (_swap_first_rows("spectra/1.csv"), "ShapeError"),
     "negative-spectrum": (_edit_line("spectra/2.csv", 1, _field(1, "-0.5")),
                           "ShapeError"),
+    "spectrum-all-zero": (_zero_values("spectra/2.csv"), "ShapeError"),
+    "spectrum-one-row": (_keep_rows("spectra/2.csv", 1), "ShapeError"),
     "counts-i-above-m": (_edit_line("counts.csv", 1, _field(0, "5")),
                          "ParseError"),
     "counts-i-zero": (_edit_line("counts.csv", 1, _field(0, "0")),

@@ -6,15 +6,21 @@ from interfero.errors import FitFailure, InsufficientData, ShapeError
 
 
 def make_model():
+    """One curve C(τ) = scale·(1.5 + cos s·Q(τ−shift))."""
     f = photonic.gaussian_spectrum()
     q = photonic.cross_envelope(f, f)
-    return curvefit.CurveModel(
-        q,
-        base=lambda s: np.cos(s) ** 2 + 1.5,
-        amp=lambda s: np.cos(s),
-        dbase=lambda s: -2 * np.cos(s) * np.sin(s),
-        damp=lambda s: -np.sin(s),
-    )
+    return curvefit.CurveModel(q, base=1.5, amp=1.0, f=np.cos,
+                               df=lambda s: -np.sin(s))
+
+
+def fit_one(model, tau, counts, **kwargs):
+    """Fit one curve through the stacked interface: its FitResult, or its
+    FitFailure raised."""
+    batch = curvefit.fit_curve(model, tau, np.asarray(counts)[None], **kwargs)
+    assert len(batch.results) == 1
+    if isinstance(batch.results[0], FitFailure):
+        raise batch.results[0]
+    return batch.results[0]
 
 
 def test_fit_weights_zero_counts():
@@ -41,7 +47,7 @@ def test_exact_recovery(truth):
     tau = np.linspace(-5, 5, 41)
     scale, shift = 3000.0, 0.35
     counts = model.curve(tau, truth, scale, shift)
-    fit = curvefit.fit_curve(model, tau, counts)
+    fit = fit_one(model, tau, counts)
     assert fit.objective < 1e-10 * scale
     assert abs(np.cos(curvefit.fold_angle(fit.shape)) - np.cos(truth)) < 1e-6
     assert abs(fit.scale - scale) < 1e-4 * scale
@@ -52,14 +58,14 @@ def test_flat_data_raises():
     model = make_model()
     tau = np.linspace(-5, 5, 21)
     with pytest.raises(FitFailure):
-        curvefit.fit_curve(model, tau, np.full(21, 250.0))
+        fit_one(model, tau, np.full(21, 250.0))
 
 
 def test_too_few_points_raise_insufficient_data():
     model = make_model()
     tau = np.linspace(-5, 5, 4)
     with pytest.raises(InsufficientData):
-        curvefit.fit_curve(model, tau, model.curve(tau, 1.0, 100.0, 0.0))
+        fit_one(model, tau, model.curve(tau, 1.0, 100.0, 0.0))
 
 
 def test_non_finite_counts_raise_shape_error():
@@ -69,7 +75,16 @@ def test_non_finite_counts_raise_shape_error():
     for bad in (np.nan, np.inf):
         counts[3] = bad
         with pytest.raises(ShapeError):
-            curvefit.fit_curve(model, tau, counts)
+            fit_one(model, tau, counts)
+
+
+def test_counts_not_stacked_per_delay_raise_shape_error():
+    model = make_model()
+    tau = np.linspace(-5, 5, 21)
+    counts = model.curve(tau, 1.0, 100.0, 0.0)
+    for bad in (counts, counts[None, :-1], counts[None, None]):
+        with pytest.raises(ShapeError):
+            curvefit.fit_curve(model, tau, bad)
 
 
 def test_noisy_recovery_monte_carlo():
@@ -80,7 +95,7 @@ def test_noisy_recovery_monte_carlo():
     errs = []
     for _ in range(20):
         counts = rng.poisson(model.curve(tau, truth, scale, shift)).astype(float)
-        fit = curvefit.fit_curve(model, tau, counts)
+        fit = fit_one(model, tau, counts)
         errs.append(abs(np.cos(curvefit.fold_angle(fit.shape)) - np.cos(truth)))
     assert np.mean(errs) < 0.02
     assert np.max(errs) < 0.08
@@ -92,7 +107,7 @@ def test_degenerate_flag_when_interference_buried():
     tau = np.linspace(-5, 5, 41)
     # shape ~ pi/2: amp ~ 0, curve variation far below shot noise
     counts = rng.poisson(model.curve(tau, np.pi / 2 + 1e-4, 5000.0, 0.0))
-    fit = curvefit.fit_curve(model, tau, counts.astype(float))
+    fit = fit_one(model, tau, counts.astype(float))
     assert fit.degenerate
 
 
@@ -100,7 +115,7 @@ def test_monotone_objective_and_start_diagnostics():
     model = make_model()
     tau = np.linspace(-5, 5, 41)
     counts = model.curve(tau, 0.9, 1500.0, 0.1)
-    fit = curvefit.fit_curve(model, tau, counts)
+    fit = fit_one(model, tau, counts)
     assert len(fit.starts) == 4
     best = min(s["objective"] for s in fit.starts if s["converged"])
     assert abs(best - fit.objective) <= 1e-12 * max(1.0, best)
@@ -145,7 +160,7 @@ def test_batched_fit_matches_row_by_row(warm):
         if warm:
             kwargs["seeds"] = seeds[c]
         try:
-            one = curvefit.fit_curve(model, tau, counts[c], **kwargs)
+            one = fit_one(model, tau, counts[c], **kwargs)
         except FitFailure as exc:
             assert isinstance(res, FitFailure) and str(res) == str(exc)
             assert res.details.get("starts") == exc.details.get("starts")

@@ -378,7 +378,11 @@ def test_simulation_and_bootstrap_share_envelopes(monkeypatch):
     ([0.0, 2.0, 1.0], [0.1, 0.2, 0.1]),
     ([0.0, 1.0, 2.0], [0.1, -0.2, 0.1]),
     ([0.0, 1.0, 2.0], [0.1, np.nan, 0.1]),
-], ids=["length-mismatch", "two-d", "not-increasing", "negative", "nan"])
+    ([0.0, 1.0, 2.0], [0.0, 0.0, 0.0]),
+    ([1.0], [0.5]),
+    ([0.0, 1.0, 2.0], [0.1, np.inf, 0.1]),
+], ids=["length-mismatch", "two-d", "not-increasing", "negative", "nan",
+        "all-zero", "one-point", "infinite"])
 def test_spectral_function_rejects_malformed_input(omega, values):
     with pytest.raises(ShapeError):
         photonic.SpectralFunction(omega, values, renormalize=False)

@@ -57,11 +57,28 @@ def test_zero_weight_multiplicity_adjoint():
     assert chains == [(0,), (2,)]
 
 
+def greedy_raise(state):
+    """Apply the first c_{l,l+1} (smallest l) with a nonzero image until
+    every one annihilates the state."""
+    n = state.n_sites
+    while True:
+        for ell in range(1, n):
+            raised = state.apply_c(ell, ell + 1)
+            if not raised.is_zero():
+                state = raised
+                break
+        else:
+            return state
+
+
 def test_phase_convention_raising_product_positive():
-    # independent check of the sign rule on every state of two irreps
-    for n, kap in [(3, (1, 1)), (4, (1, 0, 1))]:
+    # independent check of the sign rule on every state of two irreps: the
+    # ordered raising product has a positive overlap with the highest-weight
+    # state, or a zero one, and then greedy simple raising has a positive one
+    for n, kap, fallbacks in [(3, (1, 1), 2), (4, (1, 0, 1), 7)]:
         h = bosonrep.hws(kap, n)
         nu_h = h.occupations()
+        zero = 0
         for label, state in sunrep.canonical_basis_states(n, kap):
             cur = state
             nu = label.occupations
@@ -70,7 +87,11 @@ def test_phase_convention_raising_product_positive():
                 for _ in range(p):
                     cur = cur.apply_c(ell, ell + 1)
             overlap = h.raw_inner(cur)
-            assert overlap >= 0
+            if overlap == 0:
+                zero += 1
+                overlap = h.raw_inner(greedy_raise(state))
+            assert overlap > 0
+        assert zero == fallbacks
 
 
 # ---------------------------------------------------------------------------
