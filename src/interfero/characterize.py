@@ -12,8 +12,7 @@ from collections import Counter, namedtuple
 import numpy as np
 
 from . import linalg, photonic
-from .curvefit import (CurveModel, fit_curve, fold_angle, param_sigmas,
-                       SHAPE_SEEDS)
+from .curvefit import CurveModel, fit_curve, fold_angle, param_sigmas
 from .errors import (BootstrapUnstable, CalibrationOutOfRange,
                      DegenerateAmplitudes, DivisionByZeroCount, FitFailure,
                      InsufficientData, InterferoError, ParseError, PortError,
@@ -162,7 +161,8 @@ def cosine_curve_model(q, base_const, amp_const):
     """C(τ) = scale·(base + amp_const·cos(shape)·Q(τ−shift)): the common
     form of every coincidence curve with the phase combination as shape.
     The constants may be arrays, one entry per curve of a stacked ``q``."""
-    return CurveModel(q, base_const, amp_const, np.cos, lambda s: -np.sin(s))
+    return CurveModel(q, base_const, amp_const, np.cos, lambda s: -np.sin(s),
+                      np.arccos, (-1.0, 1.0))
 
 
 def calibration_curve_model(q, cos_vartheta):
@@ -172,34 +172,36 @@ def calibration_curve_model(q, cos_vartheta):
     c2 = np.asarray(cos_vartheta, dtype=float) ** 2
     s2 = 1.0 - c2
     return CurveModel(q, c2 ** 2 + s2 ** 2, -2.0 * c2 * s2,
-                      lambda g: g, lambda g: 1.0)
+                      lambda g: g, lambda g: 1.0, lambda g: g)
 
 
 # one curve of a pipeline stage: the constants are the model family's
-# per-curve arguments after the envelope
-_Request = namedtuple("_Request", "envelope consts curve seeds")
+# per-curve arguments after the envelope; requests with equal ``group``
+# keys share one shift, and ``near`` is a shift to scan around, or None
+_Request = namedtuple("_Request", "envelope consts curve group near")
 
 
 def _fit_stage(requests, family):
     """Fit every request of one pipeline stage with the model ``family``.
 
-    Requests that share a τ grid, an ω grid and a start count go through
-    fit_curve as one stacked fit.  Returns each request's FitResult or
-    FitFailure, in request order.
+    Requests that share a τ grid and an ω grid go through fit_curve as one
+    stacked fit.  Returns each request's FitResult or FitFailure, in
+    request order.
     """
-    groups = {}
+    calls = {}
     for k, req in enumerate(requests):
-        key = (req.curve[0].tobytes(), req.envelope.grid.tobytes(),
-               len(req.seeds))
-        groups.setdefault(key, []).append(k)
+        key = (req.curve[0].tobytes(), req.envelope.grid.tobytes())
+        calls.setdefault(key, []).append(k)
     out = [None] * len(requests)
-    for members in groups.values():
-        group = [requests[k] for k in members]
-        model = family(photonic.Envelope.stack([r.envelope for r in group]),
-                       *np.array([r.consts for r in group]).T)
-        batch = fit_curve(model, group[0].curve[0],
-                          np.array([r.curve[1] for r in group]),
-                          seeds=np.array([r.seeds for r in group]))
+    for members in calls.values():
+        stage = [requests[k] for k in members]
+        ids = {}
+        model = family(photonic.Envelope.stack([r.envelope for r in stage]),
+                       *np.array([r.consts for r in stage]).T)
+        batch = fit_curve(
+            model, stage[0].curve[0], np.array([r.curve[1] for r in stage]),
+            groups=[ids.setdefault(r.group, len(ids)) for r in stage],
+            near=[np.nan if r.near is None else r.near for r in stage])
         for k, res in zip(members, batch.results):
             out[k] = res
     return out
@@ -213,15 +215,15 @@ def _unwrap(outcome):
 
 
 def calibrate_gamma(calibration_single, calibration_curve, q,
-                    eps=0.05, warm=None):
+                    eps=0.05, near=None):
     """Estimate the mode-matching parameter γ from the reference
     beam-splitter data of every dataset in one stacked fit.
 
-    Takes lists of singles, curves and envelopes, one entry per dataset
-    (``warm`` shared).  Returns a list holding each dataset's
-    (γ̃, σ(γ̃), fit) or the InterferoError it raised.
+    Takes lists of singles, curves and envelopes, one entry per dataset;
+    every curve has its own shift, scanned around ``near`` when it is
+    given.  Returns a list holding each dataset's (γ̃, σ(γ̃), fit) or the
+    InterferoError it raised.
     """
-    seeds = (warm,) if warm is not None else SHAPE_SEEDS
     out = [None] * len(calibration_single)
     owners, requests = [], []
     for k, (singles, curve, env) in enumerate(
@@ -234,7 +236,7 @@ def calibrate_gamma(calibration_single, calibration_curve, q,
             continue
         curve = tuple(np.asarray(v, dtype=float) for v in curve)
         owners.append(k)
-        requests.append(_Request(env, (reflectivity,), curve, seeds))
+        requests.append(_Request(env, (reflectivity,), curve, k, near))
     for k, req, fit in zip(owners, requests,
                            _fit_stage(requests, calibration_curve_model)):
         if isinstance(fit, FitFailure):
@@ -314,13 +316,13 @@ class _ArgumentSweep:
     the error a one-dataset run raises, and decisions after it are skipped.
     """
 
-    def __init__(self, dataset, alpha, gamma, threshold, plan, warm_theta):
+    def __init__(self, dataset, alpha, gamma, threshold, plan, shifts):
         self.dataset = dataset
         self.alpha = alpha
         self.gamma = gamma
         self.threshold = threshold
         self.plan = plan
-        self.warm_theta = warm_theta
+        self.shifts = shifts
         self.m = dataset.m
         self.diagnostics = []
         self.sweep_diagnostics = []     # (sweep position, entry)
@@ -332,14 +334,17 @@ class _ArgumentSweep:
         if at < self.error_at:
             self.error, self.error_at = exc, at
 
-    def request(self, ports, warm):
-        """The fit of the curve on ports (a,i,b,j); None if it is absent."""
+    def request(self, ports):
+        """The fit of the curve on ports (a,i,b,j); None if it is absent.
+        The curves of one input pair (b, j) share a shift."""
         data = self.dataset.curve(ports)
         if data is None:
             return None
-        return _Request(self.dataset.envelope(ports[2], ports[3]),
+        b, j = sorted(ports[2:])
+        return _Request(self.dataset.envelope(b, j),
                         _port_constants(self.alpha, self.gamma, ports), data,
-                        SHAPE_SEEDS if warm is None else (warm,))
+                        (self, b, j),
+                        self.shifts.get(photonic.canonical_curve_key(ports)))
 
     # ---- magnitudes --------------------------------------------------------
     def magnitude_requests(self):
@@ -348,11 +353,10 @@ class _ArgumentSweep:
         requests = []
         for i in range(2, m + 1):
             for j in range(2, m + 1):
+                if self.alpha[i - 1, j - 1] == 0:
+                    continue        # W_ij = 0 whatever θ_ij is: θ_ij = 0
                 ports = (1, i, 1, j)
-                warm = None
-                if self.warm_theta is not None:
-                    warm = abs(self.warm_theta[i - 1, j - 1])
-                req = self.request(ports, warm)
+                req = self.request(ports)
                 if req is None:
                     self.fail(len(requests), InsufficientData(
                         "missing coincidence curve",
@@ -376,7 +380,7 @@ class _ArgumentSweep:
             return
         self._relabel(absth)
 
-    # ---- relabeling and sign levels ------------------------------------------
+    # ---- relabeling ----------------------------------------------------------
     def _relabel(self, absth):
         """Relabel so the magnitude nearest π/2 is at (2,2)."""
         m = self.m
@@ -398,9 +402,6 @@ class _ArgumentSweep:
         self.po, self.pi_ = po, pi_
         self.rel_alpha = self.alpha[np.ix_(po, pi_)]
         self.rel_abs = absth[np.ix_(po, pi_)]
-        self.warm_rel = None
-        if self.warm_theta is not None:
-            self.warm_rel = self.warm_theta[np.ix_(po, pi_)]
         self.theta = np.zeros((m, m))
         self.known = np.zeros((m, m), dtype=bool)
         self.known[0, :] = True
@@ -409,23 +410,9 @@ class _ArgumentSweep:
         self.known[1, 1] = True
         self.sign_plan = {} if self.plan is None else self.plan["signs"]
         self.items = _sweep(m)
-        self.levels = self._levels()
 
     def _tuple(self, i, j, default):
         return default if self.plan is None else self.sign_plan[(i, j)]
-
-    def _levels(self):
-        """Dependency level of each sign decision.  Without warm starts no
-        fit depends on earlier signs, so every fit is on level 0; with them
-        a decision waits for the signs its warm start combines."""
-        if self.warm_theta is None:
-            return [0] * len(self.items)
-        level = {}
-        for i, j, default in self.items:
-            a, b = self._tuple(i, j, default)
-            deps = [level[d] for d in ((a, b), (a, j), (i, b)) if d in level]
-            level[(i, j)] = 1 + max(deps, default=-1)
-        return [level[(i, j)] for i, j, _ in self.items]
 
     def orig_ports(self, a, i, b, j):
         """Map a relabeled-frame port tuple (0-based) to original labels."""
@@ -436,33 +423,33 @@ class _ArgumentSweep:
     def target(self, i, j):
         return (int(self.po[i]) + 1, int(self.pi_[j]) + 1)
 
-    def _warm_phi(self, a, b, i, j):
-        if self.warm_rel is None:
-            return None
-        th = self.theta
-        return th[a, b] - th[a, j] - th[i, b] + self.warm_rel[i, j]
-
     # ---- signs ---------------------------------------------------------------
-    def sign_requests(self, level):
-        """Fits for the sign decisions on one dependency level."""
+    def sign_requests(self):
+        """Fits for every sign decision: no fit depends on an earlier sign.
+        A curve without an interference term is not fitted."""
         self.pending = []
         requests = []
         for pos, (i, j, default) in enumerate(self.items):
-            if self.levels[pos] != level or pos > self.error_at:
-                continue
             a, b = self._tuple(i, j, default)
-            req = self.request(self.orig_ports(a, i, b, j),
-                               self._warm_phi(a, b, i, j))
+            req = None
+            if not self._silent(i, j, (a, b)):
+                req = self.request(self.orig_ports(a, i, b, j))
             self.pending.append((pos, i, j, (a, b), req))
             if req is not None:
                 requests.append(req)
         return requests
 
     def decide(self, results):
-        """Decide the level's signs in sweep order from its fits."""
+        """Decide the signs in sweep order from their fits."""
         results = iter(results)
-        for pos, i, j, ab, req in self.pending:
-            fit = None if req is None else next(results)
+        fits = [None if p[-1] is None else next(results)
+                for p in self.pending]
+        # the shift each input pair got in this stage
+        self.pair_shift = {p[-1].group: fit.shift
+                           for p, fit in zip(self.pending, fits)
+                           if p[-1] is not None
+                           and not isinstance(fit, FitFailure)}
+        for (pos, i, j, ab, req), fit in zip(self.pending, fits):
             if pos > self.error_at:
                 continue
             try:
@@ -470,20 +457,35 @@ class _ArgumentSweep:
             except InterferoError as exc:
                 self.fail(pos, exc)
 
+    def _silent(self, i, j, ab):
+        """Whether the curve of tuple (a, b) for target (i, j) has no
+        interference term: one of its four amplitudes is zero."""
+        a, b = ab
+        al = self.rel_alpha
+        return al[a, b] * al[a, j] * al[i, b] * al[i, j] == 0
+
     def _decide(self, pos, i, j, ab, fit):
         theta = self.theta
-        if self.plan is None:
+        if self.plan is None and self.rel_alpha[i, j] != 0:
             a, b = ab
             k_ref = theta[a, b] - theta[a, j] - theta[i, b]
+            if self._silent(i, j, ab):
+                k_ref = 0.0     # the default curve carries no θ_ij
             if reference_distance(k_ref) <= self.threshold:
                 alt = self._mitigate(pos, i, j, ab, k_ref)
-                if alt != ab:       # alternates are fitted when chosen
-                    ab = alt
-                    fit = _fit_stage([self.request(
-                        self.orig_ports(alt[0], i, alt[1], j),
-                        self._warm_phi(alt[0], alt[1], i, j))],
-                        cosine_curve_model)[0]
+                if alt != ab:       # alternates are fitted when chosen,
+                    ab = alt        # around their input pair's shift
+                    req = self.request(self.orig_ports(alt[0], i, alt[1], j))
+                    req = req._replace(near=self.pair_shift.get(req.group))
+                    fit = _fit_stage([req], cosine_curve_model)[0]
+        if self.plan is None:
             self.sign_plan[(i, j)] = ab
+        if self._silent(i, j, ab):
+            # W_ij = 0 whatever θ_ij is, or no curve with an interference
+            # term carries θ_ij: its sign is positive, as on a tie
+            theta[i, j] = self.rel_abs[i, j]
+            self.known[i, j] = True
+            return
         a, b = ab
         ports = self.orig_ports(a, i, b, j)
         key = photonic.canonical_curve_key(ports)
@@ -565,7 +567,7 @@ def _batched_stage(sweeps, requests_of, consume):
 
 
 def estimate_arguments(datasets, alphas, gammas, threshold=0.1, plan=None,
-                       warm_theta=None):
+                       shifts=None):
     """Full argument matrices θ̃ with first row/column ≡ 0 and sgn θ₂₂ = +1
     for a list of datasets, with their lists of alphas and gammas.
 
@@ -575,22 +577,20 @@ def estimate_arguments(datasets, alphas, gammas, threshold=0.1, plan=None,
     Sign decisions whose reference combination lies within ``threshold`` of
     {0, π} are re-derived from the best available alternate port pair.
 
-    The datasets are estimated together (``plan`` and ``warm_theta``
-    shared): the magnitudes are one stacked fit, and so is each dependency
-    level of sign fits.  Returns a list holding each dataset's
-    (theta, diagnostics, plan, fits) or the InterferoError it raised; pass
-    a ``plan`` back in to reuse the relabeling and tuple choices (bootstrap
-    replicates).
+    The datasets are estimated together (``plan`` and ``shifts`` shared):
+    the magnitudes are one stacked fit, and so are the sign fits.  Within a
+    stage, the curves of one dataset's input pair share one shift.  Returns
+    a list holding each dataset's (theta, diagnostics, plan, fits) or the
+    InterferoError it raised.  Bootstrap replicates pass a ``plan`` back in
+    to reuse the relabeling and tuple choices, and ``shifts``, a map from
+    curve keys to shifts, to scan a window around each pair's shift.
     """
-    sweeps = [_ArgumentSweep(ds, a, g, threshold, plan, warm_theta)
+    sweeps = [_ArgumentSweep(ds, a, g, threshold, plan, shifts or {})
               for ds, a, g in zip(datasets, alphas, gammas)]
     _batched_stage(sweeps, _ArgumentSweep.magnitude_requests,
                    _ArgumentSweep.set_magnitudes)
-    live = [sw for sw in sweeps if sw.error is None]
-    n_levels = 1 + max((lv for sw in live for lv in sw.levels), default=-1)
-    for level in range(n_levels):
-        _batched_stage(live, lambda sw, level=level: sw.sign_requests(level),
-                       _ArgumentSweep.decide)
+    _batched_stage([sw for sw in sweeps if sw.error is None],
+                   _ArgumentSweep.sign_requests, _ArgumentSweep.decide)
     return [sw.result() for sw in sweeps]
 
 
@@ -667,9 +667,10 @@ def characterize_dataset(dataset, threshold=0.1, gamma_override=None,
 def _characterize_stack(datasets, threshold, gamma_override, warm):
     """Run the point-estimate pipeline on several datasets at once.
 
-    Each fitting stage (calibration, magnitudes, each level of sign fits)
-    is one stacked fit over every dataset still running.  Returns each
-    dataset's PointEstimate or the error it raised.
+    Each fitting stage (calibration, magnitudes, signs) is one stacked fit
+    over every dataset still running.  A ``warm`` point estimate lends its
+    plan, and its fits' shifts as the centres of the shift scans.  Returns
+    each dataset's PointEstimate or the error it raised.
     """
     out = [None] * len(datasets)
     running = {}        # index -> [diagnostics, alpha, gamma, σ(γ), fit]
@@ -696,7 +697,8 @@ def _characterize_stack(datasets, threshold, gamma_override, warm):
             [datasets[k].calibration_single for k in calibrated],
             [datasets[k].calibration_curve for k in calibrated],
             [datasets[k].calibration_envelope() for k in calibrated],
-            warm=None if warm is None else warm.gamma)
+            near=None if warm is None or warm.calibration_fit is None
+            else warm.calibration_fit.shift)
         for k, res in zip(calibrated, results):
             if isinstance(res, InterferoError):
                 out[k] = res
@@ -713,7 +715,8 @@ def _characterize_stack(datasets, threshold, gamma_override, warm):
         [datasets[k] for k in keys], [running[k][1] for k in keys],
         [running[k][2] for k in keys], threshold=threshold,
         plan=None if warm is None else warm.plan,
-        warm_theta=None if warm is None else warm.theta) if keys else []
+        shifts=None if warm is None else
+        {key: fit.shift for key, fit in warm.fits.items()}) if keys else []
     for k, res in zip(keys, results):
         diagnostics, alpha, gamma, gamma_sigma, cal_fit = running[k]
         try:
@@ -744,8 +747,9 @@ def bootstrap(dataset, n_replicates=100, seed=0, threshold=0.1,
 
     Each replicate resamples the single-count repetitions with replacement
     and rebuilds every consumed coincidence curve from its fitted model
-    plus resampled normalized residuals, then re-runs the pipeline
-    warm-started from the point estimate.  All replicates are built first
+    plus resampled normalized residuals, then re-runs the pipeline with the
+    point estimate's plan, scanning each shift in a window around the
+    point estimate's.  All replicates are built first
     and run through the pipeline as one stack, so each fitting stage is one
     batched fit over every replicate; a replicate that fails drops out on
     its own.  σ(Re W), σ(Im W) and σ(γ) are standard deviations over the

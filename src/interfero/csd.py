@@ -118,6 +118,7 @@ def reconstruct(plan):
     """
     n_s, n_p = plan.n_s, plan.n_p
     out = np.eye(n_s * n_p, dtype=complex)
+    splitter = np.kron(B2, np.eye(n_p))
     for e in plan.elements:
         k = e["mode"]
         kind = e["kind"]
@@ -128,7 +129,7 @@ def reconstruct(plan):
             if k + 1 > n_s:
                 raise PlanCorrupt("beam splitter mode out of range", mode=k)
             cols = slice(lo, lo + 2 * n_p)
-            out[:, cols] = out[:, cols] @ np.kron(B2, np.eye(n_p))
+            out[:, cols] = out[:, cols] @ splitter
         elif kind == "IU":
             mat = e["matrix"]
             if mat.shape != (n_p, n_p):

@@ -3,41 +3,33 @@
 All fitted curves share one shape: C(τ) = scale·(base + amp·f(s)·Q(τ−shift))
 with per-curve constants base and amp, a shape factor f of the single shape
 parameter s (the mode-matching parameter, an argument magnitude |θ| or a
-phase combination β), an ordinate scale and an abscissa shift.  Fits take a
-stack of N curves and are multi-started over the four canonical shape seeds
-{π/4, 3π/4, 5π/4, 7π/4} (one per qualitative curve shape).
+phase combination β), an ordinate scale and an abscissa shift.
 
-The optimizer is one batched Levenberg–Marquardt loop (Moré 1978) with
-analytic Jacobians.  It fits a stack of K independent (curve, start) rows
-at once: residuals (K, T), Jacobians (K, T, 3) and damped normal equations
-(K, 3, 3) solved in one call per pass, while the damping factor, the
-acceptance test and the stopping rules are kept for each row separately.
-Rows leave the active set as they stop, and accepted steps are strictly
-monotone in each row's objective.  A row stops for one of four reasons:
+Only the shift enters nonlinearly.  At a fixed shift σ a curve is linear
+in c₁ = scale·base and c₂ = scale·amp·f(s), so the fit is separable and
+solved by variable projection (Golub & Pereyra 1973, SIAM J. Numer. Anal.
+10, 413): each curve's weighted 2×2 normal equations give c₁ and c₂ in
+closed form, and f(s) = c₂·base/(c₁·amp).  A family whose shape factor has
+a bounded range (cos) clamps f into it and re-solves the one-term problem
+for the scale; s is f's inverse at the result.
 
-- ``gradient``: the weighted gradient vanished, |g|∞ < 1e-14·max(1, obj);
-- ``small_step``: an accepted step lowered the objective by a relative
-  1e-14 or less, or moved no parameter by 1e-14 or more;
-- ``damping_exhausted``: 60 damping increases found no descent;
-- ``max_iter``: the iteration limit was reached.
-
-Every reason but ``max_iter`` counts as converged.
+The curves of one shift group share one shift: the one minimizing the sum
+of their projected objectives.  It is found by a scan at two points per τ
+step over the τ range, or over a window of τ steps around given shifts,
+then refined parabolically, three points per level with the step divided
+by 8 from level to level, down to a step of 1e-13.  Each group is computed
+on its own, so a group fitted in a stack gets exactly the result it gets
+alone.
 """
 import numpy as np
 
 from .errors import FitFailure, InsufficientData, ShapeError
 
-SHAPE_SEEDS = (np.pi / 4, 3 * np.pi / 4, 5 * np.pi / 4, 7 * np.pi / 4)
-REASONS = ("gradient", "small_step", "damping_exhausted", "max_iter")
-_GRADIENT, _SMALL_STEP, _DAMPING_EXHAUSTED, _MAX_ITER = range(4)
-_DAMPING_TRIES = 60
-# damping tries made so far in an iteration -> end of the block of tries
-# the next pass makes (blocks of 1, 4, 16 and 39 tries)
-_BLOCK_END = np.repeat([1, 5, 21, _DAMPING_TRIES], [1, 4, 16, 39])
-# bounds on the tries of one pass and on the rows evaluated at once, which
-# keep the temporaries small
-_PASS_TRIES = 256
-_EVAL_ROWS = 32
+_SCAN_PER_STEP = 2      # scan points per τ step
+_WINDOW_STEPS = 3       # half-width, in τ steps, of a scan around given shifts
+_SHRINK = 8             # step ratio between refinement levels
+_FINEST = 1e-13         # refinement stops below this step
+_CHUNK = 64            # rows evaluated at once, which bounds the temporaries
 
 
 class CurveModel:
@@ -46,15 +38,19 @@ class CurveModel:
     ``q`` is a photonic.Envelope with one row per curve, or a single row
     that every curve shares.  ``base`` and ``amp`` hold one constant per
     curve; ``f`` is the shape factor and ``df`` its derivative, both
-    elementwise on an array of shapes.
+    elementwise on an array of shapes.  ``inverse`` maps shape factors in
+    ``f_range`` back to shapes.
     """
 
-    def __init__(self, q, base, amp, f, df):
+    def __init__(self, q, base, amp, f, df, inverse,
+                 f_range=(-np.inf, np.inf)):
         self.q = q
         self.base = np.atleast_1d(np.asarray(base, dtype=float))
         self.amp = np.atleast_1d(np.asarray(amp, dtype=float))
         self.f = f
         self.df = df
+        self.inverse = inverse
+        self.f_range = f_range
 
     def evaluate(self, tau, x, curves, derivative=False):
         """Curve values (K, T) at the parameter rows ``x`` (K, 3), where row
@@ -101,8 +97,8 @@ class FitResult:
 
 class FitBatch:
     """Outcome of a stacked fit: ``results[n]`` is curve n's FitResult or
-    the FitFailure a fit of that curve alone raises, and ``starts`` lists
-    the start records of every curve in curve order."""
+    the FitFailure a fit of that curve alone raises, and ``starts`` holds
+    one record per curve, in curve order."""
 
     def __init__(self, results, starts):
         self.results = results
@@ -119,154 +115,131 @@ def fit_weights(counts):
     return w
 
 
-def guess_shift(tau, counts):
-    """Place the global extremum farther from the mean at zero delay."""
-    counts = np.asarray(counts, dtype=float)
-    mean = counts.mean()
-    imax = int(np.argmax(counts))
-    imin = int(np.argmin(counts))
-    idx = imax if counts[imax] - mean >= mean - counts[imin] else imin
-    return float(tau[idx])
+def _project(model, counts, w, curves, q):
+    """Closed-form linear terms of curve ``curves[k]`` against its envelope
+    values q[k] = Q(τ − shift) (K, T).
 
-
-def _lm(model, tau, counts, w, x0, active, max_iter=200, lam0=1e-3):
-    """Damped least squares on every (curve, start) row at once.
-
-    counts and w are (N, T); x0 is (N, S, 3) and ``active`` (N, S) marks
-    the rows to fit.  Returns the final parameters, residuals, objectives,
-    stop reasons (indices into REASONS, -1 for rows not fitted), iteration
-    counts and rejected-step counts, flattened to K = N·S rows.
+    Returns the shape factors, scales, residuals (K, T) and objectives.
     """
-    n_starts = active.shape[1]
-    x = np.array(x0, dtype=float).reshape(-1, 3)
-    counts = np.repeat(counts, n_starts, axis=0)
-    w = np.repeat(w, n_starts, axis=0)
-    live = active.ravel().copy()
-    k = len(x)
-    reason = np.full(k, -1)
-    iterations = np.zeros(k, dtype=int)
-    rejected = np.zeros(k, dtype=int)
-    tries = np.zeros(k, dtype=int)
-    lam = np.full(k, lam0)
-    h = np.zeros((k, 3, 3))
-    g = np.zeros((k, 3))
-    r = np.zeros_like(counts)
-    obj = np.full(k, np.inf)
-    rows = np.flatnonzero(live)
-    r[rows] = counts[rows] - _evaluate(model, tau, x[rows], rows // n_starts)
-    obj[rows] = np.sum(w[rows] * r[rows] * r[rows], axis=1)
-    fresh = live.copy()                     # rows starting an iteration
-    diag = np.arange(3)
-    while True:
-        rows = np.flatnonzero(fresh)
-        if len(rows):
-            fresh[rows] = False
-            spent = iterations[rows] == max_iter
-            reason[rows[spent]] = _MAX_ITER
-            live[rows[spent]] = False
-            rows = rows[~spent]
-            iterations[rows] += 1
-            jac = _evaluate(model, tau, x[rows], rows // n_starts, True)
-            jtw = jac * w[rows, :, None]
-            h[rows] = np.matmul(jtw.transpose(0, 2, 1), jac)
-            g[rows] = np.matmul(jtw.transpose(0, 2, 1), r[rows, :, None])[..., 0]
-            tries[rows] = 0
-            flat = (np.max(np.abs(g[rows]), axis=1)
-                    < 1e-14 * np.maximum(1.0, obj[rows]))
-            reason[rows[flat]] = _GRADIENT
-            live[rows[flat]] = False
-        rows = np.flatnonzero(live)
-        if not len(rows):
-            break
-        # this pass tries a block of damping factors λ·4^t per row; the
-        # first accepted t is the step the one-at-a-time loop would take
-        size = _BLOCK_END[tries[rows]] - tries[rows]
-        size = np.minimum(size, _PASS_TRIES - (np.cumsum(size) - size))
-        rows, size = rows[size > 0], size[size > 0]
-        width = size.max()
-        valid = np.arange(width) < size[:, None]
-        cand = np.repeat(rows, size)
-        t = np.nonzero(valid)[1]
-        lam_c = lam[cand] * 4.0 ** t
-        damped = h[cand]
-        damped[:, diag, diag] += (lam_c[:, None]
-                                  * np.maximum(damped[:, diag, diag], 1e-30))
-        step, solved = _solve(damped, g[cand])
-        x_new = x[cand] + step
-        # a step too small to move x reproduces obj exactly: rejected as is
-        ok = np.flatnonzero(solved & np.any(x_new != x[cand], axis=1))
-        r_new = np.zeros((len(cand), counts.shape[1]))
-        obj_new = np.full(len(cand), np.inf)
-        r_new[ok] = counts[cand[ok]] - _evaluate(model, tau, x_new[ok],
-                                                 cand[ok] // n_starts)
-        obj_new[ok] = np.sum(w[cand[ok]] * r_new[ok] * r_new[ok], axis=1)
-        better = np.zeros(valid.shape, dtype=bool)
-        better[valid] = solved & (obj_new < obj[cand])
-        hit = better.any(axis=1)
-        first = better.argmax(axis=1)
-
-        up = rows[hit]
-        pick = (np.cumsum(size) - size)[hit] + first[hit]
-        rel_drop = (obj[up] - obj_new[pick]) / np.maximum(obj[up], 1e-300)
-        small = ((rel_drop < 1e-14)
-                 | (np.max(np.abs(step[pick]), axis=1) < 1e-14))
-        x[up] = x_new[pick]
-        r[up] = r_new[pick]
-        obj[up] = obj_new[pick]
-        lam[up] = np.maximum(lam_c[pick] / 3.0, 1e-12)
-        rejected[up] += first[hit]
-        reason[up[small]] = _SMALL_STEP
-        live[up[small]] = False
-        fresh[up[~small]] = True
-
-        down = rows[~hit]
-        lam[down] *= 4.0 ** size[~hit]
-        tries[down] += size[~hit]
-        rejected[down] += size[~hit]
-        exhausted = down[tries[down] == _DAMPING_TRIES]
-        reason[exhausted] = _DAMPING_EXHAUSTED
-        live[exhausted] = False
-    return x, r, obj, reason, iterations, rejected
+    y, wk = counts[curves], w[curves]
+    base, amp = model.base[curves], model.amp[curves]
+    sw = np.sum(wk, axis=1)
+    mq = np.sum(wk * q, axis=1) / sw
+    dq = q - mq[:, None]
+    my = np.sum(wk * y, axis=1) / sw
+    sqq = np.sum(wk * dq * dq, axis=1)
+    c2 = np.divide(np.sum(wk * dq * (y - my[:, None]), axis=1), sqq,
+                   out=np.zeros_like(sqq), where=sqq > 0)
+    c1 = my - c2 * mq
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = c2 * base / (c1 * amp)
+    lo, hi = model.f_range
+    clamped = ~((f >= lo) & (f <= hi))
+    if clamped.any():
+        # the one-term problem: scale alone with f on its bound
+        fc = np.clip(np.nan_to_num(f[clamped]), lo, hi)
+        u = base[clamped, None] + (amp[clamped] * fc)[:, None] * q[clamped]
+        wu = wk[clamped] * u
+        scale = np.sum(wu * y[clamped], axis=1) / np.sum(wu * u, axis=1)
+        c1[clamped] = scale * base[clamped]
+        c2[clamped] = scale * amp[clamped] * fc
+        f[clamped] = fc
+    r = y - c1[:, None] - c2[:, None] * q
+    return f, c1 / base, r, np.sum(wk * r * r, axis=1)
 
 
-def _evaluate(model, tau, x, curves, jacobian=False):
-    """model.evaluate over at most _EVAL_ROWS rows at a time, which bounds
-    the temporaries; returns the curve values, or the Jacobian."""
-    parts = [model.evaluate(tau, x[lo:lo + _EVAL_ROWS],
-                            curves[lo:lo + _EVAL_ROWS], jacobian)
-             for lo in range(0, max(len(curves), 1), _EVAL_ROWS)]
-    return np.concatenate([p[0] if jacobian else p for p in parts])
+def _chunks(n):
+    """Slices of at most _CHUNK rows covering n rows."""
+    return [slice(lo, lo + _CHUNK) for lo in range(0, n, _CHUNK)]
 
 
-def _solve(a, b):
-    """Solve the stacked systems a·x = b; a singular system gets no step."""
-    try:
-        return np.linalg.solve(a, b[..., None])[..., 0], np.ones(len(a), bool)
-    except np.linalg.LinAlgError:
-        pass
-    step = np.zeros_like(b)
-    solved = np.zeros(len(a), dtype=bool)
-    for i in range(len(a)):
-        try:
-            step[i] = np.linalg.solve(a[i], b[i])
-            solved[i] = True
-        except np.linalg.LinAlgError:
-            pass
-    return step, solved
+def _envelope(model, tau, shifts, rows):
+    """Q(τ − shifts[k]) on envelope row rows[k], as (K, T)."""
+    return np.concatenate([model.q.shifted(tau, shifts[s], rows=rows[s])
+                           for s in _chunks(len(shifts))])
 
 
-def fit_curve(model, tau, counts, seeds=None, max_iter=200):
-    """Fit (shape, scale, shift) to each of N measured curves; the best
-    start of each curve wins.
+def _layout(members, n_points):
+    """Points numbered group after group, n_points[g] for group g: the
+    (curve, point) rows evaluating every member of a group at each of its
+    points, and the envelope row of each point (its group's first curve;
+    a group shares one envelope)."""
+    starts = np.cumsum(n_points) - n_points
+    curves = [np.tile(m, p) for m, p in zip(members, n_points)]
+    points = [np.repeat(np.arange(s, s + p), len(m))
+              for m, s, p in zip(members, starts, n_points)]
+    return (np.concatenate(curves), np.concatenate(points),
+            np.repeat([m[0] for m in members], n_points))
 
-    ``counts`` is (N, T), one row per curve of the stacked ``model``; the
-    N curves are fitted in one batched loop.  Returns a FitBatch holding
-    each curve's FitResult, or the FitFailure of a curve for which no start
-    converged or whose data carry no shape information (flat curve).
-    ``seeds`` gives the shape starts, shared by every curve or as an (N, S)
-    array per curve.  Near-degenerate fits carry ``degenerate=True``.
-    Every start is recorded with its seed, objective, ``converged``,
-    ``iterations``, ``rejected`` steps and stop ``reason``.
+
+def _totals(model, tau, counts, w, layout, shifts):
+    """Group objective at each point: the sum of the projected objectives
+    of its group's curves at the point's shift."""
+    curves, points, envelope = layout
+    q = _envelope(model, tau, shifts, envelope)
+    obj = np.concatenate([_project(model, counts, w, curves[s],
+                                   q[points[s]])[3]
+                          for s in _chunks(len(curves))])
+    return np.bincount(points, weights=obj, minlength=len(shifts))
+
+
+def _search(model, tau, counts, w, members, near):
+    """Each group's shift.  A group whose curves all have a ``near`` shift
+    scans the τ-lattice points in a window around them; any other group
+    scans the whole lattice."""
+    lo, hi = tau.min(), tau.max()
+    n_lattice = _SCAN_PER_STEP * (len(tau) - 1) + 1
+    step = (hi - lo) / (n_lattice - 1)
+    lattice = lo + step * np.arange(n_lattice)
+    reach = _WINDOW_STEPS * _SCAN_PER_STEP * step
+    scans = []
+    for m in members:
+        inside = np.ones(n_lattice, dtype=bool)
+        if not np.isnan(near[m]).any():
+            inside = ((lattice >= near[m].min() - reach)
+                      & (lattice <= near[m].max() + reach))
+        scans.append(lattice[inside] if inside.any() else lattice)
+    sizes = np.array([len(p) for p in scans])
+    points = np.concatenate(scans)
+    total = _totals(model, tau, counts, w, _layout(members, sizes), points)
+    best = [s + np.argmin(total[s:s + n])
+            for s, n in zip(np.cumsum(sizes) - sizes, sizes)]
+    shift, obj = points[best], total[best]
+
+    # parabolic refinement around the best point; the best point evaluated
+    # is kept, so the result is never worse than the scan
+    layout = _layout(members, np.full(len(members), 3))
+    centre, pick = shift.copy(), np.arange(len(members))
+    while step >= _FINEST:
+        trial = centre[:, None] + step * np.array([-1.0, 0.0, 1.0])
+        o = _totals(model, tau, counts, w, layout,
+                    trial.ravel()).reshape(-1, 3)
+        k = np.argmin(o, axis=1)
+        better = o[pick, k] < obj
+        shift[better] = trial[better, k[better]]
+        obj[better] = o[better, k[better]]
+        curv = o[:, 0] - 2.0 * o[:, 1] + o[:, 2]
+        vertex = np.where(curv > 0, 0.5 * (o[:, 0] - o[:, 2])
+                          / np.where(curv > 0, curv, 1.0), k - 1.0)
+        centre = centre + np.clip(vertex, -1.0, 1.0) * step
+        step /= _SHRINK
+    return shift
+
+
+def fit_curve(model, tau, counts, groups, near=None):
+    """Fit (shape, scale, shift) to each of N measured curves, one shift
+    per shift group.
+
+    ``counts`` is (N, T), one row per curve of the stacked ``model``.
+    ``groups`` holds one shift-group id per curve; the curves of a group
+    share one shift and must share one envelope.  ``near`` optionally
+    holds a shift per curve, NaN for none: a group whose curves all have
+    one scans a window of ±3 τ steps around them instead of the whole τ
+    range.  Returns a FitBatch holding each curve's FitResult, or the
+    FitFailure of a curve whose data or model carry no shape information
+    (flat curve, no interference term).  Near-degenerate fits carry
+    ``degenerate=True``.  Every curve has one record, whose ``converged``
+    is set when the curve was fitted.
     """
     tau = np.asarray(tau, dtype=float)
     counts = np.asarray(counts, dtype=float)
@@ -275,74 +248,57 @@ def fit_curve(model, tau, counts, seeds=None, max_iter=200):
                          "one column per delay", counts=list(counts.shape),
                          tau=list(tau.shape))
     n = len(counts)
+    groups = np.asarray(groups)
+    near = (np.full(n, np.nan) if near is None
+            else np.asarray(near, dtype=float))
+    if groups.shape != (n,) or near.shape != (n,):
+        raise ShapeError("need one shift group and one near shift per curve",
+                         curves=n, groups=list(groups.shape),
+                         near=list(near.shape))
     if len(tau) < 5:
         raise InsufficientData("need at least 5 data points per curve",
                                points=len(tau))
     if not np.all(np.isfinite(counts)):
         raise ShapeError("coincidence counts must be finite")
     w = fit_weights(counts)
-    seeds = np.asarray(SHAPE_SEEDS if seeds is None else seeds, dtype=float)
-    seeds = np.broadcast_to(seeds, (n, seeds.shape[-1]))
 
-    c_inf = 0.5 * (counts[:, 0] + counts[:, -1])
-    span = counts.max(axis=1) - counts.min(axis=1)
-    flat = span <= 1e-12 * np.maximum(1.0, counts.max(axis=1))
+    results = [None] * n
+    top = counts.max(axis=1)
+    span = top - counts.min(axis=1)
+    for c in np.flatnonzero(span <= 1e-12 * np.maximum(1.0, top)):
+        results[c] = FitFailure("flat data: shape parameter is unconstrained",
+                                span=float(span[c]))
+    for c in np.flatnonzero(model.amp == 0):
+        results[c] = results[c] or FitFailure(
+            "no interference term: shape parameter is unconstrained")
+    live = np.array([c for c in range(n) if results[c] is None], dtype=int)
+    starts = [{"converged": False} for _ in range(n)]
+    if not len(live):
+        return FitBatch(results, starts)
 
-    shift0 = np.array([guess_shift(tau, c) for c in counts])
-    base = np.broadcast_to(model.base[:, None], seeds.shape)
-    fallback = np.maximum(counts.mean(axis=1), 1e-12)[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale0 = np.where(np.abs(base) > 1e-12, c_inf[:, None] / base,
-                          fallback)
-    x0 = np.stack([seeds, scale0,
-                   np.broadcast_to(shift0[:, None], seeds.shape)], axis=2)
-    active = np.broadcast_to(~flat[:, None], seeds.shape)
-    x, r, obj, reason, iterations, rejected = _lm(
-        model, tau, counts, w, x0, active, max_iter=max_iter)
-
-    n_starts = seeds.shape[1]
-    results, starts, best_rows = [], [], []
-    for c in range(n):
-        if flat[c]:
-            results.append(FitFailure(
-                "flat data: shape parameter is unconstrained",
-                span=float(span[c])))
-            continue
-        diagnostics = []
-        best = None
-        for row in range(c * n_starts, (c + 1) * n_starts):
-            ok = reason[row] != _MAX_ITER
-            diagnostics.append({
-                "seed": float(seeds.flat[row]), "objective": float(obj[row]),
-                "converged": bool(ok), "iterations": int(iterations[row]),
-                "rejected": int(rejected[row]),
-                "reason": REASONS[reason[row]]})
-            if ok and (best is None or obj[row] < obj[best]):
-                best = row
-        starts.extend(diagnostics)
-        if best is None:
-            results.append(FitFailure("no start converged",
-                                      starts=diagnostics))
-            continue
-        best_rows.append(best)
-        shape, scale, shift = x[best]
-        results.append(FitResult(float(shape), float(scale), float(shift),
-                                 r[best].copy(), float(obj[best]),
-                                 starts=diagnostics))
-
-    if best_rows:
-        # degenerate-shape flag: the fitted interference term is buried in
-        # the residual noise floor
-        best_rows = np.array(best_rows)
-        curves = best_rows // n_starts
-        amp = model.amp[curves] * model.f(x[best_rows, 0])
-        qspan = np.ptp(model.q.shifted(tau, x[best_rows, 2], rows=curves),
-                       axis=1)
-        signal = np.abs(x[best_rows, 1] * amp) * qspan
-        noise = (np.sqrt(obj[best_rows] / len(tau))
-                 * np.sqrt(np.maximum(counts[curves].mean(axis=1), 1e-300)))
-        for c, flag in zip(curves, signal < 3.0 * noise):
-            results[c].degenerate = bool(flag)
+    _, gid = np.unique(groups[live], return_inverse=True)
+    members = [live[gid == g] for g in range(gid.max() + 1)]
+    q = model.q
+    if q.g.ndim == 2 and any(np.any(q.g[m] != q.g[m[0]])
+                             or np.any(q.i0[m] != q.i0[m[0]])
+                             for m in members):
+        raise ShapeError("the curves of a shift group need one envelope")
+    group_shift = _search(model, tau, counts, w, members, near)
+    shifts = group_shift[gid]
+    q = _envelope(model, tau, shifts, live)
+    f, scale, r, obj = _project(model, counts, w, live, q)
+    shape = model.inverse(f)
+    # degenerate-shape flag: the fitted interference term is buried in
+    # the residual noise floor
+    signal = np.abs(scale * model.amp[live] * f) * np.ptp(q, axis=1)
+    noise = (np.sqrt(obj / len(tau))
+             * np.sqrt(np.maximum(counts[live].mean(axis=1), 1e-300)))
+    for k, c in enumerate(live):
+        starts[c]["converged"] = True
+        results[c] = FitResult(float(shape[k]), float(scale[k]),
+                               float(shifts[k]), r[k].copy(), float(obj[k]),
+                               degenerate=bool(signal[k] < 3.0 * noise[k]),
+                               starts=[starts[c]])
     return FitBatch(results, starts)
 
 

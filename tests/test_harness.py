@@ -56,6 +56,16 @@ def test_run_trials_noiseless_full():
     assert report["failures"] == []
 
 
+def test_trial_with_a_nearly_flat_sign_curve_succeeds():
+    # a sign curve of this trial has amp·cos β ≈ 0.009·0.0035, so its shift
+    # barely moves it; a local fit crept along the shift to its iteration
+    # limit and the trial failed with "no start converged"
+    report = harness.run_trials(5, "full", 1, seed=4010755824, gamma=0.9,
+                                photons_per_input=1e7, pair_rate=2e7)
+    assert report["failures"] == []
+    assert report["per_trial"][0] < 0.05
+
+
 def test_calibration_advantage_small():
     # with real mode mismatch, ignoring calibration biases the magnitudes
     full = harness.run_trials(3, "full", 4, seed=21, gamma=0.9)
