@@ -3,11 +3,13 @@
 A state is a polynomial in creation operators a†_{i,k} (site i = 1..n,
 species k = 1..n-1) acting on the vacuum, stored as a sparse map from
 occupation matrices to coefficients.  Construction work (highest-weight
-states, generator actions, basis growth, orthogonalization) keeps every
-state as a primitive integer vector: eliminations are fraction-free and
-content is divided out, so linear-independence and orthogonality decisions
-are exact and need no tolerances; floating point enters only when
-``sunrep`` tabulates normalized coefficients for D-functions.
+states, generator actions, basis growth) keeps every state as a primitive
+integer vector.  One fraction-free orthogonal complement (``complement``)
+decides linear independence and yields the orthogonal states: each
+projection is cross-multiplied by the claimed state's squared norm and the
+content is divided out, so every decision is exact and needs no
+tolerance; floating point enters only when ``sunrep`` tabulates
+normalized coefficients for D-functions.
 
 Generators, acting on site indices only (summed over species):
 
@@ -108,23 +110,6 @@ class BosonPolynomial:
         return tuple(occ[i] - occ[i + 1] for i in range(m - 1))
 
     # -- ring operations ----------------------------------------------------
-    def __add__(self, other):
-        self._check_compatible(other)
-        if self.scale2 != other.scale2:
-            raise InternalInconsistency("cannot add differently scaled states",
-                                        a=str(self.scale2), b=str(other.scale2))
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out.get(mono, 0) + c
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        return BosonPolynomial(self.n_sites, self.n_species, out, self.scale2)
-
-    def __sub__(self, other):
-        return self + other.scaled(-1)
-
     def scaled(self, c):
         if not c:
             return BosonPolynomial(self.n_sites, self.n_species, {},
@@ -185,17 +170,7 @@ class BosonPolynomial:
         <mono, mono'> = delta_{mono,mono'} * prod factorial(exponent).
         """
         self._check_compatible(other)
-        small, big = ((self.terms, other.terms)
-                      if len(self.terms) <= len(other.terms)
-                      else (other.terms, self.terms))
-        total = 0
-        for mono, _ in small.items():
-            ca = self.terms.get(mono)
-            cb = other.terms.get(mono)
-            if ca is None or cb is None:
-                continue
-            total += ca * cb * monomial_weight(mono)
-        return total
+        return _inner(self.terms, other.terms)
 
     def norm2_raw(self):
         return self.raw_inner(self)
@@ -206,6 +181,43 @@ class BosonPolynomial:
         if not n2 > 0:
             raise InternalInconsistency("cannot normalize the zero state")
         return BosonPolynomial(self.n_sites, self.n_species, self.terms, n2)
+
+
+def _inner(a, b):
+    """Bosonic inner product of two coefficient maps."""
+    if len(a) > len(b):
+        a, b = b, a
+    total = 0
+    for mono, ca in a.items():
+        cb = b.get(mono)
+        if cb is not None:
+            total += ca * cb * monomial_weight(mono)
+    return total
+
+
+def complement(terms, orth):
+    """Primitive orthogonal complement of ``terms`` to pairs (e, |e|^2).
+
+    Each projection maps r to (|e|^2/g) r - (c/g) e with c = <e, r> and
+    g = gcd(c, |e|^2): a positive integer multiple of the exact complement
+    r - (c/|e|^2) e, so every zero test and sign downstream is exact.
+    Returns an empty map when ``terms`` lies in the span of ``orth``.
+    """
+    r = terms
+    for e, n2 in orth:
+        c = _inner(e, r)
+        if not c:
+            continue
+        g = gcd(c, n2)
+        a, b = n2 // g, c // g
+        r = {mono: a * v for mono, v in r.items()}
+        for mono, v in e.items():
+            s = r.get(mono, 0) - b * v
+            if s:
+                r[mono] = s
+            else:
+                del r[mono]
+    return _primitive(r)
 
 
 def _primitive(terms):
@@ -316,47 +328,6 @@ def _perm_sign(perm):
 
 
 # ---------------------------------------------------------------------------
-# Exact linear-independence bookkeeping
-# ---------------------------------------------------------------------------
-class _EchelonSpace:
-    """Incrementally reduced row space over monomial coordinates (exact).
-
-    Integer vectors go through a fraction-free elimination (cross-multiplied
-    rows, content removed afterwards), so every row stays integral.
-    """
-
-    def __init__(self):
-        self.rows = []  # list of (pivot_mono, {mono: int})
-
-    def try_insert(self, terms):
-        vec = dict(terms)
-        for pivot, row in self.rows:
-            coef = vec.get(pivot)
-            if not coef:
-                continue
-            rp = row[pivot]
-            g = gcd(coef, rp)
-            a, b = rp // g, coef // g
-            # vec <- a*vec - b*row  (kills the pivot, stays integral)
-            for m, c in row.items():
-                s = a * vec.get(m, 0) - b * c
-                if s:
-                    vec[m] = s
-                else:
-                    vec.pop(m, None)
-            if a != 1:
-                for m in list(vec):
-                    if m not in row:
-                        vec[m] = a * vec[m]
-            vec = _primitive(vec)
-        if not vec:
-            return False
-        pivot = max(vec)
-        self.rows.append((pivot, vec))
-        return True
-
-
-# ---------------------------------------------------------------------------
 # Basis growth by lowering (breadth-first)
 # ---------------------------------------------------------------------------
 class BasisSet:
@@ -364,13 +335,16 @@ class BasisSet:
 
     ``by_weight`` maps each su(m) weight to the independent states found
     there, in discovery order; ``states`` is the flat discovery order;
+    ``complements`` maps each site occupation to the (primitive state,
+    squared norm) pairs that orthogonalize its states in discovery order;
     ``lowering_count`` is the number of lowering-operator applications
     performed (the certified bound is dim * m(m-1)/2).
     """
 
-    def __init__(self, by_weight, states, lowering_count, m):
+    def __init__(self, by_weight, states, complements, lowering_count, m):
         self.by_weight = by_weight
         self.states = states
+        self.complements = complements
         self.lowering_count = lowering_count
         self.m = m
 
@@ -396,9 +370,10 @@ def basis_set(hws_state, m):
     """Grow the full basis of the su(m) irrep generated by ``hws_state``.
 
     Breadth-first application of the m(m-1)/2 lowering operators c_{i,j}
-    (i > j), keeping a state only if it is linearly independent of the
-    states already found at its weight (decided exactly).  Raises
-    NotHighestWeight if the input is not a valid highest-weight state.
+    (i > j), keeping a state only if its orthogonal complement to the
+    states already kept at its occupations is nonzero (decided exactly).
+    Raises NotHighestWeight if the input is not a valid highest-weight
+    state.
     """
     assert_highest_weight(hws_state, m)
     start = BosonPolynomial(hws_state.n_sites, hws_state.n_species,
@@ -406,16 +381,18 @@ def basis_set(hws_state, m):
     lowering_pairs = [(i, j) for j in range(1, m + 1)
                       for i in range(j + 1, m + 1)]
 
-    spaces = {}
+    complements = {}
     by_weight = {}
     states = []
     count = 0
 
     def admit(state):
         occ = state.occupations(verify=False)
-        space = spaces.setdefault(occ, _EchelonSpace())
-        if not space.try_insert(state.terms):
+        orth = complements.setdefault(occ, [])
+        r = complement(state.terms, orth)
+        if not r:
             return False
+        orth.append((r, _inner(r, r)))
         w = tuple(occ[i] - occ[i + 1] for i in range(m - 1))
         by_weight.setdefault(w, []).append(state)
         states.append(state)
@@ -432,7 +409,7 @@ def basis_set(hws_state, m):
                 continue
             if admit(new):
                 queue.append(new)
-    return BasisSet(by_weight, states, count, m)
+    return BasisSet(by_weight, states, complements, count, m)
 
 
 # ---------------------------------------------------------------------------

@@ -681,7 +681,10 @@ def _characterize_stack(datasets, threshold, gamma_override, warm):
                 raise InsufficientData(
                     "dataset lacks required coincidence curves",
                     required=missing)
-            diagnostics = [repetition_convergence(ds.single_counts)]
+            # only a point estimate reports it: bootstrap discards the
+            # diagnostics of its (warm) replicates
+            diagnostics = ([] if warm is not None
+                           else [repetition_convergence(ds.single_counts)])
             alpha, _alpha_sigma = estimate_amplitudes(ds.single_counts)
         except InterferoError as exc:
             out[k] = exc
@@ -742,7 +745,7 @@ def _resample_curve(tau, counts, fit, model_curve, rng):
 
 
 def bootstrap(dataset, n_replicates=100, seed=0, threshold=0.1,
-              gamma_override=None, max_failure_rate=0.1):
+              max_failure_rate=0.1):
     """Error bars by residual resampling around the point estimate.
 
     Each replicate resamples the single-count repetitions with replacement
@@ -755,8 +758,7 @@ def bootstrap(dataset, n_replicates=100, seed=0, threshold=0.1,
     its own.  σ(Re W), σ(Im W) and σ(γ) are standard deviations over the
     successful replicates.
     """
-    point = characterize_dataset(dataset, threshold=threshold,
-                                 gamma_override=gamma_override)
+    point = characterize_dataset(dataset, threshold=threshold)
     model_curves = {}
     for key, fit in point.fits.items():
         model = port_curve_model(dataset, key, point.alpha, point.gamma)
@@ -794,7 +796,7 @@ def bootstrap(dataset, n_replicates=100, seed=0, threshold=0.1,
 
     ws, gammas, failures = [], [], []
     for idx, est in enumerate(_characterize_stack(
-            replicates, threshold, gamma_override, warm=point)):
+            replicates, threshold, None, warm=point)):
         if isinstance(est, Exception):
             failures.append({"replicate": idx, "error": str(est),
                              "class": _error_class(est)})

@@ -44,12 +44,12 @@ def gaussian_approximation(spec):
 
 def simulate_dataset(u, gamma, seed=None, rng=None, spectra=None, loss=None,
                      n_blocks=10, photons_per_input=1e5, pair_rate=2e5,
-                     tau_grid=None, noise=True, curve_keys=None,
-                     calibration_vartheta=0.6, include_calibration=True,
-                     fit_spectra=None):
+                     noise=True, include_calibration=True, fit_spectra=None):
     """Forward-simulate one characterization experiment for unitary u.
 
-    With ``noise`` the counts are Poisson draws at the stated photon
+    Every coincidence curve of ``all_curve_keys(m)`` is sampled on
+    ``DEFAULT_TAU_GRID``; the calibration beam splitter has ϑ = 0.6.  With
+    ``noise`` the counts are Poisson draws at the stated photon
     budgets; without it they are exact expected values (floats).
     ``fit_spectra`` optionally substitutes different spectra into the
     returned dataset (model-mismatch studies) while the data themselves
@@ -65,10 +65,7 @@ def simulate_dataset(u, gamma, seed=None, rng=None, spectra=None, loss=None,
         spectra = source_spectra("gauss", m)
     if loss is None:
         loss = photonic.LossModel.lossless(m)
-    if tau_grid is None:
-        tau_grid = DEFAULT_TAU_GRID
-    if curve_keys is None:
-        curve_keys = all_curve_keys(m)
+    tau = DEFAULT_TAU_GRID
 
     lossy = photonic.assemble_lossy_matrix(params, loss)
     probs = photonic.single_photon_matrix(lossy)
@@ -77,18 +74,18 @@ def simulate_dataset(u, gamma, seed=None, rng=None, spectra=None, loss=None,
     singles = rng.poisson(expected).astype(float) if noise else expected
 
     curves = {}
-    for key in curve_keys:
+    for key in all_curve_keys(m):
         i, i2, j, j2 = key
         model = photonic.coincidence_curve_model(
             params, loss, gamma, spectra[j - 1], spectra[j2 - 1], key)
-        mean_curve = pair_rate * model(np.asarray(tau_grid, dtype=float))
+        mean_curve = pair_rate * model(tau)
         counts = rng.poisson(np.maximum(mean_curve, 0.0)).astype(float) \
             if noise else mean_curve
-        curves[key] = (np.asarray(tau_grid, dtype=float), counts)
+        curves[key] = (tau, counts)
 
     cal_single = cal_curve = cal_spectra = None
     if include_calibration:
-        u_bs = beam_splitter_matrix(calibration_vartheta)
+        u_bs = beam_splitter_matrix(0.6)
         bs_params = photonic.representative_from_unitary(u_bs)
         bs_loss = photonic.LossModel.lossless(2)
         bs_probs = photonic.single_photon_matrix(
@@ -99,10 +96,10 @@ def simulate_dataset(u, gamma, seed=None, rng=None, spectra=None, loss=None,
             else bs_expected
         model = photonic.coincidence_curve_model(
             bs_params, bs_loss, gamma, spectra[0], spectra[1], (1, 2, 1, 2))
-        mean_curve = pair_rate * model(np.asarray(tau_grid, dtype=float))
+        mean_curve = pair_rate * model(tau)
         cal_counts = rng.poisson(np.maximum(mean_curve, 0.0)).astype(float) \
             if noise else mean_curve
-        cal_curve = (np.asarray(tau_grid, dtype=float), cal_counts)
+        cal_curve = (tau, cal_counts)
         cal_spectra = (spectra[0], spectra[1])
 
     used_spectra = spectra if fit_spectra is None else fit_spectra

@@ -4,13 +4,14 @@ The canonical basis is labelled by the subgroup chain
 su(n) > su(n-1) > ... > su(2), where su(m) acts on the first m sites.
 Each basis state has definite site occupations and a definite irrep label
 at every level of the chain; the construction partitions an irrep copy of
-su(m) into su(m-1) copies by extracting highest-weight vectors from the
-orthogonal complement of what has already been claimed.  Because the
-u(m) -> u(m-1) branching is multiplicity-free, the extracted copies are
-exactly orthogonal.  The whole construction runs on integer coefficient
-vectors: the orthogonal complement is taken fraction-free (each projection
-is cross-multiplied by the claimed state's squared norm), so every state
-stays a primitive integer vector on the ray of the exact rational one.
+su(m) into su(m-1) copies by raising a seed from the orthogonal
+complement of what has already been claimed.  Because the
+u(m) -> u(m-1) branching is multiplicity-free, the copies are exactly
+orthogonal, so the complements that ``bosonrep.basis_set`` takes inside
+each copy are its complements to the whole claimed span.  The one
+orthogonal complement (``bosonrep.complement``) is fraction-free, so
+every state stays a primitive integer vector on the ray of the exact
+rational one.
 
 D-functions work on a float table of each irrep's basis, built once on the
 first D-function call: the normalized coefficients in CSR form and, per
@@ -26,12 +27,15 @@ the distinct multiset pairs the requested states touch.
 Overall phases follow the convention that the matrix element of the
 ordered product c_{1,2}^{p_1} c_{2,3}^{p_2} ... c_{n-1,n}^{p_{n-1}}
 between the highest-weight state and the basis state is positive, with
-the powers p_l fixed by the occupation deficit below site l.  That matrix
-element vanishes for many states (490 of the 1093 states of the 20 irreps
-that the group-functions benchmark builds).  Their sign is fixed by greedy
-simple raising instead: apply the first c_{l,l+1} (smallest l) that does
-not annihilate the state, repeat until every one does, and make the
-overlap of the result with the highest-weight state positive.
+the powers p_l fixed by the occupation deficit below site l.  Since
+c_{i,j} is the adjoint of c_{j,i} in the bosonic metric, that element is
+the overlap of the state with c_{n,n-1}^{p_{n-1}} ... c_{2,1}^{p_1} applied
+to the highest-weight state, built once per occupation.  It vanishes for
+many states (490 of the 1093 states of the 20 irreps that the
+group-functions benchmark builds).  Their sign is fixed by greedy simple
+raising instead: apply the first c_{l,l+1} (smallest l) that does not
+annihilate the state, repeat until every one does, and make the overlap of
+the result with the highest-weight state positive.
 """
 import math
 from fractions import Fraction
@@ -113,11 +117,15 @@ def canonical_basis_states(n, kappas):
             "canonical construction produced the wrong state count",
             expected=dim, got=len(out))
 
+    lowered = {}
     result = []
     for chain, state in out:
-        fixed = _fix_phase(h, state)
-        label = CanonicalStateLabel(chain, fixed.occupations())
-        result.append((label, fixed.normalized_exact()))
+        nu = state.occupations(verify=False)
+        if nu not in lowered:
+            lowered[nu] = _lower_hws(h, nu)
+        fixed = _fix_phase(h, lowered[nu], state)
+        result.append((CanonicalStateLabel(chain, nu),
+                       fixed.normalized_exact()))
     _CANONICAL_CACHE[key] = result
     return result
 
@@ -126,20 +134,17 @@ def _weight_from_occ(occ, m):
     return tuple(occ[i] - occ[i + 1] for i in range(m - 1))
 
 
-def _residual(state, orth):
-    """Orthogonal complement of ``state`` to pairs (e, |e|^2), fraction-free.
-
-    Each projection maps r to (|e|^2/g) r - (c/g) e with c = <e, r> and
-    g = gcd(c, |e|^2): a positive integer multiple of the exact complement
-    r - (c/|e|^2) e, so every later zero test, pivot and sign is unchanged.
-    """
-    r = state
-    for e, n2 in orth:
-        c = e.raw_inner(r)
-        if c:
-            g = math.gcd(c, n2)
-            r = r.scaled(n2 // g) - e.scaled(c // g)
-    return r
+def _raise(state, pairs):
+    """Apply the first c_{i,j} of ``pairs`` with a nonzero image, content
+    reduced, until every one annihilates the state."""
+    while True:
+        for i, j in pairs:
+            t = state.apply_c(i, j)
+            if not t.is_zero():
+                state = t.reduce_content()
+                break
+        else:
+            return state
 
 
 def _partition_su(pool, m, chain, out):
@@ -152,55 +157,34 @@ def _partition_su(pool, m, chain, out):
     total = len(pool)
     groups = {}
     for s in pool:
-        groups.setdefault(s.occupations(), []).append(s)
-    orth = {occ: [] for occ in groups}
+        groups.setdefault(s.occupations(verify=False), []).append(s)
+    claimed = {occ: [] for occ in groups}
+    raising = [(i, j) for j in range(2, m) for i in range(1, j)]
     done = 0
     while done < total:
         best = max(
             groups,
-            key=lambda occ: (len(groups[occ]) - len(orth[occ]),
+            key=lambda occ: (len(groups[occ]) - len(claimed[occ]),
                              _weight_from_occ(occ, m)))
-        if len(groups[best]) <= len(orth[best]):
+        for s in groups[best]:
+            seed = bosonrep.complement(s.terms, claimed[best])
+            if seed:
+                break
+        else:
             raise InternalInconsistency(
                 "no remaining multiplicity at any weight", stage=m)
-        seed = None
-        for s in groups[best]:
-            r = _residual(s, orth[best])
-            if not r.is_zero():
-                seed = r.reduce_content()
-                break
-        if seed is None:
-            raise InternalInconsistency(
-                "weight multiplicity bookkeeping is out of step", stage=m)
 
         # raise the seed to a highest-weight state of su(m-1)
-        cur = seed
-        raised = True
-        while raised:
-            raised = False
-            for jj in range(2, m):
-                for ii in range(1, jj):
-                    t = cur.apply_c(ii, jj)
-                    if not t.is_zero():
-                        cur = t.reduce_content()
-                        raised = True
-                        break
-                if raised:
-                    break
+        cur = _raise(bosonrep.BosonPolynomial(
+            pool[0].n_sites, pool[0].n_species, seed), raising)
         km1 = cur.weight(m - 1)
         if any(x < 0 for x in km1):
             raise InternalInconsistency("raised seed has a negative weight",
                                         weight=list(km1))
 
         sub = bosonrep.basis_set(cur, m - 1)
-        for s in sub.states:
-            occ = s.occupations()
-            r = _residual(s, orth.setdefault(occ, []))
-            if r.is_zero():
-                raise InternalInconsistency(
-                    "extracted copy overlaps the claimed span", stage=m)
-            r = r.reduce_content()
-            orth[occ].append((r, r.norm2_raw()))
+        for occ, pairs in sub.complements.items():
+            claimed.setdefault(occ, []).extend(pairs)
         done += sub.dimension()
         if done > total:
             raise InternalInconsistency("extracted more states than present",
@@ -208,37 +192,34 @@ def _partition_su(pool, m, chain, out):
         _partition_su(sub.states, m - 1, chain + (km1,), out)
 
 
-def _fix_phase(h, state):
-    """Flip the sign so the canonical raising-product overlap is positive.
-
-    The powers are fixed by occupations: p_l = sum_{j>l} (nu_j - nu_j^hws).
-    The product is applied rightmost factor (c_{n-1,n}) first.  If the
-    resulting overlap vanishes, the sign is fixed by greedy simple raising
-    instead: the first c_{l,l+1} (smallest l) with a nonzero image is
-    applied until none has one, and the overlap of that result with the
-    highest-weight state is made positive.
-    """
-    n = state.n_sites
-    nu = state.occupations()
+def _lower_hws(h, nu):
+    """c_{n,n-1}^{p_{n-1}} ... c_{2,1}^{p_1} |h>, content reduced, with
+    p_l = sum_{j>l} (nu_j - nu_j^hws): the adjoint of the canonical raising
+    product, so its overlap with a state of occupations ``nu`` carries the
+    sign of the product's matrix element."""
+    n = len(nu)
     nu_h = h.occupations()
-    cur = state
-    for ell in range(n - 1, 0, -1):
+    g = h
+    for ell in range(1, n):
         p = sum(nu[j] - nu_h[j] for j in range(ell, n))
         for _ in range(p):
-            cur = cur.apply_c(ell, ell + 1).reduce_content()
-    overlap = h.raw_inner(cur)
+            g = g.apply_c(ell + 1, ell).reduce_content()
+    return g
+
+
+def _fix_phase(h, lowered, state):
+    """Flip the sign so the canonical raising-product overlap is positive.
+
+    The overlap is <lowered|state> with ``lowered`` from ``_lower_hws``.
+    If it vanishes, the sign is fixed by greedy simple raising instead:
+    the first c_{l,l+1} (smallest l) with a nonzero image is applied until
+    none has one, and the overlap of that result with the highest-weight
+    state is made positive.
+    """
+    overlap = lowered.raw_inner(state)
     if overlap == 0:
-        cur = state
-        raised = True
-        while raised:
-            raised = False
-            for ell in range(1, n):
-                t = cur.apply_c(ell, ell + 1)
-                if not t.is_zero():
-                    cur = t.reduce_content()
-                    raised = True
-                    break
-        overlap = h.raw_inner(cur)
+        simple = [(ell, ell + 1) for ell in range(1, state.n_sites)]
+        overlap = h.raw_inner(_raise(state, simple))
         if overlap == 0:
             raise InternalInconsistency(
                 "state could not be raised to the highest weight")

@@ -143,3 +143,21 @@ def test_run_trials_failures_carry_class(monkeypatch):
 def test_run_trials_rejects_unknown_variant():
     with pytest.raises(ParseError):
         harness.run_trials(3, "bogus", 1, seed=1)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_noiseless_characterization_is_loss_immune(m):
+    # the amplitude ratios cancel every per-port efficiency and phase, and
+    # each curve fit has a free scale, so lossy ports change nothing
+    rng = np.random.default_rng([m, 11])
+    u = linalg.haar_random_unitary(m, seed=m)
+    loss = photonic.LossModel(rng.uniform(0.3, 1.0, m),
+                              rng.uniform(0.3, 1.0, m),
+                              rng.uniform(-np.pi, np.pi, m),
+                              rng.uniform(-np.pi, np.pi, m))
+    ds = harness.simulate_dataset(u, 0.9, seed=1, loss=loss, noise=False)
+    # the losses reach the data: singles fall well short of |U_ij|^2
+    shortfall = np.abs(u) ** 2 - ds.single_counts.sum(axis=2) / 1e5
+    assert shortfall.max() > 0.05
+    est = characterize.characterize_dataset(ds)
+    assert harness.characterization_error(est.w, u) < 1e-9

@@ -1,4 +1,7 @@
+import hashlib
+import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -26,18 +29,61 @@ def gram(basis):
                       for _, sj in basis] for _, si in basis])
 
 
+def _dual_irreps(n):
+    return sorted({immanants.partition_to_label(lam, n)
+                   for lam in immanants.partitions_of(n)})
+
+
+# every irrep the group-functions benchmark warms: the duals of the
+# partitions of 3, 4 and 5, the submatrix-identity and basis irreps, and
+# the D-function irreps
+WARM_IRREPS = sorted(
+    {(n, kap) for n in (3, 4, 5) for kap in _dual_irreps(n)}
+    | {(5, (1, 1, 0, 0)), (5, (2, 1, 0, 0)), (4, (1, 1, 0))}
+    | {(3, (2, 1)), (3, (2, 2)), (4, (1, 0, 1)), (4, (0, 2, 0))})
+
+
 # ---------------------------------------------------------------------------
 # Canonical basis construction
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("n,kap", [
+ORTHONORMAL_IRREPS = [
     (2, (3,)), (3, (1, 1)), (3, (3, 0)), (3, (2, 2)),
     (4, (1, 0, 1)), (4, (2, 1, 0)), (4, (0, 1, 0)),
-])
+]
+ORTHONORMAL_IRREPS += [key for key in WARM_IRREPS
+                       if key not in ORTHONORMAL_IRREPS]
+
+
+@pytest.mark.parametrize("n,kap", ORTHONORMAL_IRREPS)
 def test_canonical_states_exactly_orthonormal(n, kap):
     basis = sunrep.canonical_basis_states(n, kap)
     assert len(basis) == bosonrep.irrep_dimension(kap)
     g = gram(basis)
     assert np.max(np.abs(g - np.eye(len(basis)))) == 0.0
+    # exact integer orthogonality inside each occupation
+    by_occ = {}
+    for label, state in basis:
+        by_occ.setdefault(label.occupations, []).append(state)
+    for states in by_occ.values():
+        for i, a in enumerate(states):
+            for b in states[:i]:
+                assert a.raw_inner(b) == 0
+
+
+# sha256 over (label key, terms in dict order, scale2) of every state of
+# the warm irreps, in WARM_IRREPS order; the states are Python ints, so
+# the digest does not depend on the platform
+WARM_BASES_SHA256 = (
+    "c4106518bf03553370700c4f3d44b7a8a051c91d61bfd696fce47dca44b2ae67")
+
+
+def test_warm_irrep_bases_are_pinned():
+    digest = hashlib.sha256()
+    for n, kap in WARM_IRREPS:
+        for label, state in sunrep.canonical_basis_states(n, kap):
+            digest.update(repr((label.key(), list(state.terms.items()),
+                                state.scale2)).encode())
+    assert digest.hexdigest() == WARM_BASES_SHA256
 
 
 def test_canonical_labels_unique_and_consistent():
@@ -92,6 +138,25 @@ def test_phase_convention_raising_product_positive():
                 overlap = h.raw_inner(greedy_raise(state))
             assert overlap > 0
         assert zero == fallbacks
+
+
+@pytest.mark.parametrize("n,kap", [(3, (2, 2)), (4, (1, 0, 1)),
+                                   (4, (0, 2, 0)), (5, (1, 1, 0, 0))])
+def test_lowered_hws_overlap_has_the_raising_product_sign(n, kap):
+    # <h| c_{1,2}^{p_1} ... c_{n-1,n}^{p_{n-1}} |s> against the overlap of s
+    # with the adjoint chain applied to h, which the phase rule reads: the
+    # two are equal up to a positive factor
+    h = bosonrep.hws(kap, n)
+    nu_h = h.occupations()
+    for label, state in sunrep.canonical_basis_states(n, kap):
+        cur = state
+        nu = label.occupations
+        for ell in range(n - 1, 0, -1):
+            for _ in range(sum(nu[j] - nu_h[j] for j in range(ell, n))):
+                cur = cur.apply_c(ell, ell + 1)
+        want = h.raw_inner(cur)
+        got = sunrep._lower_hws(h, nu).raw_inner(state)
+        assert (got > 0) == (want > 0) and (got < 0) == (want < 0)
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +221,62 @@ def test_su2_middle_element_is_cos_beta():
         d = sunrep.dfunction(2, (0.8, float(beta), -0.5),
                              lab[(1, 1)], lab[(1, 1)])
         assert abs(d - math.cos(beta)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Oracles that read only the irrep label: the character tr D(V) against
+# the Weyl bialternant of V's eigenvalues, and the weight multiplicities
+# against counts of Gelfand-Tsetlin patterns.
+# ---------------------------------------------------------------------------
+def partition_of(kap):
+    """lambda_i = kappa_i + ... + kappa_{n-1}, with lambda_n = 0."""
+    return tuple(sum(kap[i:]) for i in range(len(kap))) + (0,)
+
+
+def schur(lam, x):
+    """Weyl bialternant det(x_i^(lambda_j + n - j)) / det(x_i^(n - j))."""
+    steps = len(x) - 1 - np.arange(len(x))
+    return (np.linalg.det(x[:, None] ** (np.array(lam) + steps))
+            / np.linalg.det(x[:, None] ** steps))
+
+
+@pytest.mark.parametrize("n,kap", WARM_IRREPS)
+def test_character_matches_weyl_bialternant(n, kap):
+    others = [k for m, k in WARM_IRREPS if m == n and k != kap]
+    assert others
+    rng = np.random.default_rng([n, *kap])
+    for _ in range(3):
+        v = linalg.haar_special_unitary(n, rng)
+        x = np.linalg.eigvals(v)
+        _, d = sunrep.dfunction_matrix(n, v, kap)
+        assert abs(np.trace(d) - schur(partition_of(kap), x)) < 1e-12
+        # another irrep's character is far off: the oracle tells them apart
+        for other in others:
+            assert abs(np.trace(d) - schur(partition_of(other), x)) > 1e-6
+
+
+def gt_occupation_counts(lam):
+    """Site occupations of every Gelfand-Tsetlin pattern with top row lam:
+    nu_l = |row l| - |row l-1|, rows interlacing downwards."""
+    counts = Counter()
+
+    def descend(row, below):
+        if len(row) == 1:
+            counts[(row[0],) + below] += 1
+            return
+        for lower in itertools.product(*(range(row[k + 1], row[k] + 1)
+                                         for k in range(len(row) - 1))):
+            descend(lower, (sum(row) - sum(lower),) + below)
+
+    descend(tuple(lam), ())
+    return counts
+
+
+@pytest.mark.parametrize("n,kap", WARM_IRREPS)
+def test_weight_multiplicities_match_gt_pattern_counts(n, kap):
+    labels = [label for label, _ in sunrep.canonical_basis_states(n, kap)]
+    assert (Counter(label.occupations for label in labels)
+            == gt_occupation_counts(partition_of(kap)))
 
 
 # ---------------------------------------------------------------------------
@@ -255,11 +376,6 @@ def group_elements(n, seed):
         "rotation-betapi": sunrep.embedded_rotation(n, 1, 2, 0.7, math.pi,
                                                     0.2),
     }
-
-
-def _dual_irreps(n):
-    return sorted({immanants.partition_to_label(lam, n)
-                   for lam in immanants.partitions_of(n)})
 
 
 ORACLE_IRREPS = sorted(
@@ -421,59 +537,41 @@ def test_gt_incompatible_label_raises():
 # ---------------------------------------------------------------------------
 # Rational-route oracle for the integer construction
 # ---------------------------------------------------------------------------
-# Rational versions of the orthogonal complement, content reduction and
-# echelon insertion.  Patched in, they rebuild every basis in Fraction
-# arithmetic: a second exact route, sharing none of the integer
-# elimination, that the integer construction must match bit for bit.
-def _rational_residual(state, orth):
-    r = state
-    for e, n2 in orth:
-        c = e.raw_inner(r)
-        if c:
-            r = r - e.scaled(Fraction(c) / n2)
-    return r
-
-
-def _rational_reduce_content(self):
+# Rational versions of the orthogonal complement and content reduction.
+# Patched in, they rebuild every basis in Fraction arithmetic: a second
+# exact route, sharing none of the integer elimination, that the integer
+# construction must match bit for bit.
+def _rational_primitive(terms):
     num, den = 0, 1
-    for c in self.terms.values():
+    for c in terms.values():
         f = Fraction(c)
         num = gcd(num, f.numerator)
         den = lcm(den, f.denominator)
     if not num:
-        return self
+        return terms
     g = Fraction(num, den)
+    return {mono: c / g for mono, c in terms.items()}
+
+
+def _rational_complement(terms, orth):
+    r = dict(terms)
+    for e, n2 in orth:
+        c = bosonrep._inner(e, r)
+        if c:
+            factor = Fraction(c) / n2
+            for mono, v in e.items():
+                s = r.get(mono, 0) - factor * v
+                if s:
+                    r[mono] = s
+                else:
+                    del r[mono]
+    return _rational_primitive(r)
+
+
+def _rational_reduce_content(self):
     return bosonrep.BosonPolynomial(
-        self.n_sites, self.n_species,
-        {mono: c / g for mono, c in self.terms.items()}, self.scale2)
-
-
-def _rational_try_insert(self, terms):
-    vec = {m: Fraction(c) for m, c in terms.items()}
-    for pivot, row in self.rows:
-        coef = vec.get(pivot)
-        if not coef:
-            continue
-        factor = coef / row[pivot]
-        for m, c in row.items():
-            s = vec.get(m, 0) - factor * c
-            if s:
-                vec[m] = s
-            else:
-                vec.pop(m, None)
-    if not vec:
-        return False
-    self.rows.append((max(vec), vec))
-    return True
-
-
-# every irrep the group-functions benchmark warms: the duals of the
-# partitions of 3, 4 and 5, the submatrix-identity and basis irreps, and
-# the D-function irreps
-WARM_IRREPS = sorted(
-    {(n, kap) for n in (3, 4, 5) for kap in _dual_irreps(n)}
-    | {(5, (1, 1, 0, 0)), (5, (2, 1, 0, 0)), (4, (1, 1, 0))}
-    | {(3, (2, 1)), (3, (2, 2)), (4, (1, 0, 1)), (4, (0, 2, 0))})
+        self.n_sites, self.n_species, _rational_primitive(self.terms),
+        self.scale2)
 
 
 def _cold_tables(monkeypatch):
@@ -487,10 +585,9 @@ def test_integer_construction_matches_rational_oracle(monkeypatch):
     with monkeypatch.context() as mp:
         integer = _cold_tables(mp)
     with monkeypatch.context() as mp:
-        mp.setattr(sunrep, "_residual", _rational_residual)
+        mp.setattr(bosonrep, "complement", _rational_complement)
         mp.setattr(bosonrep.BosonPolynomial, "reduce_content",
                    _rational_reduce_content)
-        mp.setattr(bosonrep._EchelonSpace, "try_insert", _rational_try_insert)
         rational = _cold_tables(mp)
         # every state below the highest-weight one went through the patches
         assert all(type(c) is Fraction
