@@ -23,10 +23,18 @@ def csd(u, m, tol=linalg.DEFAULT_UNITARITY_TOL):
     Returns the blocks ``(l, l_prime, thetas, r, r_prime)``: L and R are
     m×m, L' and R' are n×n, and θ holds m angles in [0, π/2] ordered by
     descending cos θ, with S_2m(θ) = [[cos θ, sin θ], [−sin θ, cos θ]]
-    blockwise.  L and R are the singular vectors of the upper left block
-    A; the residual diagonal phases of the B and C blocks are absorbed into
-    the primed factors so the middle matrix is real.  The dense CS matrix
-    and the block-diagonal factors are assembled only by the test oracle.
+    blockwise.  The dense CS matrix and the block-diagonal factors are
+    assembled only by the test oracle.
+
+    This is the two-sided CSD of Stewart (1982, Numer. Math. 40, 297) and
+    Van Loan (1985, Numer. Math. 46, 479).  The SVD of the upper left
+    block A = L·cos θ·R† fixes L and R, and the columns of C·R = −L'·sin θ
+    fix L'.  The split sits at cos θ = sin θ because each angle is
+    resolved by the smaller of the two: below π/4 the cosines round to 1
+    and only the sines separate the angles, above it the cosines do.  So
+    the columns with cos θ ≥ sin θ are re-taken from the SVD of their
+    block of L'†·C·R, and each column of R' is taken from D†·L'/cos θ or
+    B†·L/sin θ, whichever divides by the larger of the two.
     """
     u = linalg.assert_unitary(u, tol)
     n = u.shape[0] - m
@@ -38,46 +46,40 @@ def csd(u, m, tol=linalg.DEFAULT_UNITARITY_TOL):
     c = u[m:, :m]
     d = u[m:, m:]
 
-    lm, _, rm = linalg.svd(a)
+    lm, cos, rm = linalg.svd(a)
+    k = int(np.count_nonzero(cos >= np.sqrt(0.5)))  # columns with cos ≥ sin
 
-    # right-primed columns from rows of L_m† B, left-primed from C R_m.
-    z = lm.conj().T @ b              # m×n, row i ≈ s_i · r'_i†
-    y = c @ rm                       # n×m, col i ≈ −s_i · l'_i
-    dir_tol = 1e-8
-    rp = np.zeros((n, m), dtype=complex)
-    lp = np.zeros((n, m), dtype=complex)
-    undecided = []
-    for i in range(m):
-        zn = np.linalg.norm(z[i, :])
-        yn = np.linalg.norm(y[:, i])
-        if zn > dir_tol and yn > dir_tol:
-            rp[:, i] = z[i, :].conj() / zn
-            lp[:, i] = -y[:, i] / yn
-        else:
-            undecided.append(i)
+    # L' with its orthogonal complement from one complete QR of C·R, the
+    # columns taken in order of decreasing sin θ (the reverse of θ's)
+    y = c @ rm
+    q = np.linalg.qr(y[:, ::-1], mode="complete")[0]
+    lp = np.concatenate([q[:, m - 1::-1], q[:, m:]], axis=1)
 
-    if undecided:
-        # θ_i ≈ 0: B/C carry no information; pick r'_i from the
-        # orthocomplement of the decided ones and let D transport it.
-        decided = [i for i in range(m) if i not in undecided]
-        fresh = linalg.orthonormal_completion(rp[:, decided])[:, len(decided):]
-        for i, vec in zip(undecided, fresh.T):
-            rp[:, i] = vec
-            dv = d @ vec
-            lp[:, i] = dv / np.linalg.norm(dv)
+    if k:
+        # the sines separate the small angles: ascending singular values
+        w, _, v = linalg.svd(lp[:, :k].conj().T @ y[:, :k])
+        w, v = w[:, ::-1], v[:, ::-1]
+        lm[:, :k] = lm[:, :k] @ v
+        rm[:, :k] = rm[:, :k] @ v
+        y[:, :k] = y[:, :k] @ v
+        lp[:, :k] = lp[:, :k] @ w
 
-    # tiny-angle directions may be slightly non-orthogonal, so orthonormalize
-    # L' before completing it; R'⊥ = D† L'⊥ keeps the trailing block exactly I
-    lp_full = linalg.orthonormal_completion(linalg.orthonormalize(lp))
-    rp_full = linalg.orthonormalize(
-        np.concatenate([rp, d.conj().T @ lp_full[:, m:]], axis=1))
-
-    # re-derive the angles from the diagonals of the middle blocks
-    # Lᴴ·A·R and L'ᴴ·C·R so that the orthonormalization is absorbed optimally
+    # column phases of L' that make the middle block L'ᴴ·C·R = −S real;
+    # cos and sin are the diagonals of Lᴴ·A·R and −L'ᴴ·C·R
+    diag = np.sum(lp[:, :m].conj() * y, axis=0)
+    lp[:, :m] *= -np.exp(1j * np.angle(diag))
+    sin = np.abs(diag)
     cos = np.sum(lm.conj() * (a @ rm), axis=0).real
-    sin = -np.sum(lp_full[:, :m].conj() * y, axis=0).real
-    thetas = np.arctan2(np.maximum(sin, 0.0), np.maximum(cos, 0.0))
-    return lm, lp_full, thetas, rm, rp_full
+
+    # R' = D†·L'/cos θ where cos θ ≥ sin θ (cos θ = 1 past column m) and
+    # B†·L/sin θ elsewhere
+    rp = d.conj().T @ lp
+    rp[:, :k] /= cos[:k]
+    rp[:, k:m] = b.conj().T @ (lm[:, k:] / sin[k:])
+    rp = linalg.orthonormalize(rp)
+
+    thetas = np.arctan2(sin, np.maximum(cos, 0.0))
+    return lm, lp, thetas, rm, rp
 
 
 # ---------------------------------------------------------------------------

@@ -52,35 +52,20 @@ class CurveModel:
         self.inverse = inverse
         self.f_range = f_range
 
-    def evaluate(self, tau, x, curves, derivative=False):
-        """Curve values (K, T) at the parameter rows ``x`` (K, 3), where row
-        k belongs to curve ``curves[k]``; the Jacobian (K, T, 3) first when
-        ``derivative`` is set."""
-        s, scale = x[:, 0], x[:, 1:2]
-        base, amp_c = self.base[curves, None], self.amp[curves]
-        amp = (amp_c * self.f(s))[:, None]
-        if not derivative:
-            qv = self.q.shifted(tau, x[:, 2], rows=curves)
-            return scale * (base + amp * qv)
-        qv, dq = self.q.shifted(tau, x[:, 2], rows=curves, derivative=True)
-        inner = base + amp * qv
-        d_shape = scale * ((amp_c * self.df(s))[:, None] * qv)
-        jac = np.stack([d_shape, inner, -scale * amp * dq], axis=2)
-        return jac, scale * inner
-
-    def _single(self, tau, shape, scale, shift, derivative):
-        x = np.array([[shape, scale, shift]], dtype=float)
-        out = self.evaluate(np.asarray(tau, dtype=float), x,
-                            np.zeros(1, dtype=int), derivative)
-        return (out[0][0], out[1][0]) if derivative else out[0]
-
     def curve(self, tau, shape, scale, shift):
         """C(τ) of a one-curve model."""
-        return self._single(tau, shape, scale, shift, False)
+        qv = self.q.shifted(np.asarray(tau, dtype=float), shift)
+        return scale * (self.base[0] + self.amp[0] * self.f(shape) * qv)
 
     def jacobian(self, tau, shape, scale, shift):
         """(∂C/∂(shape, scale, shift) as (T, 3), C(τ)) of a one-curve model."""
-        return self._single(tau, shape, scale, shift, True)
+        qv, dq = self.q.shifted(np.asarray(tau, dtype=float), shift,
+                                derivative=True)
+        amp = self.amp[0] * self.f(shape)
+        inner = self.base[0] + amp * qv
+        d_shape = scale * (self.amp[0] * self.df(shape) * qv)
+        jac = np.stack([d_shape, inner, -scale * amp * dq], axis=1)
+        return jac, scale * inner
 
 
 class FitResult:

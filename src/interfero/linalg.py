@@ -88,16 +88,6 @@ def orthonormalize(cols):
     return q * (d / np.abs(d))[np.newaxis, :]
 
 
-def orthonormal_completion(cols):
-    """Extend the orthonormal columns of the n×k ``cols`` to an n×n unitary.
-
-    The first k columns of the result are ``cols`` exactly; the other n−k
-    span the orthogonal complement of their span.
-    """
-    q = np.linalg.qr(cols, mode="complete")[0]
-    return np.concatenate([cols, q[:, cols.shape[1]:]], axis=1)
-
-
 # ---------------------------------------------------------------------------
 # Derived operations
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from interfero import csd, linalg
 from interfero.errors import (
@@ -99,17 +99,27 @@ def test_csd_theta_near_half_pi():
     assert np.allclose(thetas, np.pi / 2, atol=1e-10)
 
 
-def test_csd_mixed_tiny_angle():
-    # one angle moderately small but exact reconstruction still required
-    s = cs_matrix([1e-5, 0.7], extra=1)
-    rng = np.random.default_rng(7)
-    lm = linalg.haar_random_unitary(2, rng=rng)
-    lp = linalg.haar_random_unitary(3, rng=rng)
-    rm = linalg.haar_random_unitary(2, rng=rng)
-    rp = linalg.haar_random_unitary(3, rng=rng)
-    left = np.block([[lm, np.zeros((2, 3))], [np.zeros((3, 2)), lp]])
-    right = np.block([[rm, np.zeros((2, 3))], [np.zeros((3, 2)), rp]])
-    check_csd(left @ s @ right, 2)
+TINY_ANGLES = [0.0, 1e-15, 1e-12, 1e-9, 3e-9, 1e-8, 1e-6, np.pi / 4,
+               np.pi / 2 - 1e-9, np.pi / 2]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(m=st.integers(1, 6), extra=st.integers(0, 4),
+       picks=st.lists(st.sampled_from(TINY_ANGLES), min_size=6, max_size=6),
+       ties=st.integers(0, 5), seed=st.integers(0, 2 ** 32 - 1))
+@example(m=2, extra=0, picks=[1e-8, 2e-9, 0, 0, 0, 0], ties=0, seed=7)
+def test_csd_mixed_tiny_angle(m, extra, picks, ties, seed):
+    # clustered angles down to 0, where cos θ rounds to 1, dressed with
+    # Haar blocks; the first ``ties`` angles repeat the last one
+    thetas = np.array(picks[:m])
+    thetas[:min(ties, m - 1)] = thetas[-1]
+    rng = np.random.default_rng(seed)
+    n = m + extra
+    left = block_diag(linalg.haar_random_unitary(m, rng=rng),
+                      linalg.haar_random_unitary(n, rng=rng))
+    right = block_diag(linalg.haar_random_unitary(m, rng=rng),
+                       linalg.haar_random_unitary(n, rng=rng))
+    check_csd(left @ cs_matrix(thetas, extra) @ right, m)
 
 
 @pytest.mark.parametrize("dim,m", [(4, 2), (7, 3), (10, 5), (12, 4)])
@@ -245,7 +255,9 @@ def test_decompose_round_trip_wide_internal(n_s, n_p, seed):
 
 
 def degenerate_unitary(kind, n_s, n_p, seed):
-    """Unitaries whose CSDs hit θ = 0 (undecided directions) and θ = π/2."""
+    """Unitaries whose CSDs hit θ = 0, θ = π/2, and clusters of angles
+    below 1e-8, where cos θ rounds to 1 ("near-block": two Haar blocks
+    split at a spatial mode, times exp(iεH) with Hermitian H)."""
     rng = np.random.default_rng(seed)
     dim = n_s * n_p
     if kind == "identity":
@@ -259,6 +271,16 @@ def degenerate_unitary(kind, n_s, n_p, seed):
         for lo, hi in zip([0, *cuts], [*cuts, dim]):
             u[lo:hi, lo:hi] = linalg.haar_random_unitary(hi - lo, rng=rng)
         return u
+    if kind == "near-block":
+        cut = n_p * int(rng.integers(1, n_s)) if n_s > 1 else dim
+        u = np.eye(dim, dtype=complex)
+        for lo, hi in ((0, cut), (cut, dim)):
+            if hi > lo:
+                u[lo:hi, lo:hi] = linalg.haar_random_unitary(hi - lo, rng=rng)
+        h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        w, v = np.linalg.eigh(h + h.conj().T)
+        eps = rng.choice([1e-9, 3e-9, 1e-8, 3e-8])
+        return u @ (v * np.exp(0.5j * eps * w)) @ v.conj().T
     # spatial swap ⊗ internal unitary
     swap = np.eye(n_s)[rng.permutation(n_s)]
     return np.kron(swap, linalg.haar_random_unitary(n_p, rng=rng))
@@ -266,7 +288,7 @@ def degenerate_unitary(kind, n_s, n_p, seed):
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(kind=st.sampled_from(["identity", "permutation", "block-diagonal",
-                             "swap-internal"]),
+                             "swap-internal", "near-block"]),
        n_s=st.integers(1, 4), n_p=st.integers(1, 4),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_decompose_round_trip_degenerate(kind, n_s, n_p, seed):

@@ -98,7 +98,7 @@ def test_svd_lapack_failure_is_numerical_failure(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# orthonormalize / orthonormal_completion
+# orthonormalize
 # ---------------------------------------------------------------------------
 def modified_gram_schmidt(cols):
     """Loop reference: earlier columns are subtracted from later ones."""
@@ -116,15 +116,6 @@ def test_orthonormalize_matches_gram_schmidt(shape):
     q = linalg.orthonormalize(m)
     assert np.max(np.abs(q - modified_gram_schmidt(m))) < 1e-12
     assert np.max(np.abs(q.conj().T @ q - np.eye(shape[1]))) < 1e-14
-
-
-@pytest.mark.parametrize("n,k", [(5, 0), (5, 2), (6, 5), (4, 4)])
-def test_orthonormal_completion_keeps_given_columns(n, k):
-    cols = linalg.haar_random_unitary(n, seed=n + k)[:, :k]
-    full = linalg.orthonormal_completion(cols)
-    assert full.shape == (n, n)
-    assert np.array_equal(full[:, :k], cols)
-    assert linalg.unitarity_defect(full) < 1e-14
 
 
 # ---------------------------------------------------------------------------
