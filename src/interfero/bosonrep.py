@@ -17,6 +17,10 @@ Generators, acting on site indices only (summed over species):
     h_i     = sum_k (a†_{i,k} a_{i,k} - a†_{i+1,k} a_{i+1,k})
 
 The su(m) subalgebra of the canonical chain acts on the first m sites.
+Since c_{i,k} = [c_{i,j}, c_{j,k}], the m-1 simple lowering operators
+c_{l+1,l} span every lowering orbit, and a state of definite weight that
+the simple raising operators c_{l,l+1} annihilate is annihilated by all
+raising operators; the walks here apply only the simple ones.
 """
 import itertools
 from array import array
@@ -338,7 +342,7 @@ class BasisSet:
     ``complements`` maps each site occupation to the (primitive state,
     squared norm) pairs that orthogonalize its states in discovery order;
     ``lowering_count`` is the number of lowering-operator applications
-    performed (the certified bound is dim * m(m-1)/2).
+    performed: dim * (m-1), one per kept state and simple operator.
     """
 
     def __init__(self, by_weight, states, complements, lowering_count, m):
@@ -353,24 +357,24 @@ class BasisSet:
 
 
 def assert_highest_weight(state, m):
-    """Check that every raising operator of su(m) annihilates the state."""
+    """Check that every raising operator of su(m) annihilates the state:
+    the simple ones c_{l,l+1} suffice, as they generate the others."""
     if state.is_zero():
         raise NotHighestWeight("zero state cannot be a highest-weight state")
     if state.occupations() is None:
         raise NotHighestWeight("state has no definite weight")
-    for i in range(1, m):
-        for j in range(i + 1, m + 1):
-            if not state.apply_c(i, j).is_zero():
-                raise NotHighestWeight(
-                    "state is not annihilated by a raising operator",
-                    raising=[i, j])
+    for ell in range(1, m):
+        if not state.apply_c(ell, ell + 1).is_zero():
+            raise NotHighestWeight(
+                "state is not annihilated by a raising operator",
+                raising=[ell, ell + 1])
 
 
 def basis_set(hws_state, m):
     """Grow the full basis of the su(m) irrep generated by ``hws_state``.
 
-    Breadth-first application of the m(m-1)/2 lowering operators c_{i,j}
-    (i > j), keeping a state only if its orthogonal complement to the
+    Breadth-first application of the m-1 simple lowering operators
+    c_{l+1,l}, keeping a state only if its orthogonal complement to the
     states already kept at its occupations is nonzero (decided exactly).
     Raises NotHighestWeight if the input is not a valid highest-weight
     state.
@@ -378,9 +382,6 @@ def basis_set(hws_state, m):
     assert_highest_weight(hws_state, m)
     start = BosonPolynomial(hws_state.n_sites, hws_state.n_species,
                             hws_state.terms)
-    lowering_pairs = [(i, j) for j in range(1, m + 1)
-                      for i in range(j + 1, m + 1)]
-
     complements = {}
     by_weight = {}
     states = []
@@ -402,9 +403,9 @@ def basis_set(hws_state, m):
     queue = deque([start])
     while queue:
         s = queue.popleft()
-        for i, j in lowering_pairs:
+        for ell in range(1, m):
             count += 1
-            new = s.apply_c(i, j).reduce_content()
+            new = s.apply_c(ell + 1, ell).reduce_content()
             if new.is_zero():
                 continue
             if admit(new):
@@ -416,11 +417,13 @@ def basis_set(hws_state, m):
 # Fast basis growth in determinant variables
 # ---------------------------------------------------------------------------
 # The highest-weight state is a product of leading minors of the creation
-# array, and the lowering operators map minors to minors:
-#     c_{i,j} Delta_R = +/- Delta_{(R \ {j}) u {i}}   if j in R, i not in R
-#                     = 0                              otherwise,
-# so the whole lowering orbit stays inside polynomials in the minor
-# variables Delta_R (R a sorted site subset, columns = species 1..|R|).
+# array, and the simple lowering operators map minors to minors:
+#     c_{j+1,j} Delta_R = Delta_{R: j -> j+1}   if j in R, j+1 not in R
+#                       = 0                     otherwise,
+# where R: j -> j+1 replaces row j by row j+1.  The rows stay sorted, so
+# no sign arises, and the whole lowering orbit stays inside polynomials in
+# the minor variables Delta_R (R a sorted site subset, columns = species
+# 1..|R|).
 # A state that expands to millions of boson monomials is only a handful of
 # minor monomials, which makes the breadth-first growth tractable for
 # conjugate-heavy irreps.
@@ -436,34 +439,22 @@ def basis_set(hws_state, m):
 # which the caller checks.
 
 _FP_PRIME = (1 << 61) - 1
+_FP_POINTS = 24     # evaluation points per fingerprint
 
 
-def _replace_row(subset, j, i):
-    """(sign, new sorted subset) for replacing row j by row i in a minor."""
-    rest = tuple(x for x in subset if x != j)
-    lo, hi = (i, j) if i < j else (j, i)
-    crossings = sum(1 for x in rest if lo < x < hi)
-    sign = -1 if crossings % 2 else 1
-    new = tuple(sorted(rest + (i,)))
-    return sign, new
-
-
-def _minor_lowerings(mono, i, j):
-    """Action of c_{i,j} on a minor monomial (sorted tuple of subsets)."""
+def _minor_lowerings(mono, j):
+    """Action of c_{j+1,j} on a minor monomial (sorted tuple of subsets):
+    {image monomial: multiplicity of the replaced minor}.  Distinct minors
+    give distinct images, since an image minor holds row j+1."""
     out = {}
-    seen = set()
-    for pos, subset in enumerate(mono):
-        if subset in seen:
-            continue
-        seen.add(subset)
-        if j not in subset or i in subset:
-            continue
-        mult = mono.count(subset)
-        sign, new_subset = _replace_row(subset, j, i)
-        new = list(mono)
-        new[pos] = new_subset
-        key = tuple(sorted(new))
-        out[key] = out.get(key, 0) + mult * sign
+    pos = 0
+    for subset, run in itertools.groupby(mono):
+        mult = sum(1 for _ in run)
+        if j in subset and j + 1 not in subset:
+            new = list(mono)
+            new[pos] = tuple(j + 1 if x == j else x for x in subset)
+            out[tuple(sorted(new))] = mult
+        pos += mult
     return out
 
 
@@ -486,12 +477,11 @@ class _ModEchelon:
     modular inverse.
     """
 
-    def __init__(self, p=_FP_PRIME):
-        self.p = p
+    def __init__(self):
         self.rows = []  # (pivot_index, row list with row[pivot] == 1)
 
     def try_insert(self, vec):
-        p = self.p
+        p = _FP_PRIME
         for pivot, row in self.rows:
             c = vec[pivot]
             if c:
@@ -504,7 +494,7 @@ class _ModEchelon:
         return False
 
 
-def minor_basis_count(kappas, n=None, seed=0, n_points=24):
+def minor_basis_count(kappas, n=None, seed=0):
     """Dimension of the lowering orbit of hws(kappas), counted in minor
     variables with fingerprint-certified linear independence.
 
@@ -523,7 +513,7 @@ def minor_basis_count(kappas, n=None, seed=0, n_points=24):
     subsets = [s for k in sizes
                for s in itertools.combinations(range(1, n + 1), k)]
     det_tables = []
-    for _ in range(n_points):
+    for _ in range(_FP_POINTS):
         a = rng.integers(1, _FP_PRIME, size=(n, n_species))
         table = {}
         for s in subsets:
@@ -553,7 +543,7 @@ def minor_basis_count(kappas, n=None, seed=0, n_points=24):
         return vals
 
     def fingerprint(terms):
-        vec = [0] * n_points
+        vec = [0] * _FP_POINTS
         for mono, coeff in terms.items():
             vec = [a + coeff * x for a, x in zip(vec, values(mono))]
         return [a % _FP_PRIME for a in vec]
@@ -569,8 +559,6 @@ def minor_basis_count(kappas, n=None, seed=0, n_points=24):
         tuple(range(1, k + 1))
         for k, power in enumerate(kappas, start=1) for _ in range(power)))
     start = {start_mono: 1}
-    lowering_pairs = [(i, j) for j in range(1, n + 1)
-                      for i in range(j + 1, n + 1)]
     spaces = {}
     count = 0
     queue = deque()
@@ -585,10 +573,10 @@ def minor_basis_count(kappas, n=None, seed=0, n_points=24):
         queue.append(start)
     while queue:
         terms = queue.popleft()
-        for i, j in lowering_pairs:
+        for j in range(1, n):
             out = {}
             for mono, coeff in terms.items():
-                for new, factor in _minor_lowerings(mono, i, j).items():
+                for new, factor in _minor_lowerings(mono, j).items():
                     s = out.get(new, 0) + coeff * factor
                     if s:
                         out[new] = s

@@ -312,8 +312,8 @@ class _ArgumentSweep:
     """One dataset's argument estimate, advanced stage by stage so that a
     stack of datasets shares one batched fit per stage.
 
-    A failure is held with its position in the stage; the earliest one is
-    the error a one-dataset run raises, and decisions after it are skipped.
+    The first failure is the error a one-dataset run raises; it ends the
+    sweep.
     """
 
     def __init__(self, dataset, alpha, gamma, threshold, plan, shifts):
@@ -325,14 +325,8 @@ class _ArgumentSweep:
         self.shifts = shifts
         self.m = dataset.m
         self.diagnostics = []
-        self.sweep_diagnostics = []     # (sweep position, entry)
         self.fits = {}
         self.error = None
-        self.error_at = np.inf
-
-    def fail(self, at, exc):
-        if at < self.error_at:
-            self.error, self.error_at = exc, at
 
     def request(self, ports):
         """The fit of the curve on ports (a,i,b,j); None if it is absent.
@@ -358,9 +352,9 @@ class _ArgumentSweep:
                 ports = (1, i, 1, j)
                 req = self.request(ports)
                 if req is None:
-                    self.fail(len(requests), InsufficientData(
+                    self.error = InsufficientData(
                         "missing coincidence curve",
-                        required=[photonic.canonical_curve_key(ports)]))
+                        required=[photonic.canonical_curve_key(ports)])
                     return requests
                 self.magnitude_ports.append(ports)
                 requests.append(req)
@@ -368,17 +362,16 @@ class _ArgumentSweep:
 
     def set_magnitudes(self, results):
         absth = np.zeros((self.m, self.m))
-        for at, (ports, fit) in enumerate(zip(self.magnitude_ports, results)):
+        for ports, fit in zip(self.magnitude_ports, results):
             if isinstance(fit, FitFailure):
+                # the first failure: a missing curve, if any, comes later
                 fit.details["ports"] = ports
-                self.fail(at, fit)
-                break
+                self.error = fit
+                return
             absth[ports[1] - 1, ports[3] - 1] = fold_angle(fit.shape)
             self.fits[photonic.canonical_curve_key(ports)] = fit
-        if self.error is not None:
-            self.error_at = -1          # no sign decision follows
-            return
-        self._relabel(absth)
+        if self.error is None:
+            self._relabel(absth)
 
     # ---- relabeling ----------------------------------------------------------
     def _relabel(self, absth):
@@ -429,12 +422,12 @@ class _ArgumentSweep:
         A curve without an interference term is not fitted."""
         self.pending = []
         requests = []
-        for pos, (i, j, default) in enumerate(self.items):
+        for i, j, default in self.items:
             a, b = self._tuple(i, j, default)
             req = None
             if not self._silent(i, j, (a, b)):
                 req = self.request(self.orig_ports(a, i, b, j))
-            self.pending.append((pos, i, j, (a, b), req))
+            self.pending.append((i, j, (a, b), req))
             if req is not None:
                 requests.append(req)
         return requests
@@ -449,13 +442,12 @@ class _ArgumentSweep:
                            for p, fit in zip(self.pending, fits)
                            if p[-1] is not None
                            and not isinstance(fit, FitFailure)}
-        for (pos, i, j, ab, req), fit in zip(self.pending, fits):
-            if pos > self.error_at:
-                continue
+        for (i, j, ab, _), fit in zip(self.pending, fits):
             try:
-                self._decide(pos, i, j, ab, fit)
+                self._decide(i, j, ab, fit)
             except InterferoError as exc:
-                self.fail(pos, exc)
+                self.error = exc
+                return
 
     def _silent(self, i, j, ab):
         """Whether the curve of tuple (a, b) for target (i, j) has no
@@ -464,7 +456,7 @@ class _ArgumentSweep:
         al = self.rel_alpha
         return al[a, b] * al[a, j] * al[i, b] * al[i, j] == 0
 
-    def _decide(self, pos, i, j, ab, fit):
+    def _decide(self, i, j, ab, fit):
         theta = self.theta
         if self.plan is None and self.rel_alpha[i, j] != 0:
             a, b = ab
@@ -472,7 +464,7 @@ class _ArgumentSweep:
             if self._silent(i, j, ab):
                 k_ref = 0.0     # the default curve carries no θ_ij
             if reference_distance(k_ref) <= self.threshold:
-                alt = self._mitigate(pos, i, j, ab, k_ref)
+                alt = self._mitigate(i, j, ab, k_ref)
                 if alt != ab:       # alternates are fitted when chosen,
                     ab = alt        # around their input pair's shift
                     req = self.request(self.orig_ports(alt[0], i, alt[1], j))
@@ -501,13 +493,13 @@ class _ArgumentSweep:
                       theta[i, b], self.rel_abs[i, j])
         if s == 0:
             if self.rel_abs[i, j] > 1e-9:
-                self.sweep_diagnostics.append(
-                    (pos, {"type": "sign-tie", "target": self.target(i, j)}))
+                self.diagnostics.append(
+                    {"type": "sign-tie", "target": self.target(i, j)})
             s = 1
         theta[i, j] = s * self.rel_abs[i, j]
         self.known[i, j] = True
 
-    def _mitigate(self, pos, i, j, default_ab, k_default):
+    def _mitigate(self, i, j, default_ab, k_default):
         m = self.m
         theta, known, rel_alpha = self.theta, self.known, self.rel_alpha
         ref_default = reference_distance(k_default)
@@ -528,22 +520,22 @@ class _ArgumentSweep:
                 if c[0] > max(self.threshold, ref_default)]
         for ref, a, b in good:
             if self.dataset.curve(self.orig_ports(a, i, b, j)) is not None:
-                self.sweep_diagnostics.append((pos, {
+                self.diagnostics.append({
                     "type": "sign-rederived",
                     "target": self.target(i, j),
                     "reference_distance": float(ref_default),
                     "alternate": self.orig_ports(a, i, b, j),
-                    "alternate_distance": float(ref)}))
+                    "alternate_distance": float(ref)})
                 return a, b
         if good:
             raise InsufficientData(
                 "instability mitigation needs curves that are absent",
                 required=[photonic.canonical_curve_key(
                     self.orig_ports(a, i, b, j)) for _, a, b in good])
-        self.sweep_diagnostics.append((pos, {
+        self.diagnostics.append({
             "type": "sign-unstable",
             "target": self.target(i, j),
-            "reference_distance": float(ref_default)}))
+            "reference_distance": float(ref_default)})
         return default_ab
 
     def result(self):
@@ -551,10 +543,8 @@ class _ArgumentSweep:
             return self.error
         out = np.zeros((self.m, self.m))
         out[np.ix_(self.po, self.pi_)] = self.theta
-        ordered = sorted(self.sweep_diagnostics, key=lambda e: e[0])
-        diagnostics = self.diagnostics + [d for _, d in ordered]
         plan_out = {"relabel": self.relabel, "signs": self.sign_plan}
-        return out, diagnostics, plan_out, self.fits
+        return out, self.diagnostics, plan_out, self.fits
 
 
 def _batched_stage(sweeps, requests_of, consume):

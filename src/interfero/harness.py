@@ -166,17 +166,6 @@ def run_trials(m, variant, n_trials, seed, gamma=0.9, spectra_kind="gauss",
     }
 
 
-def bootstrap_mean_ci(values, n_boot=2000, seed=0, level=0.95):
-    """Percentile bootstrap confidence interval for the mean."""
-    values = np.asarray(values, dtype=float)
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, len(values), (n_boot, len(values)))
-    means = values[idx].mean(axis=1)
-    lo = (1.0 - level) / 2
-    return (float(np.quantile(means, lo)),
-            float(np.quantile(means, 1.0 - lo)))
-
-
 def mean_ratio_confidence(errs_worse, errs_better, n_boot=2000, seed=0,
                           level=0.95):
     """Bootstrap CI for mean(errs_worse)/mean(errs_better) over trials."""

@@ -105,13 +105,6 @@ def sn_character(lam, cycle_type):
     return _mn_character(lam, cycle_type)
 
 
-def character_table(n):
-    """{(irrep, class): character} over all partitions of n."""
-    parts = list(partitions_of(n))
-    return {(lam, rho): sn_character(lam, rho)
-            for lam in parts for rho in parts}
-
-
 def cycle_type(perm):
     """Cycle type of a permutation given as a tuple of images of 0..N-1."""
     seen = [False] * len(perm)

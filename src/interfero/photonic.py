@@ -98,15 +98,8 @@ def assemble_lossy_matrix(params, loss):
     return out_dress[:, None] * u * in_dress[None, :]
 
 
-def single_photon_probability(lossy, i, j):
-    """P_ij = |U^lossy_ij|² for 1-based ports (i out, j in)."""
-    m = lossy.shape[0]
-    if not (1 <= i <= m and 1 <= j <= m):
-        raise PortError("port out of range", i=i, j=j, m=m)
-    return float(np.abs(lossy[i - 1, j - 1]) ** 2)
-
-
 def single_photon_matrix(lossy):
+    """P_ij = |U^lossy_ij|², row i the output port, column j the input."""
     return np.abs(lossy) ** 2
 
 

@@ -134,12 +134,13 @@ def _weight_from_occ(occ, m):
     return tuple(occ[i] - occ[i + 1] for i in range(m - 1))
 
 
-def _raise(state, pairs):
-    """Apply the first c_{i,j} of ``pairs`` with a nonzero image, content
-    reduced, until every one annihilates the state."""
+def _raise(state, m):
+    """Apply the first simple raising operator c_{l,l+1} of su(m) (smallest
+    l) with a nonzero image, content reduced, until every one annihilates
+    the state."""
     while True:
-        for i, j in pairs:
-            t = state.apply_c(i, j)
+        for ell in range(1, m):
+            t = state.apply_c(ell, ell + 1)
             if not t.is_zero():
                 state = t.reduce_content()
                 break
@@ -159,7 +160,6 @@ def _partition_su(pool, m, chain, out):
     for s in pool:
         groups.setdefault(s.occupations(verify=False), []).append(s)
     claimed = {occ: [] for occ in groups}
-    raising = [(i, j) for j in range(2, m) for i in range(1, j)]
     done = 0
     while done < total:
         best = max(
@@ -174,9 +174,10 @@ def _partition_su(pool, m, chain, out):
             raise InternalInconsistency(
                 "no remaining multiplicity at any weight", stage=m)
 
-        # raise the seed to a highest-weight state of su(m-1)
+        # raise the seed to a highest-weight state of su(m-1) by its
+        # simple raising operators c_{l,l+1}, l < m-1
         cur = _raise(bosonrep.BosonPolynomial(
-            pool[0].n_sites, pool[0].n_species, seed), raising)
+            pool[0].n_sites, pool[0].n_species, seed), m - 1)
         km1 = cur.weight(m - 1)
         if any(x < 0 for x in km1):
             raise InternalInconsistency("raised seed has a negative weight",
@@ -218,8 +219,7 @@ def _fix_phase(h, lowered, state):
     """
     overlap = lowered.raw_inner(state)
     if overlap == 0:
-        simple = [(ell, ell + 1) for ell in range(1, state.n_sites)]
-        overlap = h.raw_inner(_raise(state, simple))
+        overlap = h.raw_inner(_raise(state, state.n_sites))
         if overlap == 0:
             raise InternalInconsistency(
                 "state could not be raised to the highest weight")

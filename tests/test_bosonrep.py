@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from math import gcd
 
@@ -126,10 +127,11 @@ def test_basis_set_weight_multiplicity():
 
 
 def test_basis_set_lowering_bound():
+    # one application of each simple lowering operator per kept state
     for kap in [(4,), (2, 1), (1, 0, 1)]:
         m = len(kap) + 1
         bs = bosonrep.basis_set(bosonrep.hws(kap), m)
-        assert bs.lowering_count <= bs.dimension() * m * (m - 1) // 2
+        assert bs.lowering_count == bs.dimension() * (m - 1)
 
 
 def test_basis_set_rejects_non_hws():
@@ -184,6 +186,37 @@ def test_minor_basis_count_seed_independent():
     for seed in (0, 1, 2):
         assert bosonrep.minor_basis_count((1, 1), 3, seed=seed) == 8
         assert bosonrep.minor_basis_count((0, 0, 5), 4, seed=seed) == 56
+
+
+def minor_expansion(n, mono):
+    """Boson polynomial of a minor monomial: the product over its subsets R
+    of det[a†_{r,c}] (r in R, species c = 1..|R|)."""
+    poly = BosonPolynomial.vacuum(n, n - 1)
+    for subset in mono:
+        terms = {}
+        for perm in itertools.permutations(range(len(subset))):
+            rows = [[0] * (n - 1) for _ in range(n)]
+            for r, c in zip(subset, perm):
+                rows[r - 1][c] += 1
+            terms[tuple(map(tuple, rows))] = bosonrep._perm_sign(perm)
+        poly = poly.product(BosonPolynomial(n, n - 1, terms))
+    return poly
+
+
+def test_minor_lowerings_match_boson_action():
+    # c_{j+1,j} on the expanded minors equals the expansion of the
+    # minor-variable image, with no sign
+    n = 4
+    for mono in [((1,), (1, 2), (1, 2, 3)), ((1,), (1,), (1, 3)),
+                 ((1, 2), (1, 2), (2, 4)), ((1, 3, 4), (2,))]:
+        for j in range(1, n):
+            got = {}
+            for image, mult in bosonrep._minor_lowerings(mono, j).items():
+                for m, c in minor_expansion(n, image).terms.items():
+                    got[m] = got.get(m, 0) + mult * c
+            got = {m: c for m, c in got.items() if c}
+            want = minor_expansion(n, mono).apply_c(j + 1, j).terms
+            assert got == want
 
 
 def test_label_validation():

@@ -112,14 +112,6 @@ def test_reflectivity_comparison_fixture():
             assert abs(g - e) / e < 0.005
 
 
-def test_bootstrap_mean_ci():
-    rng = np.random.default_rng(1)
-    x = rng.normal(5.0, 1.0, 400)
-    lo, hi = harness.bootstrap_mean_ci(x, seed=2)
-    assert lo < 5.0 < hi
-    assert hi - lo < 0.5
-
-
 def test_mean_ratio_confidence():
     rng = np.random.default_rng(3)
     worse = rng.normal(10.0, 1.0, 200)

@@ -50,7 +50,8 @@ def class_size(rho):
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_character_orthogonality(n):
     parts = list(immanants.partitions_of(n))
-    table = immanants.character_table(n)
+    table = {(lam, rho): immanants.sn_character(lam, rho)
+             for lam in parts for rho in parts}
     for r1 in parts:
         for r2 in parts:
             s = sum(table[(lam, r1)] * table[(lam, r2)] for lam in parts)

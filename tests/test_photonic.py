@@ -59,28 +59,21 @@ def test_single_photon_probability_formula():
     loss = photonic.LossModel(rng.uniform(0.5, 1, 4), rng.uniform(0.5, 1, 4),
                               rng.uniform(-np.pi, np.pi, 4),
                               rng.uniform(-np.pi, np.pi, 4))
-    lossy = photonic.assemble_lossy_matrix(p, loss)
+    probs = photonic.single_photon_matrix(
+        photonic.assemble_lossy_matrix(p, loss))
     for i in range(1, 5):
         for j in range(1, 5):
             expected = (loss.kappa[i - 1] * p.lambda_[i - 1]
                         * p.alpha[i - 1, j - 1] ** 2
                         * p.mu[j - 1] * loss.nu[j - 1])
-            assert abs(photonic.single_photon_probability(lossy, i, j)
-                       - expected) < 1e-12
+            assert abs(probs[i - 1, j - 1] - expected) < 1e-12
 
 
 def test_single_photon_identity_like():
     # diagonal-dominant representative is not reachable (zero border entries),
     # so check the balanced splitter instead: all four probabilities 1/2
-    lossy = csd.B2
-    for i in (1, 2):
-        for j in (1, 2):
-            assert abs(photonic.single_photon_probability(lossy, i, j) - 0.5) < 1e-12
-
-
-def test_single_photon_port_error():
-    with pytest.raises(PortError):
-        photonic.single_photon_probability(np.eye(2, dtype=complex), 3, 1)
+    assert np.max(np.abs(photonic.single_photon_matrix(csd.B2) - 0.5)) \
+        < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -70,18 +70,19 @@ def test_canonical_states_exactly_orthonormal(n, kap):
                 assert a.raw_inner(b) == 0
 
 
-# sha256 over (label key, terms in dict order, scale2) of every state of
-# the warm irreps, in WARM_IRREPS order; the states are Python ints, so
-# the digest does not depend on the platform
+# sha256 over (label key, sorted terms, scale2) of every state of the
+# warm irreps, in WARM_IRREPS order and label order; the states are Python
+# ints, so the digest does not depend on the platform, and the sorted
+# terms make it independent of the order the construction met them in
 WARM_BASES_SHA256 = (
-    "c4106518bf03553370700c4f3d44b7a8a051c91d61bfd696fce47dca44b2ae67")
+    "f742eb1e9a4948ad281cdc21ffafc06be06c1ebdbf1f70b8613c4c82b08acf51")
 
 
 def test_warm_irrep_bases_are_pinned():
     digest = hashlib.sha256()
     for n, kap in WARM_IRREPS:
         for label, state in sunrep.canonical_basis_states(n, kap):
-            digest.update(repr((label.key(), list(state.terms.items()),
+            digest.update(repr((label.key(), sorted(state.terms.items()),
                                 state.scale2)).encode())
     assert digest.hexdigest() == WARM_BASES_SHA256
 
