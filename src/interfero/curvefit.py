@@ -70,14 +70,13 @@ class CurveModel:
 
 class FitResult:
     def __init__(self, shape, scale, shift, residuals, objective,
-                 degenerate=False, starts=None):
+                 degenerate=False):
         self.shape = shape
         self.scale = scale
         self.shift = shift
         self.residuals = residuals
         self.objective = objective
         self.degenerate = degenerate
-        self.starts = starts or []
 
 
 class FitBatch:
@@ -282,8 +281,7 @@ def fit_curve(model, tau, counts, groups, near=None):
         starts[c]["converged"] = True
         results[c] = FitResult(float(shape[k]), float(scale[k]),
                                float(shifts[k]), r[k].copy(), float(obj[k]),
-                               degenerate=bool(signal[k] < 3.0 * noise[k]),
-                               starts=[starts[c]])
+                               degenerate=bool(signal[k] < 3.0 * noise[k]))
     return FitBatch(results, starts)
 
 

@@ -42,65 +42,65 @@ def gaussian_approximation(spec):
                                       / (2 * std))
 
 
+def _draw(params, loss, gamma, spectra, keys, rng, noise, photons_per_input,
+          n_blocks, pair_rate):
+    """Singles (m, m, n_blocks) and the (K, T) coincidence counts of
+    ``keys`` on ``DEFAULT_TAU_GRID`` for one optical setup: the expected
+    values, or with ``noise`` one Poisson draw of the singles and then one
+    of every curve."""
+    probs = photonic.single_photon_matrix(
+        photonic.assemble_lossy_matrix(params, loss))
+    singles = probs[:, :, None] * (photons_per_input / n_blocks) \
+        * np.ones(n_blocks)
+    curves = pair_rate * photonic.coincidence_curve_model(
+        params, loss, gamma, spectra, keys, DEFAULT_TAU_GRID)
+    if noise:
+        singles = rng.poisson(singles).astype(float)
+        curves = rng.poisson(np.maximum(curves, 0.0)).astype(float)
+    return singles, curves
+
+
 def simulate_dataset(u, gamma, seed=None, rng=None, spectra=None, loss=None,
                      n_blocks=10, photons_per_input=1e5, pair_rate=2e5,
                      noise=True, include_calibration=True, fit_spectra=None):
     """Forward-simulate one characterization experiment for unitary u.
 
     Every coincidence curve of ``all_curve_keys(m)`` is sampled on
-    ``DEFAULT_TAU_GRID``; the calibration beam splitter has ϑ = 0.6.  With
-    ``noise`` the counts are Poisson draws at the stated photon
-    budgets; without it they are exact expected values (floats).
-    ``fit_spectra`` optionally substitutes different spectra into the
-    returned dataset (model-mismatch studies) while the data themselves
-    are always generated from the true ``spectra``.
+    ``DEFAULT_TAU_GRID`` by one stacked ``coincidence_curve_model`` call,
+    and the calibration beam splitter (ϑ = 0.6, curve (1, 2, 1, 2)) by
+    one more.  With ``noise`` the counts are Poisson draws at the stated
+    photon budgets, in the order data singles, data curves, calibration
+    singles, calibration curve; without it they are exact expected values
+    (floats).  ``fit_spectra`` optionally substitutes different spectra
+    into the returned dataset (model-mismatch studies) while the data
+    themselves are always generated from the true ``spectra``.
     """
     if rng is None:
         rng = np.random.default_rng(seed)
     m = u.shape[0]
     if m < 2:
         raise InvalidDimension("characterization needs at least 2 ports", m=m)
-    params = photonic.representative_from_unitary(u)
     if spectra is None:
         spectra = source_spectra("gauss", m)
     if loss is None:
         loss = photonic.LossModel.lossless(m)
     tau = DEFAULT_TAU_GRID
 
-    lossy = photonic.assemble_lossy_matrix(params, loss)
-    probs = photonic.single_photon_matrix(lossy)
-    expected = probs[:, :, None] * (photons_per_input / n_blocks) \
-        * np.ones(n_blocks)
-    singles = rng.poisson(expected).astype(float) if noise else expected
-
-    curves = {}
-    for key in all_curve_keys(m):
-        i, i2, j, j2 = key
-        model = photonic.coincidence_curve_model(
-            params, loss, gamma, spectra[j - 1], spectra[j2 - 1], key)
-        mean_curve = pair_rate * model(tau)
-        counts = rng.poisson(np.maximum(mean_curve, 0.0)).astype(float) \
-            if noise else mean_curve
-        curves[key] = (tau, counts)
+    keys = list(all_curve_keys(m))
+    singles, counts = _draw(photonic.representative_from_unitary(u), loss,
+                            gamma, spectra, keys, rng, noise,
+                            photons_per_input, n_blocks, pair_rate)
+    curves = {key: (tau, c) for key, c in zip(keys, counts)}
 
     cal_single = cal_curve = cal_spectra = None
     if include_calibration:
-        u_bs = beam_splitter_matrix(0.6)
-        bs_params = photonic.representative_from_unitary(u_bs)
-        bs_loss = photonic.LossModel.lossless(2)
-        bs_probs = photonic.single_photon_matrix(
-            photonic.assemble_lossy_matrix(bs_params, bs_loss))
-        bs_expected = bs_probs[:, :, None] * (photons_per_input / n_blocks) \
-            * np.ones(n_blocks)
-        cal_single = rng.poisson(bs_expected).astype(float) if noise \
-            else bs_expected
-        model = photonic.coincidence_curve_model(
-            bs_params, bs_loss, gamma, spectra[0], spectra[1], (1, 2, 1, 2))
-        mean_curve = pair_rate * model(tau)
-        cal_counts = rng.poisson(np.maximum(mean_curve, 0.0)).astype(float) \
-            if noise else mean_curve
-        cal_curve = (tau, cal_counts)
         cal_spectra = (spectra[0], spectra[1])
+        cal_single, cal_counts = _draw(
+            photonic.representative_from_unitary(beam_splitter_matrix(0.6)),
+            photonic.LossModel.lossless(2), gamma, cal_spectra,
+            [(1, 2, 1, 2)], rng, noise, photons_per_input, n_blocks,
+            pair_rate)
+        cal_curve = (tau, cal_counts[0])
 
     used_spectra = spectra if fit_spectra is None else fit_spectra
     used_cal_spectra = cal_spectra
@@ -187,23 +187,6 @@ def load_fixture(name):
     path = resources.files("interfero") / "fixtures" / name
     with path.open() as fh:
         return json.load(fh)
-
-
-def gamma_consistency_check(estimates=None):
-    """Pairwise consistency of the per-splitter γ estimates:
-    |γ_i − γ_j| < 2√(σ_i² + σ_j²) for every pair."""
-    if estimates is None:
-        estimates = load_fixture("gamma_promise.json")["splitters"]
-    results = []
-    for a in range(len(estimates)):
-        for b in range(a + 1, len(estimates)):
-            ga, sa = estimates[a]["gamma"], estimates[a]["sigma"]
-            gb, sb = estimates[b]["gamma"], estimates[b]["sigma"]
-            bound = 2.0 * np.sqrt(sa ** 2 + sb ** 2)
-            results.append({"pair": (a, b), "difference": abs(ga - gb),
-                            "bound": bound,
-                            "consistent": abs(ga - gb) < bound})
-    return results
 
 
 def reflectivity_comparison(table=None):

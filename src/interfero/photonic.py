@@ -2,8 +2,9 @@
 parameterization, loss dressing, single-photon transmission probabilities
 and the two-photon coincidence curve with mode-matching parameter γ.
 
-``coincidence_curve_model`` is the one forward model of a coincidence
-curve; the explicit 2-D quadrature it reproduces lives in
+``coincidence_curve_model`` is the one forward model of the coincidence
+curves: one call gives the stacked (K, T) mean rates of K port keys, and
+the explicit 2-D quadrature it reproduces lives in
 ``tests/test_photonic.py`` as its reference.  ``cross_envelope`` is
 memoised by spectrum content, so every caller handed equal spectra in the
 same order shares one read-only Envelope.
@@ -201,11 +202,6 @@ class Envelope:
         return cls(grid, np.array([e.g for e in envelopes]),
                    np.array([e.i0 for e in envelopes], dtype=float))
 
-    def __call__(self, tau):
-        """Q(τ) for a scalar or an array of delays (single envelope)."""
-        out = self.shifted(np.atleast_1d(np.asarray(tau, dtype=float)), 0.0)
-        return out if np.ndim(tau) else float(out[0])
-
     def shifted(self, tau, shift, rows=None, derivative=False):
         """Q(τ − shift), and dQ/dτ there when ``derivative`` is set.
 
@@ -265,41 +261,43 @@ def _cross_envelope(omega1, values1, omega2, values2):
 # ---------------------------------------------------------------------------
 # Two-photon coincidence
 # ---------------------------------------------------------------------------
-def coincidence_curve_model(params, loss, gamma, f_j, f_j2, ports):
-    """The forward model of one coincidence curve: C(τ) = pref·(base +
-    amp·Q(τ)) on ports (i, i', j, j') with i≠i', j≠j' (1-based).
+def coincidence_curve_model(params, loss, gamma, spectra, keys, tau):
+    """The forward model of the coincidence curves: row k of the (K, T)
+    result is C(τ) = pref·(base + amp·Q(τ)) on ports keys[k] = (i, i', j, j')
+    with i≠i', j≠j' (1-based), input j carrying ``spectra[j − 1]``.
 
     Under the product trapezoid rule with real spectra the interference
-    double sum factorizes exactly as cos(phase)·|G(τ)|², so this equals the
-    explicit 2-D quadrature of the coincidence rate.  Returns a callable
-    of τ.
+    double sum factorizes exactly as cos(phase)·|G(τ)|², so each row equals
+    the explicit 2-D quadrature of the coincidence rate.  Each distinct
+    envelope is evaluated once.
     """
     if not 0.0 <= gamma <= 1.0:
         raise InvalidGamma("gamma must lie in [0, 1]", gamma=gamma)
-    i, i2, j, j2 = ports
-    if i == i2 or j == j2:
-        raise PortError("coincidence requires distinct ports", ports=list(ports))
-    for p in ports:
-        if not 1 <= p <= params.m:
-            raise PortError("port out of range", port=p, m=params.m)
+    for ports in keys:
+        i, i2, j, j2 = ports
+        if i == i2 or j == j2:
+            raise PortError("coincidence requires distinct ports",
+                            ports=list(ports))
+        for p in ports:
+            if not 1 <= p <= params.m:
+                raise PortError("port out of range", port=p, m=params.m)
 
+    envelopes = [cross_envelope(spectra[j - 1], spectra[j2 - 1])
+                 for _, _, j, j2 in keys]
+    values = {e: e.shifted(tau, 0.0) for e in dict.fromkeys(envelopes)}
+    q = np.array([values[e] for e in envelopes])
+    i0 = np.array([e.i0 for e in envelopes])[:, None]
     al, th = params.alpha, params.theta
     lam, mu = params.lambda_, params.mu
-    ii, ii2, jj, jj2 = i - 1, i2 - 1, j - 1, j2 - 1
+    ii, ii2, jj, jj2 = (np.array(keys).T - 1)[:, :, None]
     pref = (loss.kappa[ii] * loss.kappa[ii2] * lam[ii] * lam[ii2]
             * mu[jj] * mu[jj2] * loss.nu[jj] * loss.nu[jj2])
-    q = cross_envelope(f_j, f_j2)
-    i0 = q.i0
     phase0 = th[ii, jj] - th[ii, jj2] - th[ii2, jj] + th[ii2, jj2]
     base = (al[ii, jj] ** 2 * al[ii2, jj2] ** 2
             + al[ii, jj2] ** 2 * al[ii2, jj] ** 2) * i0
     amp = (2.0 * gamma * al[ii, jj] * al[ii, jj2] * al[ii2, jj]
            * al[ii2, jj2] * np.cos(phase0) * i0)
-
-    def model(tau):
-        return pref * (base + amp * q(tau))
-
-    return model
+    return pref * (base + amp * q)
 
 
 def canonical_curve_key(ports):

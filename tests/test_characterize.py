@@ -99,7 +99,8 @@ def calibration_setup(gamma, vartheta=np.pi / 4, scale=2000.0):
     tau = np.linspace(-5, 5, 33)
     c2 = np.cos(vartheta) ** 2
     s2 = 1 - c2
-    counts = scale * (c2 ** 2 + s2 ** 2 - 2 * gamma * c2 * s2 * q(tau))
+    counts = scale * (c2 ** 2 + s2 ** 2 - 2 * gamma * c2 * s2
+                      * q.shifted(tau, 0.0))
     alpha22 = (c2 / s2) ** 2
     p = alpha22 / (1 + alpha22)
     singles = np.zeros((2, 2, 3))
@@ -144,7 +145,8 @@ def test_calibrate_gamma_out_of_range():
     singles, _, q = calibration_setup(1.0)
     f = photonic.gaussian_spectrum()
     tau = np.linspace(-5, 5, 33)
-    counts = 2000 * (0.5 - 0.5 * 1.3 * q(tau))  # impossible dip depth
+    # impossible dip depth
+    counts = 2000 * (0.5 - 0.5 * 1.3 * q.shifted(tau, 0.0))
     with pytest.raises(CalibrationOutOfRange):
         calibrate_one(singles, (tau, counts), q)
 
@@ -186,9 +188,9 @@ def forward_dataset(theta22, m=2, gamma=1.0):
     loss = photonic.LossModel.lossless(m)
     f = photonic.gaussian_spectrum()
     tau = np.linspace(-5, 5, 33)
-    model = photonic.coincidence_curve_model(params, loss, gamma, f, f,
-                                             (1, 2, 1, 2))
-    curves = {(1, 2, 1, 2): (tau, 1000 * model(tau))}
+    (rate,) = photonic.coincidence_curve_model(params, loss, gamma, [f] * m,
+                                               [(1, 2, 1, 2)], tau)
+    curves = {(1, 2, 1, 2): (tau, 1000 * rate)}
     singles = np.full((m, m, 3), 500.0)
     return characterize.CharacterizationDataset(singles, curves, [f] * m)
 
@@ -254,13 +256,14 @@ def adversarial_curves(phi_noise):
     f = photonic.gaussian_spectrum()
     q = photonic.cross_envelope(f, f)
     tau = np.linspace(-5, 5, 33)
-    curves = {}
-    for key in characterize.all_curve_keys(m):
-        model = photonic.coincidence_curve_model(params, loss, 1.0, f, f, key)
-        curves[key] = (tau, 1000 * model(tau))
+    keys = list(characterize.all_curve_keys(m))
+    rates = photonic.coincidence_curve_model(params, loss, 1.0, [f] * m, keys,
+                                             tau)
+    curves = {key: (tau, 1000 * rate) for key, rate in zip(keys, rates)}
     # corrupt the default interior sign curve by a small phase offset
     phi = theta[1, 1] - theta[1, 2] - theta[2, 1] + theta[2, 2]
-    curves[(2, 3, 2, 3)] = (tau, 1000 * (2 + 2 * np.cos(phi + phi_noise) * q(tau)))
+    curves[(2, 3, 2, 3)] = (tau, 1000 * (2 + 2 * np.cos(phi + phi_noise)
+                                         * q.shifted(tau, 0.0)))
     singles = np.full((m, m, 3), 500.0)
     ds = characterize.CharacterizationDataset(singles, curves, [f] * m)
     return ds, alpha, theta
@@ -379,9 +382,10 @@ def test_per_pair_shifts_are_recovered():
                (2, 4): -0.29, (3, 4): -1.12}
     curves = {}
     for key in characterize.all_curve_keys(m):
-        model = photonic.coincidence_curve_model(params, loss, 1.0, f, f, key)
         shift = offsets[tuple(sorted(key[2:]))]
-        curves[key] = (tau, 1000 * model(tau - shift))
+        (rate,) = photonic.coincidence_curve_model(params, loss, 1.0, [f] * m,
+                                                   [key], tau - shift)
+        curves[key] = (tau, 1000 * rate)
     singles = np.repeat(np.abs(u[:, :, None]) ** 2 * 1e4, 3, axis=2)
     ds = characterize.CharacterizationDataset(singles, curves, [f] * m)
     est = characterize.characterize_dataset(ds)
@@ -610,9 +614,10 @@ def test_scattershot_end_to_end_m2():
     tau_grid = np.linspace(-5, 5, 33)
     for heralds in ([1, 2], [2, 1]):
         ports = (1, 2, heralds[0], heralds[1])
-        model = photonic.coincidence_curve_model(p, loss, 1.0, f, f, ports)
-        for t in tau_grid:
-            n = rng.poisson(2e3 * model(np.array([t]))[0])
+        (rates,) = photonic.coincidence_curve_model(p, loss, 1.0, [f, f],
+                                                    [ports], tau_grid)
+        for t, rate in zip(tau_grid, rates):
+            n = rng.poisson(2e3 * rate)
             records += [{"heralds": list(heralds), "clicks": [1, 2],
                          "tau_setting": float(t)}] * n
     rng.shuffle(records)

@@ -113,16 +113,17 @@ def test_monotone_objective_and_start_diagnostics():
     tau = np.linspace(-5, 5, 41)
     rng = np.random.default_rng(4)
     counts = rng.poisson(model.curve(tau, 0.9, 1500.0, 0.1)).astype(float)
-    fit = fit_one(model, tau, counts)
-    (record,) = fit.starts
+    batch = curvefit.fit_curve(model, tau, counts[None], [0])
+    (record,) = batch.starts
     assert record == {"converged": True}
+    fit = batch.results[0]
     # the projected objective rises on both sides of the fitted shift
     w = curvefit.fit_weights(counts)
     at = projected_objective(counts, w, 1.5, 1.0,
-                             model.q(tau - fit.shift))
+                             model.q.shifted(tau - fit.shift, 0.0))
     assert abs(at - fit.objective) <= 1e-9 * fit.objective
     for delta in (-1e-4, 1e-4):
-        q = model.q(tau - fit.shift - delta)
+        q = model.q.shifted(tau - fit.shift - delta, 0.0)
         assert projected_objective(counts, w, 1.5, 1.0, q) > fit.objective
 
 
@@ -137,12 +138,12 @@ def mixed_stack():
     base = np.array([2.0, 1.5, 1.0, 1.2, 1.8])
     amp = np.array([1.0, 0.9, 0.8, 0.0, 1.5])
     truth = np.array([0.7, 2.2, 1.0, 1.0, 1.4])
-    counts = np.array([3000 * (b + a * np.cos(t) * q(tau - 0.2))
+    counts = np.array([3000 * (b + a * np.cos(t) * q.shifted(tau - 0.2, 0.0))
                        for b, a, t in zip(base, amp, truth)])
     counts[1] = rng.poisson(counts[1])
     counts[4] = rng.poisson(counts[4])
     counts[2] = 2500.0
-    counts[3] = rng.poisson(3000 * (1.2 + 0.5 * q(tau)))
+    counts[3] = rng.poisson(3000 * (1.2 + 0.5 * q.shifted(tau, 0.0)))
     stacked = cosine_curve_model(photonic.Envelope.stack([q] * 5), base, amp)
     singles = [cosine_curve_model(q, b, a) for b, a in zip(base, amp)]
     return tau, counts, stacked, singles
@@ -176,8 +177,6 @@ def test_records_mark_fitted_curves_converged():
     batch = curvefit.fit_curve(stacked, tau, counts, np.arange(5))
     for record, res in zip(batch.starts, batch.results):
         assert record["converged"] == (not isinstance(res, FitFailure))
-        if record["converged"]:
-            assert res.starts == [record]
 
 
 def cos_model(q, base, amp):
@@ -194,7 +193,7 @@ def test_groups_share_one_shift_and_fit_as_alone():
     base = np.array([2.0, 1.5, 1.2, 1.8, 1.0])
     amp = np.array([1.0, 0.9, 1.1, 1.5, 0.4])
     shapes = np.array([0.7, 2.2, 1.3, 0.2, 3.0])
-    counts = np.array([800 * (b + a * np.cos(s) * q(tau - d))
+    counts = np.array([800 * (b + a * np.cos(s) * q.shifted(tau - d, 0.0))
                        for b, a, s, d in zip(base, amp, shapes, true_shift)])
     stacked = cos_model(photonic.Envelope.stack([q] * 5), base, amp)
     batch = curvefit.fit_curve(stacked, tau, counts, groups=groups)
@@ -264,7 +263,7 @@ def test_dense_shift_grid_never_beats_the_fit():
                              rng.uniform(0, np.pi)], n)
         scale = rng.uniform(300, 3e4, n)
         mean = scale[:, None] * (base[:, None] + (amp * np.cos(shapes))[:, None]
-                                 * q(tau - rng.uniform(-2, 2)))
+                                 * q.shifted(tau - rng.uniform(-2, 2), 0.0))
         counts = rng.poisson(mean).astype(float)
         model = cos_model(photonic.Envelope.stack([q] * n), base, amp)
         fits = curvefit.fit_curve(model, tau, counts,
@@ -298,7 +297,8 @@ def test_degenerate_shapes_recover_or_fail_typed(anchor, offset, visibility,
     f = photonic.gaussian_spectrum()
     q = photonic.cross_envelope(f, f)
     tau = np.linspace(-5, 5, 33)
-    counts = np.array([scale * (1.0 + visibility * np.cos(s) * q(tau - shift)),
+    counts = np.array([scale * (1.0 + visibility * np.cos(s)
+                                * q.shifted(tau - shift, 0.0)),
                        np.full(len(tau), companion)])
     model = cos_model(photonic.Envelope.stack([q, q]), [1.0, 1.0],
                       [visibility, visibility])

@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from interfero import characterize, harness, linalg, photonic
 from interfero.errors import FitFailure, ParseError
+from test_photonic import curve_over_grid
 
 
 def test_simulate_deterministic():
@@ -24,23 +27,51 @@ def test_simulate_noiseless_matches_probabilities():
 
 
 def test_simulate_matches_per_key_models():
+    # every noiseless curve against the explicit 2-D quadrature, on spectra
+    # of 81- and 61-point grids
     u = linalg.haar_random_unitary(3, seed=6)
     spectra = [photonic.double_peak_spectrum(), photonic.gaussian_spectrum(),
                photonic.double_peak_spectrum(n_points=61)]
     ds = harness.simulate_dataset(u, 0.8, seed=3, spectra=spectra,
                                   noise=False)
-    params = photonic.representative_from_unitary(u)
-    loss = photonic.LossModel.lossless(3)
     tau = harness.DEFAULT_TAU_GRID
-    for key, (_, counts) in ds.coincidence.items():
-        model = photonic.coincidence_curve_model(
-            params, loss, 0.8, spectra[key[2] - 1], spectra[key[3] - 1], key)
-        assert np.array_equal(counts, 2e5 * model(tau))
+    params = photonic.representative_from_unitary(u)
     bs = photonic.representative_from_unitary(harness.beam_splitter_matrix(0.6))
-    model = photonic.coincidence_curve_model(
-        bs, photonic.LossModel.lossless(2), 0.8, spectra[0], spectra[1],
-        (1, 2, 1, 2))
-    assert np.array_equal(ds.calibration_curve[1], 2e5 * model(tau))
+    assert set(ds.coincidence) == characterize.all_curve_keys(3)
+    curves = [(params, key, curve) for key, curve in ds.coincidence.items()]
+    curves.append((bs, (1, 2, 1, 2), ds.calibration_curve))
+    for p, key, (t, counts) in curves:
+        ref = 2e5 * curve_over_grid(
+            p, photonic.LossModel.lossless(p.m), 0.8, spectra[key[2] - 1],
+            spectra[key[3] - 1], key, tau)
+        assert t is tau
+        assert np.max(np.abs(counts - ref)) <= 1e-12 * np.max(ref)
+
+
+def test_simulation_draws_in_a_fixed_order():
+    # a noisy dataset is one Poisson draw each of the data singles, every
+    # data curve in all_curve_keys order, the calibration singles and the
+    # calibration curve, from the generator of the seed, and nothing more
+    u = linalg.haar_random_unitary(4, seed=8)
+    spectra = harness.source_spectra("double", 4)
+    mean = harness.simulate_dataset(u, 0.9, seed=5, spectra=spectra,
+                                    noise=False)
+    rng = np.random.default_rng(5)
+    ds = harness.simulate_dataset(u, 0.9, rng=rng, spectra=spectra)
+    replay = np.random.default_rng(5)
+    keys = list(characterize.all_curve_keys(4))
+    singles = replay.poisson(mean.single_counts)
+    curves = replay.poisson(np.maximum(
+        [mean.coincidence[key][1] for key in keys], 0.0))
+    cal_single = replay.poisson(mean.calibration_single)
+    cal_curve = replay.poisson(np.maximum(mean.calibration_curve[1], 0.0))
+    assert list(ds.coincidence) == keys
+    assert np.array_equal(ds.single_counts, singles)
+    for key, counts in zip(keys, curves):
+        assert np.array_equal(ds.coincidence[key][1], counts)
+    assert np.array_equal(ds.calibration_single, cal_single)
+    assert np.array_equal(ds.calibration_curve[1], cal_curve)
+    assert rng.bit_generator.state == replay.bit_generator.state
 
 
 def test_characterization_error_conjugation():
@@ -94,9 +125,14 @@ def test_gaussian_approximation_moments():
 
 
 def test_gamma_consistency_fixture():
-    results = harness.gamma_consistency_check()
-    assert len(results) == 6
-    assert all(r["consistent"] for r in results)
+    # the published per-splitter γ estimates agree pairwise:
+    # |γ_a − γ_b| < 2√(σ_a² + σ_b²)
+    splitters = harness.load_fixture("gamma_promise.json")["splitters"]
+    pairs = list(itertools.combinations(splitters, 2))
+    assert len(pairs) == 6
+    for a, b in pairs:
+        assert (abs(a["gamma"] - b["gamma"])
+                < 2.0 * np.sqrt(a["sigma"] ** 2 + b["sigma"] ** 2))
 
 
 def test_reflectivity_comparison_fixture():

@@ -189,15 +189,20 @@ def test_invalid_gamma_rejected():
     p, loss, f = hom_setup()
     for gamma in (1.5, -0.5, np.nan):
         with pytest.raises(InvalidGamma):
-            photonic.coincidence_curve_model(p, loss, gamma, f, f,
-                                             (1, 2, 1, 2))
+            photonic.coincidence_curve_model(p, loss, gamma, [f, f],
+                                             [(1, 2, 1, 2)], [0.0])
 
 
 def test_coincidence_same_port_rejected():
     p, loss, f = hom_setup()
     for ports in [(1, 1, 1, 2), (1, 2, 2, 2), (1, 3, 1, 2), (0, 2, 1, 2)]:
         with pytest.raises(PortError):
-            photonic.coincidence_curve_model(p, loss, 1.0, f, f, ports)
+            photonic.coincidence_curve_model(p, loss, 1.0, [f, f], [ports],
+                                             [0.0])
+        # every key is checked, not only the first
+        with pytest.raises(PortError):
+            photonic.coincidence_curve_model(p, loss, 1.0, [f, f],
+                                             [(1, 2, 1, 2), ports], [0.0])
 
 
 def test_fast_model_matches_reference():
@@ -205,11 +210,17 @@ def test_fast_model_matches_reference():
     loss = photonic.LossModel([0.9, 0.8, 1.0, 0.7], [1, 0.95, 0.85, 0.9])
     f1 = photonic.gaussian_spectrum(width=1.1)
     f2 = photonic.double_peak_spectrum()
+    spectra = [f1, f2, f1, f2]
     taus = np.linspace(-4, 4, 21)
-    for ports in [(1, 2, 1, 2), (2, 3, 1, 4), (1, 4, 2, 3)]:
-        ref = curve_over_grid(p, loss, 0.8, f1, f2, ports, taus)
-        model = photonic.coincidence_curve_model(p, loss, 0.8, f1, f2, ports)
-        assert np.max(np.abs(model(taus) - ref)) < 1e-12 * max(1, ref.max())
+    # input pairs (1, 2), (1, 3) and (2, 4): three distinct envelopes, each
+    # on its own grid, and the first shared by two keys
+    keys = [(1, 2, 1, 2), (2, 3, 1, 3), (1, 4, 2, 4), (2, 3, 1, 2)]
+    rates = photonic.coincidence_curve_model(p, loss, 0.8, spectra, keys, taus)
+    assert rates.shape == (len(keys), len(taus))
+    for ports, rate in zip(keys, rates):
+        ref = curve_over_grid(p, loss, 0.8, spectra[ports[2] - 1],
+                              spectra[ports[3] - 1], ports, taus)
+        assert np.max(np.abs(rate - ref)) < 1e-12 * max(1, ref.max())
 
 
 def test_curve_nonnegative_random_configs():
@@ -337,7 +348,6 @@ def test_scalar_shift_is_the_one_row_path():
         values, slopes = q.shifted(tau, row, derivative=True)
         assert np.array_equal(value, values[0])
         assert np.array_equal(slope, slopes[0])
-    assert np.array_equal(q(tau), q.shifted(tau, 0.0))
 
 
 def test_simulation_and_bootstrap_share_envelopes(monkeypatch):
