@@ -11,6 +11,7 @@ INTERF_TOL overrides the default numerical tolerance.
 """
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -490,9 +491,12 @@ def build_parser():
     return parser
 
 
+# parse_args leaves a parser as it was, so one parser serves every main call
+_parser = functools.lru_cache(maxsize=None)(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InterferoError as exc:

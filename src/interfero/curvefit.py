@@ -13,13 +13,14 @@ closed form, and f(s) = c₂·base/(c₁·amp).  A family whose shape factor has
 a bounded range (cos) clamps f into it and re-solves the one-term problem
 for the scale; s is f's inverse at the result.
 
-The curves of one shift group share one shift: the one minimizing the sum
-of their projected objectives.  It is found by a scan at two points per τ
-step over the τ range, or over a window of τ steps around given shifts,
-then refined parabolically, three points per level with the step divided
-by 8 from level to level, down to a step of 1e-13.  Each group is computed
-on its own, so a group fitted in a stack gets exactly the result it gets
-alone.
+The curves of one shift group share one shift, the one minimizing the sum
+φ of their projected objectives.  A scan at two points per τ step over the
+τ range, or over a window around given shifts, finds the best lattice
+point; regula falsi (Illinois variant) on φ′ = 2·Σ w·r·c₂·Q′(τ−shift),
+exact at the projected linear terms (Kaufman 1975, BIT 15, 49), refines it
+between its lattice neighbours and keeps the best point evaluated.  Each
+group is computed on its own, so a group fitted in a stack gets exactly
+the result it gets alone.
 """
 import numpy as np
 
@@ -27,8 +28,8 @@ from .errors import FitFailure, InsufficientData, ShapeError
 
 _SCAN_PER_STEP = 2      # scan points per τ step
 _WINDOW_STEPS = 3       # half-width, in τ steps, of a scan around given shifts
-_SHRINK = 8             # step ratio between refinement levels
-_FINEST = 1e-13         # refinement stops below this step
+_FINEST = 1e-13         # the secant stops at a step below this
+_MAX_STEPS = 60         # secant steps at most
 _CHUNK = 64            # rows evaluated at once, which bounds the temporaries
 
 
@@ -103,7 +104,8 @@ def _project(model, counts, w, curves, q):
     """Closed-form linear terms of curve ``curves[k]`` against its envelope
     values q[k] = Q(τ − shift) (K, T).
 
-    Returns the shape factors, scales, residuals (K, T) and objectives.
+    Returns the shape factors, scales, c₂ = scale·amp·f, residuals (K, T)
+    and objectives.
     """
     y, wk = counts[curves], w[curves]
     base, amp = model.base[curves], model.amp[curves]
@@ -129,7 +131,7 @@ def _project(model, counts, w, curves, q):
         c2[clamped] = scale * amp[clamped] * fc
         f[clamped] = fc
     r = y - c1[:, None] - c2[:, None] * q
-    return f, c1 / base, r, np.sum(wk * r * r, axis=1)
+    return f, c1 / base, c2, r, np.sum(wk * r * r, axis=1)
 
 
 def _chunks(n):
@@ -137,76 +139,83 @@ def _chunks(n):
     return [slice(lo, lo + _CHUNK) for lo in range(0, n, _CHUNK)]
 
 
-def _envelope(model, tau, shifts, rows):
-    """Q(τ − shifts[k]) on envelope row rows[k], as (K, T)."""
-    return np.concatenate([model.q.shifted(tau, shifts[s], rows=rows[s])
-                           for s in _chunks(len(shifts))])
+def _envelope(model, tau, shifts, rows, derivative=False):
+    """Q(τ−shifts[k]) on envelope row rows[k] (K, T), or [Q, Q′] (2, K, T)."""
+    return np.concatenate([np.array(model.q.shifted(
+        tau, shifts[s], rows=rows[s], derivative=derivative))
+        for s in _chunks(len(shifts))], axis=-2)
 
 
-def _layout(members, n_points):
-    """Points numbered group after group, n_points[g] for group g: the
-    (curve, point) rows evaluating every member of a group at each of its
-    points, and the envelope row of each point (its group's first curve;
-    a group shares one envelope)."""
-    starts = np.cumsum(n_points) - n_points
-    curves = [np.tile(m, p) for m, p in zip(members, n_points)]
-    points = [np.repeat(np.arange(s, s + p), len(m))
-              for m, s, p in zip(members, starts, n_points)]
-    return (np.concatenate(curves), np.concatenate(points),
-            np.repeat([m[0] for m in members], n_points))
+def _evaluate(model, tau, counts, w, groups, owner, shifts, slope=False):
+    """[φ] (1, K), φ[k] being group owner[k]'s objective at shifts[k], or
+    with ``slope`` [φ, φ′] (2, K).  ``groups`` = (order, first, sizes): the
+    curves of group g, order[first[g]:][:sizes[g]], share one envelope."""
+    order, first, sizes = groups
+    n = sizes[owner]
+    points = np.repeat(np.arange(len(owner)), n)
+    curves = order[np.arange(len(points))
+                   + np.repeat(first[owner] - np.cumsum(n) + n, n)]
+    q = _envelope(model, tau, shifts, order[first[owner]], slope).reshape(
+        -1, len(shifts), len(tau))
+    sums = np.empty((len(q), len(curves)))
+    for s in _chunks(len(curves)):
+        _, _, c2, r, sums[0, s] = _project(model, counts, w, curves[s],
+                                           q[0, points[s]])
+        if slope:
+            sums[1, s] = 2.0 * c2 * np.sum(w[curves[s]] * r
+                                           * q[1, points[s]], axis=1)
+    return np.array([np.bincount(points, weights=v, minlength=len(shifts))
+                     for v in sums])
 
 
-def _totals(model, tau, counts, w, layout, shifts):
-    """Group objective at each point: the sum of the projected objectives
-    of its group's curves at the point's shift."""
-    curves, points, envelope = layout
-    q = _envelope(model, tau, shifts, envelope)
-    obj = np.concatenate([_project(model, counts, w, curves[s],
-                                   q[points[s]])[3]
-                          for s in _chunks(len(curves))])
-    return np.bincount(points, weights=obj, minlength=len(shifts))
-
-
-def _search(model, tau, counts, w, members, near):
+def _search(model, tau, counts, w, groups, near):
     """Each group's shift.  A group whose curves all have a ``near`` shift
-    scans the τ-lattice points in a window around them; any other group
-    scans the whole lattice."""
+    scans a window around them; any other group, and one whose window holds
+    no lattice point, scans the whole lattice.  A group keeps its first
+    best scan point unless φ′ changes sign between its lattice neighbours."""
+    order, first, sizes = groups
     lo, hi = tau.min(), tau.max()
     n_lattice = _SCAN_PER_STEP * (len(tau) - 1) + 1
     step = (hi - lo) / (n_lattice - 1)
     lattice = lo + step * np.arange(n_lattice)
     reach = _WINDOW_STEPS * _SCAN_PER_STEP * step
-    scans = []
-    for m in members:
-        inside = np.ones(n_lattice, dtype=bool)
-        if not np.isnan(near[m]).any():
-            inside = ((lattice >= near[m].min() - reach)
-                      & (lattice <= near[m].max() + reach))
-        scans.append(lattice[inside] if inside.any() else lattice)
-    sizes = np.array([len(p) for p in scans])
-    points = np.concatenate(scans)
-    total = _totals(model, tau, counts, w, _layout(members, sizes), points)
-    best = [s + np.argmin(total[s:s + n])
-            for s, n in zip(np.cumsum(sizes) - sizes, sizes)]
-    shift, obj = points[best], total[best]
+    low = np.minimum.reduceat(near[order], first)   # NaN if a curve has none
+    start = np.searchsorted(lattice, low - reach)
+    stop = np.searchsorted(lattice, np.maximum.reduceat(near[order], first)
+                           + reach, side="right")
+    whole = np.isnan(low) | (start >= stop)
+    start[whole], stop[whole] = 0, n_lattice
+    k = np.arange(np.max(stop - start))
+    inside = k < (stop - start)[:, None]
+    table = np.full(inside.shape, np.inf)
+    table[inside] = _evaluate(model, tau, counts, w, groups,
+                              np.nonzero(inside)[0],
+                              lattice[(start[:, None] + k)[inside]])[0]
+    shift, obj = lattice[start + np.argmin(table, axis=1)], table.min(axis=1)
 
-    # parabolic refinement around the best point; the best point evaluated
-    # is kept, so the result is never worse than the scan
-    layout = _layout(members, np.full(len(members), 3))
-    centre, pick = shift.copy(), np.arange(len(members))
-    while step >= _FINEST:
-        trial = centre[:, None] + step * np.array([-1.0, 0.0, 1.0])
-        o = _totals(model, tau, counts, w, layout,
-                    trial.ravel()).reshape(-1, 3)
-        k = np.argmin(o, axis=1)
-        better = o[pick, k] < obj
-        shift[better] = trial[better, k[better]]
-        obj[better] = o[better, k[better]]
-        curv = o[:, 0] - 2.0 * o[:, 1] + o[:, 2]
-        vertex = np.where(curv > 0, 0.5 * (o[:, 0] - o[:, 2])
-                          / np.where(curv > 0, curv, 1.0), k - 1.0)
-        centre = centre + np.clip(vertex, -1.0, 1.0) * step
-        step /= _SHRINK
+    def probe(live, x):
+        """φ′ at points x of groups ``live``, keeping each group's best."""
+        o, d = _evaluate(model, tau, counts, w, groups, live, x, slope=True)
+        better = o < obj[live]
+        shift[live[better]], obj[live[better]] = x[better], o[better]
+        return d
+
+    x0, x1, live = shift - step, shift + step, np.arange(len(first))
+    f0, f1 = probe(live, x0), probe(live, x1)
+    live = live[(f0 < 0) & (f1 > 0)]
+    for _ in range(_MAX_STEPS):
+        if not len(live):
+            break
+        x = x1[live] - f1[live] * (x1[live] - x0[live]) / (f1[live] - f0[live])
+        d = probe(live, x)
+        # the bracket [x0, x1] ends at the newest point; Illinois: an end
+        # kept twice has its slope halved
+        flip = d * f1[live] < 0
+        x0[live] = np.where(flip, x1[live], x0[live])
+        f0[live] = np.where(flip, f1[live], 0.5 * f0[live])
+        moved = np.abs(x - x1[live]) > _FINEST
+        x1[live], f1[live] = x, d
+        live = live[(d != 0) & moved]
     return shift
 
 
@@ -261,16 +270,17 @@ def fit_curve(model, tau, counts, groups, near=None):
         return FitBatch(results, starts)
 
     _, gid = np.unique(groups[live], return_inverse=True)
-    members = [live[gid == g] for g in range(gid.max() + 1)]
+    order = live[np.argsort(gid, kind="stable")]
+    sizes = np.bincount(gid)
+    first = np.cumsum(sizes) - sizes
+    lead = order[first][gid]
     q = model.q
-    if q.g.ndim == 2 and any(np.any(q.g[m] != q.g[m[0]])
-                             or np.any(q.i0[m] != q.i0[m[0]])
-                             for m in members):
+    if q.g.ndim == 2 and (np.any(q.g[live] != q.g[lead])
+                          or np.any(q.i0[live] != q.i0[lead])):
         raise ShapeError("the curves of a shift group need one envelope")
-    group_shift = _search(model, tau, counts, w, members, near)
-    shifts = group_shift[gid]
+    shifts = _search(model, tau, counts, w, (order, first, sizes), near)[gid]
     q = _envelope(model, tau, shifts, live)
-    f, scale, r, obj = _project(model, counts, w, live, q)
+    f, scale, _, r, obj = _project(model, counts, w, live, q)
     shape = model.inverse(f)
     # degenerate-shape flag: the fitted interference term is buried in
     # the residual noise floor

@@ -138,6 +138,40 @@ def test_usage_error_exit_2():
     assert exc.value.code == 2
 
 
+def test_one_parser_serves_every_main_call(tmp_path, monkeypatch, capsys):
+    # main builds its parser once per process; verbs run one after another,
+    # with usage and domain errors between them, print what a parser built
+    # afresh for each call prints
+    io.write_matrix(np.eye(3), tmp_path / "m.json")
+    calls = [["cost", "--ns", "3", "--np", "2"],
+             ["immanant", "--in", str(tmp_path / "m.json"),
+              "--partition", "2,1"],
+             ["simulate", "--m", "3", "--out", "x"],  # missing --seed
+             ["basis", "--n", "3", "--irrep", "1,1"],
+             ["cost", "--ns", "0", "--np", "2"],
+             ["frobnicate"],
+             ["cost", "--help"],
+             ["cost", "--ns", "4", "--np", "3"]]
+
+    def outputs():
+        seen = []
+        for argv in calls:
+            try:
+                rc = run(argv)
+            except SystemExit as exc:
+                rc = f"exit {exc.code}"
+            out = capsys.readouterr()
+            seen.append((rc, out.out, out.err))
+        return seen
+
+    shared = outputs()
+    assert cli._parser() is cli._parser()
+    assert [rc for rc, _, _ in shared] == [0, 0, "exit 2", 0, 1, "exit 2",
+                                          "exit 0", 0]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert outputs() == shared
+
+
 # ---------------------------------------------------------------------------
 # simulate / characterize / trials
 # ---------------------------------------------------------------------------
@@ -272,6 +306,9 @@ MALFORMED_BUNDLES = {
         _edit_line("calibration.csv", 1, _field(5, "-1.0")), "ParseError"),
     "curve-count-infinite": (_edit_line("coincidence/1_2_1_2.csv", 1,
                                         _field(1, "inf")), "ParseError"),
+    "curve-count-negative-mid-column": (
+        _edit_line("coincidence/1_2_1_2.csv", 20, _field(1, "-3.0")),
+        "ParseError"),
     "counts-short-row": (_edit_line("counts.csv", 1, lambda t: "1,1,1\n"),
                          "ParseError"),
     "calibration-i-above-2": (_edit_line("calibration.csv", 1, _field(1, "3")),

@@ -310,3 +310,133 @@ def test_degenerate_shapes_recover_or_fail_typed(anchor, offset, visibility,
     if isinstance(curve, FitFailure):
         return
     assert abs(curve.shape - s) < 1e-5
+
+
+def test_slope_matches_finite_difference_of_oracle():
+    # φ′ of the evaluator against a central difference of the oracle's
+    # projected objective, on free and clamped (cos s near ±1) fits
+    envelopes = [photonic.cross_envelope(f, f) for f in (
+        photonic.gaussian_spectrum(), photonic.double_peak_spectrum())]
+    tau = np.linspace(-5, 5, 33)
+    rng = np.random.default_rng(8)
+    h = 1e-5
+    clamped = free = 0
+    for case in range(16):
+        q = envelopes[case % 2]
+        n = 1 + case % 4
+        base = rng.uniform(1.0, 2.0, n)
+        amp = base * rng.uniform(0.3, 1.0, n)
+        shapes = rng.choice([0.02, np.pi - 0.02, rng.uniform(0, np.pi)], n)
+        true_shift = rng.uniform(-2, 2)
+        mean = rng.uniform(300, 3e4, n)[:, None] * (
+            base[:, None] + (amp * np.cos(shapes))[:, None]
+            * q.shifted(tau - true_shift, 0.0))
+        counts = rng.poisson(mean).astype(float)
+        model = cos_model(photonic.Envelope.stack([q] * n), base, amp)
+        w = curvefit.fit_weights(counts)
+        shifts = np.concatenate([true_shift + rng.normal(0, 0.05, 3),
+                                 rng.uniform(-3, 3, 3)])
+        one_group = (np.arange(n), np.array([0]), np.array([n]))
+        phi, slope = curvefit._evaluate(
+            model, tau, counts, w, one_group,
+            np.zeros(len(shifts), dtype=int), shifts, slope=True)
+
+        def oracle(s):
+            return sum(projected_objective(counts[c], w[c], base[c], amp[c],
+                                           envelope_oracle(q, tau, s))
+                       for c in range(n))
+        assert np.allclose(phi, oracle(shifts), rtol=1e-9, atol=0)
+        central = (oracle(shifts + h) - oracle(shifts - h)) / (2 * h)
+        assert np.all(np.abs(slope - central) <= 1e-6 * np.abs(central))
+        for s in shifts:
+            f = curvefit._project(model, counts, w, np.arange(n),
+                                  model.q.shifted(tau, np.full(n, s)))[0]
+            clamped += np.sum(np.abs(f) == 1.0)
+            free += np.sum(np.abs(f) < 1.0)
+    assert clamped >= 20 and free >= 20
+
+
+def test_stacked_bookkeeping_edge_cases_fit_as_alone():
+    # groups of unequal size; a group mixing NaN and finite ``near``; near
+    # windows that touch the τ range at one lattice point, are cut by it or
+    # miss it (and scan the whole lattice); and a group whose envelope is
+    # zero, so every scan point ties and the first one wins
+    q = photonic.cross_envelope(photonic.double_peak_spectrum(),
+                                photonic.double_peak_spectrum())
+    zero = photonic.Envelope(q.grid, 0.0 * q.g, q.i0)
+    tau = np.linspace(-4, 4, 33)      # lattice step 1/8, window reach 3/4
+    groups = np.array([0, 1, 1, 1, 2, 2, 3, 3, 3, 3, 4, 5, 5, 6, 6])
+    group_shift = np.array([0.45, 0.3, -0.8, 1.5, 1.2, 3.95, 0.0])
+    near = np.array([np.nan, 0.3, 0.35, 0.2, np.nan, -0.8, -4.75, -4.75,
+                     -4.75, -4.75, 9.0, 3.9, 4.1, 0.5, 0.5])
+    rng = np.random.default_rng(19)
+    n = len(groups)
+    base = rng.uniform(1.0, 2.0, n)
+    amp = base * rng.uniform(0.3, 1.0, n)
+    shapes = rng.uniform(0.2, 2.9, n)
+    counts = rng.poisson(rng.uniform(500, 5e3, n)[:, None] * (
+        base[:, None] + (amp * np.cos(shapes))[:, None]
+        * np.array([q.shifted(tau - group_shift[g], 0.0) for g in groups])
+    )).astype(float)
+    rows = [zero if g == 6 else q for g in groups]
+    stacked = curvefit.fit_curve(
+        cos_model(photonic.Envelope.stack(rows), base, amp), tau, counts,
+        groups, near=near).results
+    for g in range(7):
+        members = np.flatnonzero(groups == g)
+        alone = curvefit.fit_curve(
+            cos_model(photonic.Envelope.stack([rows[c] for c in members]),
+                      base[members], amp[members]),
+            tau, counts[members], np.zeros(len(members)),
+            near=near[members]).results
+        for c, one in zip(members, alone):
+            res = stacked[c]
+            assert (one.shape, one.scale, one.shift, one.objective,
+                    one.degenerate) == (res.shape, res.scale, res.shift,
+                                        res.objective, res.degenerate)
+            assert np.array_equal(one.residuals, res.residuals)
+    shifts = np.array([stacked[groups.tolist().index(g)].shift
+                       for g in range(7)])
+    # the whole-lattice scans find the true shifts up to the noise; the
+    # window that touches the τ range holds its first point alone, and the
+    # search stays near it, far from the group's true shift 1.5
+    assert np.all(np.abs(shifts[[0, 2, 4]] - group_shift[[0, 2, 4]]) < 0.1)
+    assert abs(shifts[3] - tau[0]) < 0.25
+    assert shifts[6] == 0.5 - 0.75    # the first point of its window
+
+
+def test_evaluator_matches_a_loop_over_groups():
+    # the evaluator's index arithmetic against a plain loop over each
+    # point's group: 5 groups of unequal size, each on its own envelope,
+    # with their curves listed out of order
+    q = photonic.cross_envelope(photonic.gaussian_spectrum(),
+                                photonic.gaussian_spectrum())
+    tau = np.linspace(-5, 5, 33)
+    rng = np.random.default_rng(23)
+    sizes = np.array([3, 1, 4, 2, 1])
+    order = rng.permutation(sizes.sum())
+    first = np.cumsum(sizes) - sizes
+    n = sizes.sum()
+    base = rng.uniform(1.0, 2.0, n)
+    amp = base * rng.uniform(0.3, 1.0, n)
+    envelopes = np.array([q.shifted(tau - d, 0.0)
+                          for d in rng.uniform(-1, 1, n)])
+    counts = rng.poisson(1e3 * (base[:, None] + amp[:, None] * envelopes))
+    counts = counts.astype(float)
+    group = np.repeat(np.arange(5), sizes)[np.argsort(order)]
+    model = cos_model(photonic.Envelope.stack(
+        [photonic.Envelope(q.grid, q.g * np.exp(-0.1 * g * (q.grid - 6) ** 2),
+                           q.i0) for g in group]), base, amp)
+    w = curvefit.fit_weights(counts)
+    owner = np.repeat(np.arange(5), [4, 2, 3, 1, 5])
+    shifts = rng.uniform(-2, 2, len(owner))
+    (phi,) = curvefit._evaluate(model, tau, counts, w, (order, first, sizes),
+                                owner, shifts)
+    loop = []
+    for g, s in zip(owner, shifts):
+        total = 0.0
+        for c in order[first[g]:first[g] + sizes[g]]:
+            env = model.q.shifted(tau, np.array([s]), rows=[c])
+            total += curvefit._project(model, counts, w, [c], env)[4][0]
+        loop.append(total)
+    assert np.array_equal(phi, loop)

@@ -66,6 +66,35 @@ def test_bundle_round_trip(tmp_path):
         assert np.max(np.abs(s1.values - s2.values)) < 1e-12
 
 
+def test_bundle_column_errors_name_the_first_bad_token(tmp_path):
+    # a column is parsed in one pass; a bad token anywhere in it raises the
+    # error the token-by-token parse raises, tau column before count column
+    u = linalg.haar_random_unitary(3, seed=3)
+    io.write_bundle(harness.simulate_dataset(u, 0.95, seed=9),
+                    tmp_path / "bundle", seed=9)
+    path = tmp_path / "bundle" / "coincidence" / "1_2_1_2.csv"
+    header, *rows = path.read_text().splitlines(True)
+    edits = [({20: "{tau},-3.0\n"}, "negative count '-3.0'"),
+             ({20: "{tau},inf\n", 25: "{tau},-3.0\n"},
+              "not a finite number: 'inf'"),
+             ({10: "{tau},-3.0\n", 30: "soon,{count}\n"},
+              "not a number: 'soon'")]
+    for edit, message in edits:
+        lines = list(rows)
+        for k, text in edit.items():
+            tau, count = lines[k].rstrip("\n").split(",")
+            lines[k] = text.format(tau=tau, count=count)
+        path.write_text(header + "".join(lines))
+        with pytest.raises(ParseError) as exc:
+            io.read_bundle(tmp_path / "bundle")
+        assert str(exc.value) == f"{message} in {path}"
+    path.write_text(header + "".join(rows))
+    back = io.read_bundle(tmp_path / "bundle")
+    tau, count = back.coincidence[(1, 2, 1, 2)]
+    assert tau.dtype == count.dtype == np.float64
+    assert [repr(float(x)) for x in tau] == [r.split(",")[0] for r in rows]
+
+
 def test_bundle_without_calibration(tmp_path):
     u = linalg.haar_random_unitary(3, seed=4)
     ds = harness.simulate_dataset(u, 1.0, seed=1, include_calibration=False)
