@@ -491,7 +491,9 @@ def build_parser():
     return parser
 
 
-# parse_args leaves a parser as it was, so one parser serves every main call
+# parse_args leaves a parser as it was, so one parser serves every main call.
+# The verbs' cmd_* functions are bound (set_defaults) when it is first built:
+# replace one before the first main call, or call build_parser directly.
 _parser = functools.lru_cache(maxsize=None)(build_parser)
 
 

@@ -169,10 +169,7 @@ def _evaluate(model, tau, counts, w, groups, owner, shifts, slope=False):
 
 
 def _search(model, tau, counts, w, groups, near):
-    """Each group's shift.  A group whose curves all have a ``near`` shift
-    scans a window around them; any other group, and one whose window holds
-    no lattice point, scans the whole lattice.  A group keeps its first
-    best scan point unless φ′ changes sign between its lattice neighbours."""
+    """Each group's shift, by the scan and refinement fit_curve states."""
     order, first, sizes = groups
     lo, hi = tau.min(), tau.max()
     n_lattice = _SCAN_PER_STEP * (len(tau) - 1) + 1
@@ -225,14 +222,17 @@ def fit_curve(model, tau, counts, groups, near=None):
 
     ``counts`` is (N, T), one row per curve of the stacked ``model``.
     ``groups`` holds one shift-group id per curve; the curves of a group
-    share one shift and must share one envelope.  ``near`` optionally
-    holds a shift per curve, NaN for none: a group whose curves all have
-    one scans a window of ±3 τ steps around them instead of the whole τ
-    range.  Returns a FitBatch holding each curve's FitResult, or the
-    FitFailure of a curve whose data or model carry no shape information
-    (flat curve, no interference term).  Near-degenerate fits carry
-    ``degenerate=True``.  Every curve has one record, whose ``converged``
-    is set when the curve was fitted.
+    share one shift and must share one envelope.  ``near`` optionally holds
+    a shift per curve, NaN for none: a group whose curves all have one
+    scans a window of ±3 τ steps around them instead of the whole τ range
+    (the whole range if that window holds no lattice point).  The first
+    best scan point is refined only if φ′ rises through 0 between its
+    lattice neighbours; else (say, φ still falling at an end of the τ
+    range) the group keeps the best of those three points.  Returns a
+    FitBatch holding each curve's FitResult, or the FitFailure of a curve
+    whose data or model carry no shape information (flat curve, no
+    interference term).  Near-degenerate fits carry ``degenerate=True``.
+    Each curve has a record, with ``converged`` set if it was fitted.
     """
     tau = np.asarray(tau, dtype=float)
     counts = np.asarray(counts, dtype=float)

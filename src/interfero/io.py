@@ -295,21 +295,6 @@ def _count(token, path):
     return x
 
 
-def _column(tokens, path, count=False):
-    """_number, or _count with ``count``, of every token as one array.  A
-    valid column takes one float() pass and one finiteness and sign check;
-    otherwise the token-by-token parse raises the first bad token's error."""
-    try:
-        x = [float(t) for t in tokens]
-        negative = count and min(x, default=0) < 0
-        if all(map(math.isfinite, x)) and not negative:
-            return np.array(x)
-    except ValueError:
-        pass
-    parse = _count if count else _number
-    return np.array([parse(t, path) for t in tokens])
-
-
 def _index(token, upper, name, path):
     """Parse a 1-based index and check it lies in 1..upper."""
     try:
@@ -354,16 +339,16 @@ def read_bundle(path):
             raise ParseError(f"bad coincidence file name {name!r}", m=m)
         curve_path = os.path.join(cdir, name)
         rows = _read_csv(curve_path, ["tau", "count"])
-        tau = _column([r[0] for r in rows], curve_path)
-        counts = _column([r[1] for r in rows], curve_path, count=True)
+        tau = np.array([_number(r[0], curve_path) for r in rows])
+        counts = np.array([_count(r[1], curve_path) for r in rows])
         curves[key] = (tau, counts)
 
     spectra = []
     for j in range(1, m + 1):
         spec_path = os.path.join(path, "spectra", f"{j}.csv")
         rows = _read_csv(spec_path, ["omega", "value"])
-        omega = _column([r[0] for r in rows], spec_path)
-        values = _column([r[1] for r in rows], spec_path)
+        omega = np.array([_number(r[0], spec_path) for r in rows])
+        values = np.array([_number(r[1], spec_path) for r in rows])
         spectra.append(SpectralFunction(omega, values))
 
     cal_single = cal_curve = cal_spectra = None

@@ -281,6 +281,35 @@ def test_dense_shift_grid_never_beats_the_fit():
         assert dense.min() >= fitted * (1 - 1e-9)
 
 
+@pytest.mark.parametrize("shape", [1.0, np.pi / 2 - 0.05])
+@pytest.mark.parametrize("true_shift", [6.0, -6.5])
+def test_objective_falling_to_the_range_edge_keeps_a_lattice_point(
+        true_shift, shape):
+    # the dip lies outside the τ range, so φ falls all the way to an end of
+    # it and φ′ has one sign at both lattice neighbours of the best scan
+    # point: no refinement, the group keeps the best of those three points
+    q = photonic.cross_envelope(photonic.gaussian_spectrum(),
+                                photonic.gaussian_spectrum())
+    tau = np.linspace(-5, 5, 33)
+    step = 10 / 64                     # two scan points per τ step
+    lattice = -5 + step * np.arange(65)
+    counts = 1e3 * (1.5 + np.cos(shape) * q.shifted(tau - true_shift, 0.0))
+    fit = fit_one(cos_model(q, 1.5, 1.0), tau, counts)
+    edge = np.sign(true_shift) * 5.0
+    assert min(abs(fit.shift - edge - k * step) for k in (-1, 0, 1)) < 1e-12
+    w = curvefit.fit_weights(counts)
+    scan = projected_objective(counts, w, 1.5, 1.0,
+                               envelope_oracle(q, tau, lattice))
+    assert np.argmin(scan) == (64 if true_shift > 0 else 0)
+    at = projected_objective(counts, w, 1.5, 1.0, envelope_oracle(
+        q, tau, fit.shift + np.array([-1e-5, 0.0, 1e-5])))
+    assert abs(at[1] - fit.objective) <= 1e-9 * fit.objective
+    assert fit.objective <= scan.min()
+    # still falling outward where the search stopped
+    assert (at[2] < at[1] < at[0]) if true_shift > 0 else (
+        at[0] < at[1] < at[2])
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(anchor=st.sampled_from([0.0, np.pi / 2, np.pi]),
        offset=st.floats(0.0, 1e-3),

@@ -67,8 +67,8 @@ def test_bundle_round_trip(tmp_path):
 
 
 def test_bundle_column_errors_name_the_first_bad_token(tmp_path):
-    # a column is parsed in one pass; a bad token anywhere in it raises the
-    # error the token-by-token parse raises, tau column before count column
+    # a bad token anywhere in a column raises that token's error; the first
+    # bad token wins, and the tau column is read before the count column
     u = linalg.haar_random_unitary(3, seed=3)
     io.write_bundle(harness.simulate_dataset(u, 0.95, seed=9),
                     tmp_path / "bundle", seed=9)
