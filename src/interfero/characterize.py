@@ -15,8 +15,7 @@ from . import linalg, photonic
 from .curvefit import CurveModel, fit_curve, fold_angle, param_sigmas
 from .errors import (BootstrapUnstable, CalibrationOutOfRange,
                      DegenerateAmplitudes, DivisionByZeroCount, FitFailure,
-                     InsufficientData, InterferoError, ParseError, PortError,
-                     ShapeError)
+                     InsufficientData, InterferoError, ShapeError)
 
 
 # ---------------------------------------------------------------------------
@@ -817,71 +816,3 @@ def _error_class(exc):
     """Failure class of a pipeline error: the InterferoError code, or the
     exception's type name for numpy linear-algebra errors."""
     return getattr(exc, "code", type(exc).__name__)
-
-
-# ---------------------------------------------------------------------------
-# scattershot extraction
-# ---------------------------------------------------------------------------
-def scattershot_extract(records, m, n_blocks, spectra=None):
-    """Build a CharacterizationDataset from a heralded event log.
-
-    Events with one herald and one click feed the single-count tensor
-    (repetition blocks partitioned by arrival order); events with two
-    heralds and two clicks feed the coincidence bins keyed by their delay
-    setting; everything else is discarded and counted.
-    Returns (dataset, diagnostics).
-    """
-    singles_events = []
-    coinc_bins = {}
-    discarded = {"too_many_heralds": 0, "too_many_clicks": 0,
-                 "herald_click_mismatch": 0, "empty": 0}
-    for lineno, rec in enumerate(records, start=1):
-        try:
-            heralds = list(rec["heralds"])
-            clicks = list(rec["clicks"])
-            tau = float(rec["tau_setting"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError("malformed event record", line=lineno,
-                             reason=str(exc))
-        for p in heralds + clicks:
-            if not 1 <= int(p) <= m:
-                raise ParseError("port out of range", line=lineno, port=p)
-        nh, nc = len(heralds), len(clicks)
-        if nh == 1 and nc == 1:
-            singles_events.append((clicks[0], heralds[0]))
-        elif nh == 2 and nc == 2 and heralds[0] != heralds[1] \
-                and clicks[0] != clicks[1]:
-            key = photonic.canonical_curve_key(
-                (clicks[0], clicks[1], heralds[0], heralds[1]))
-            coinc_bins.setdefault(key, {}).setdefault(tau, 0)
-            coinc_bins[key][tau] += 1
-        elif nh == 0 or nc == 0:
-            discarded["empty"] += 1
-        elif nh > 2:
-            discarded["too_many_heralds"] += 1
-        elif nc > 2:
-            discarded["too_many_clicks"] += 1
-        else:
-            discarded["herald_click_mismatch"] += 1
-
-    singles = np.zeros((m, m, n_blocks))
-    total = len(singles_events)
-    per_block = max(1, -(-total // n_blocks))  # ceil division
-    for ordinal, (i, j) in enumerate(singles_events):
-        b = min(ordinal // per_block, n_blocks - 1)
-        singles[i - 1, j - 1, b] += 1
-
-    curves = {}
-    for key, bins in coinc_bins.items():
-        taus = np.array(sorted(bins))
-        counts = np.array([bins[t] for t in taus], dtype=float)
-        curves[key] = (taus, counts)
-
-    if spectra is None:
-        spectra = [photonic.gaussian_spectrum() for _ in range(m)]
-    dataset = CharacterizationDataset(singles, curves, spectra)
-    diagnostics = {"singles_used": total,
-                   "coincidence_used": int(sum(
-                       sum(b.values()) for b in coinc_bins.values())),
-                   "discarded": discarded}
-    return dataset, diagnostics

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import linalg, photonic
 from .characterize import (CharacterizationDataset, all_curve_keys,
-                           characterize_dataset, required_choice_keys)
+                           characterize_dataset)
 from .errors import InterferoError, InvalidDimension, ParseError
 
 DEFAULT_TAU_GRID = np.linspace(-5.0, 5.0, 33)

@@ -24,18 +24,13 @@ D[r, c] = a_r^T A b_c with A the product of those permanent tables.  The
 permanents are evaluated as vectorised Glynn stacks, one per size, over
 the distinct multiset pairs the requested states touch.
 
-Overall phases follow the convention that the matrix element of the
-ordered product c_{1,2}^{p_1} c_{2,3}^{p_2} ... c_{n-1,n}^{p_{n-1}}
-between the highest-weight state and the basis state is positive, with
-the powers p_l fixed by the occupation deficit below site l.  Since
-c_{i,j} is the adjoint of c_{j,i} in the bosonic metric, that element is
-the overlap of the state with c_{n,n-1}^{p_{n-1}} ... c_{2,1}^{p_1} applied
-to the highest-weight state, built once per occupation.  It vanishes for
-many states (490 of the 1093 states of the 20 irreps that the
-group-functions benchmark builds).  Their sign is fixed by greedy simple
-raising instead: apply the first c_{l,l+1} (smallest l) that does not
-annihilate the state, repeat until every one does, and make the overlap of
-the result with the highest-weight state positive.
+Overall phases follow one rule, greedy simple raising: apply the first
+c_{l,l+1} (smallest l) that does not annihilate the state, repeat until
+every one does, and make the overlap of the result with the
+highest-weight state positive.  The same walk raises the seeds of the
+subgroup copies, and it is defined for every state, since a state of the
+irrep that every simple raising annihilates is a multiple of the
+highest-weight state.
 """
 import math
 from fractions import Fraction
@@ -117,15 +112,9 @@ def canonical_basis_states(n, kappas):
             "canonical construction produced the wrong state count",
             expected=dim, got=len(out))
 
-    lowered = {}
-    result = []
-    for chain, state in out:
-        nu = state.occupations(verify=False)
-        if nu not in lowered:
-            lowered[nu] = _lower_hws(h, nu)
-        fixed = _fix_phase(h, lowered[nu], state)
-        result.append((CanonicalStateLabel(chain, nu),
-                       fixed.normalized_exact()))
+    result = [(CanonicalStateLabel(chain, state.occupations(verify=False)),
+               _fix_phase(h, state).normalized_exact())
+              for chain, state in out]
     _CANONICAL_CACHE[key] = result
     return result
 
@@ -193,36 +182,13 @@ def _partition_su(pool, m, chain, out):
         _partition_su(sub.states, m - 1, chain + (km1,), out)
 
 
-def _lower_hws(h, nu):
-    """c_{n,n-1}^{p_{n-1}} ... c_{2,1}^{p_1} |h>, content reduced, with
-    p_l = sum_{j>l} (nu_j - nu_j^hws): the adjoint of the canonical raising
-    product, so its overlap with a state of occupations ``nu`` carries the
-    sign of the product's matrix element."""
-    n = len(nu)
-    nu_h = h.occupations()
-    g = h
-    for ell in range(1, n):
-        p = sum(nu[j] - nu_h[j] for j in range(ell, n))
-        for _ in range(p):
-            g = g.apply_c(ell + 1, ell).reduce_content()
-    return g
-
-
-def _fix_phase(h, lowered, state):
-    """Flip the sign so the canonical raising-product overlap is positive.
-
-    The overlap is <lowered|state> with ``lowered`` from ``_lower_hws``.
-    If it vanishes, the sign is fixed by greedy simple raising instead:
-    the first c_{l,l+1} (smallest l) with a nonzero image is applied until
-    none has one, and the overlap of that result with the highest-weight
-    state is made positive.
-    """
-    overlap = lowered.raw_inner(state)
+def _fix_phase(h, state):
+    """Flip the sign so greedy simple raising (``_raise``) takes the state
+    to a positive multiple of the highest-weight state ``h``."""
+    overlap = h.raw_inner(_raise(state, state.n_sites))
     if overlap == 0:
-        overlap = h.raw_inner(_raise(state, state.n_sites))
-        if overlap == 0:
-            raise InternalInconsistency(
-                "state could not be raised to the highest weight")
+        raise InternalInconsistency(
+            "state could not be raised to the highest weight")
     return state.scaled(-1) if overlap < 0 else state
 
 

@@ -4,8 +4,7 @@ import pytest
 from interfero import characterize, harness, linalg, photonic
 from interfero.errors import (CalibrationOutOfRange, DegenerateAmplitudes,
                               DivisionByZeroCount, FitFailure,
-                              InsufficientData, InterferoError, ParseError,
-                              ShapeError)
+                              InsufficientData, InterferoError, ShapeError)
 
 
 # ---------------------------------------------------------------------------
@@ -569,61 +568,6 @@ def test_bootstrap_stack_matches_one_replicate_at_a_time(case, monkeypatch):
     assert entry["count"] == len(expected)
     assert sum(entry["by_class"].values()) == entry["count"]
     assert len(entry["by_class"]) >= 2
-
-
-# ---------------------------------------------------------------------------
-# scattershot extraction
-# ---------------------------------------------------------------------------
-def test_scattershot_pure_singles():
-    records = [{"heralds": [1], "clicks": [2], "tau_setting": 0.0}
-               for _ in range(40)]
-    ds, diag = characterize.scattershot_extract(records, 2, 4)
-    assert len(ds.coincidence) == 0
-    assert ds.single_counts.sum() == 40
-    assert diag["singles_used"] == 40
-
-
-def test_scattershot_discards_extra_heralds():
-    records = [
-        {"heralds": [1, 2, 1], "clicks": [1, 2], "tau_setting": 0.0},
-        {"heralds": [1], "clicks": [1], "tau_setting": 0.0},
-    ]
-    ds, diag = characterize.scattershot_extract(records, 2, 2)
-    assert diag["discarded"]["too_many_heralds"] == 1
-    assert diag["singles_used"] == 1
-
-
-def test_scattershot_malformed_record():
-    with pytest.raises(ParseError):
-        characterize.scattershot_extract(
-            [{"heralds": [1], "tau_setting": 0.0}], 2, 2)
-
-
-def test_scattershot_end_to_end_m2():
-    rng = np.random.default_rng(55)
-    u = linalg.haar_random_unitary(2, seed=13)
-    p = photonic.representative_from_unitary(u)
-    loss = photonic.LossModel.lossless(2)
-    f = photonic.gaussian_spectrum()
-    probs = photonic.single_photon_matrix(u)
-    records = []
-    for i in (1, 2):
-        for j in (1, 2):
-            n = rng.poisson(probs[i - 1, j - 1] * 3e4)
-            records += [{"heralds": [j], "clicks": [i], "tau_setting": 0.0}] * n
-    tau_grid = np.linspace(-5, 5, 33)
-    for heralds in ([1, 2], [2, 1]):
-        ports = (1, 2, heralds[0], heralds[1])
-        (rates,) = photonic.coincidence_curve_model(p, loss, 1.0, [f, f],
-                                                    [ports], tau_grid)
-        for t, rate in zip(tau_grid, rates):
-            n = rng.poisson(2e3 * rate)
-            records += [{"heralds": list(heralds), "clicks": [1, 2],
-                         "tau_setting": float(t)}] * n
-    rng.shuffle(records)
-    ds, diag = characterize.scattershot_extract(records, 2, 8, spectra=[f, f])
-    est = characterize.characterize_dataset(ds)
-    assert harness.characterization_error(est.w, u) < 0.05
 
 
 def test_dataset_rejects_malformed_shapes():

@@ -119,14 +119,18 @@ def greedy_raise(state):
 
 
 def test_phase_convention_raising_product_positive():
-    # independent check of the sign rule on every state of two irreps: the
-    # ordered raising product has a positive overlap with the highest-weight
-    # state, or a zero one, and then greedy simple raising has a positive one
-    for n, kap, fallbacks in [(3, (1, 1), 2), (4, (1, 0, 1), 7)]:
+    # independent check of the sign rule on every state of the warm
+    # irreps: greedy simple raising ends on a positive multiple of the
+    # highest-weight state; the ordered raising product
+    # c_{1,2}^{p_1} ... c_{n-1,n}^{p_{n-1}}, with p_l the occupation deficit
+    # below site l, agrees in sign wherever it does not vanish
+    states = zero = 0
+    for n, kap in WARM_IRREPS:
         h = bosonrep.hws(kap, n)
         nu_h = h.occupations()
-        zero = 0
         for label, state in sunrep.canonical_basis_states(n, kap):
+            states += 1
+            assert h.raw_inner(greedy_raise(state)) > 0
             cur = state
             nu = label.occupations
             for ell in range(n - 1, 0, -1):
@@ -134,30 +138,9 @@ def test_phase_convention_raising_product_positive():
                 for _ in range(p):
                     cur = cur.apply_c(ell, ell + 1)
             overlap = h.raw_inner(cur)
-            if overlap == 0:
-                zero += 1
-                overlap = h.raw_inner(greedy_raise(state))
-            assert overlap > 0
-        assert zero == fallbacks
-
-
-@pytest.mark.parametrize("n,kap", [(3, (2, 2)), (4, (1, 0, 1)),
-                                   (4, (0, 2, 0)), (5, (1, 1, 0, 0))])
-def test_lowered_hws_overlap_has_the_raising_product_sign(n, kap):
-    # <h| c_{1,2}^{p_1} ... c_{n-1,n}^{p_{n-1}} |s> against the overlap of s
-    # with the adjoint chain applied to h, which the phase rule reads: the
-    # two are equal up to a positive factor
-    h = bosonrep.hws(kap, n)
-    nu_h = h.occupations()
-    for label, state in sunrep.canonical_basis_states(n, kap):
-        cur = state
-        nu = label.occupations
-        for ell in range(n - 1, 0, -1):
-            for _ in range(sum(nu[j] - nu_h[j] for j in range(ell, n))):
-                cur = cur.apply_c(ell, ell + 1)
-        want = h.raw_inner(cur)
-        got = sunrep._lower_hws(h, nu).raw_inner(state)
-        assert (got > 0) == (want > 0) and (got < 0) == (want < 0)
+            assert overlap >= 0
+            zero += overlap == 0
+    assert (states, zero) == (1093, 490)
 
 
 # ---------------------------------------------------------------------------
