@@ -50,6 +50,12 @@ def _validate_label(kappas, n=None):
     return kappas
 
 
+def occupation_weight(occ, m):
+    """su(m) weight (nu_1 - nu_2, ..., nu_{m-1} - nu_m) of the per-site
+    boson totals ``occ``."""
+    return tuple(occ[i] - occ[i + 1] for i in range(m - 1))
+
+
 class BosonPolynomial:
     """Sparse polynomial in creation operators applied to the vacuum.
 
@@ -111,7 +117,7 @@ class BosonPolynomial:
         occ = self.occupations()
         if occ is None:
             raise LabelError("state has no definite site occupations")
-        return tuple(occ[i] - occ[i + 1] for i in range(m - 1))
+        return occupation_weight(occ, m)
 
     # -- ring operations ----------------------------------------------------
     def scaled(self, c):
@@ -340,16 +346,13 @@ class BasisSet:
     ``by_weight`` maps each su(m) weight to the independent states found
     there, in discovery order; ``states`` is the flat discovery order;
     ``complements`` maps each site occupation to the (primitive state,
-    squared norm) pairs that orthogonalize its states in discovery order;
-    ``lowering_count`` is the number of lowering-operator applications
-    performed: dim * (m-1), one per kept state and simple operator.
+    squared norm) pairs that orthogonalize its states in discovery order.
     """
 
-    def __init__(self, by_weight, states, complements, lowering_count, m):
+    def __init__(self, by_weight, states, complements, m):
         self.by_weight = by_weight
         self.states = states
         self.complements = complements
-        self.lowering_count = lowering_count
         self.m = m
 
     def dimension(self):
@@ -385,7 +388,6 @@ def basis_set(hws_state, m):
     complements = {}
     by_weight = {}
     states = []
-    count = 0
 
     def admit(state):
         occ = state.occupations(verify=False)
@@ -394,8 +396,7 @@ def basis_set(hws_state, m):
         if not r:
             return False
         orth.append((r, _inner(r, r)))
-        w = tuple(occ[i] - occ[i + 1] for i in range(m - 1))
-        by_weight.setdefault(w, []).append(state)
+        by_weight.setdefault(occupation_weight(occ, m), []).append(state)
         states.append(state)
         return True
 
@@ -404,13 +405,12 @@ def basis_set(hws_state, m):
     while queue:
         s = queue.popleft()
         for ell in range(1, m):
-            count += 1
             new = s.apply_c(ell + 1, ell).reduce_content()
             if new.is_zero():
                 continue
             if admit(new):
                 queue.append(new)
-    return BasisSet(by_weight, states, complements, count, m)
+    return BasisSet(by_weight, states, complements, m)
 
 
 # ---------------------------------------------------------------------------

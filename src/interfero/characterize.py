@@ -47,12 +47,12 @@ class CharacterizationDataset:
     single_counts: (m, m, B) array N[i-1, j-1, b-1] of detection counts for
     input j, output i, repetition b.  coincidence maps canonical port keys
     to (tau, counts) pairs.  spectra is one SpectralFunction per input port.
-    The calibration fields hold the reference beam-splitter data.
+    The calibration fields hold the reference beam-splitter data, which
+    inputs 1 and 2 feed.
     """
 
     def __init__(self, single_counts, coincidence, spectra,
-                 calibration_single=None, calibration_curve=None,
-                 calibration_spectra=None):
+                 calibration_single=None, calibration_curve=None):
         self.single_counts = np.asarray(single_counts, dtype=float)
         shape = self.single_counts.shape
         if len(shape) != 3 or shape[0] != shape[1]:
@@ -70,7 +70,6 @@ class CharacterizationDataset:
         self.calibration_single = (None if calibration_single is None
                                    else np.asarray(calibration_single, dtype=float))
         self.calibration_curve = calibration_curve
-        self.calibration_spectra = calibration_spectra
 
     def curve(self, ports):
         return self.coincidence.get(photonic.canonical_curve_key(ports))
@@ -82,12 +81,9 @@ class CharacterizationDataset:
                                        self.spectra[j2 - 1])
 
     def calibration_envelope(self):
-        """Overlap envelope of the calibration spectra (the first two
-        input spectra when the dataset names none)."""
-        spectra = self.calibration_spectra
-        if spectra is None:
-            spectra = (self.spectra[0], self.spectra[1])
-        return photonic.cross_envelope(*spectra)
+        """Overlap envelope of the calibration beam splitter's inputs: the
+        first two input spectra."""
+        return photonic.cross_envelope(self.spectra[0], self.spectra[1])
 
     def missing_choice_keys(self):
         return sorted(required_choice_keys(self.m) - set(self.coincidence))
@@ -126,10 +122,10 @@ def estimate_amplitudes(single_counts):
     return alpha, sigma
 
 
-def repetition_convergence(single_counts, limit=0.2):
+def repetition_convergence(single_counts):
     """Post-hoc check that the repetition count B is large enough: the
     amplitude standard deviations from the first half of the blocks must
-    agree with the full-B estimate within the given relative change."""
+    agree with the full-B estimate within a relative change of 0.2."""
     n = np.asarray(single_counts, dtype=float)
     n_blocks = n.shape[2]
     if n_blocks < 4:
@@ -140,7 +136,7 @@ def repetition_convergence(single_counts, limit=0.2):
     a = float(np.mean(sig_half))
     b = float(np.mean(sig_full))
     rel = abs(a - b) / b if b > 1e-9 else 0.0
-    status = "ok" if rel <= limit else "warning"
+    status = "ok" if rel <= 0.2 else "warning"
     return {"type": "repetition-convergence", "status": status,
             "relative_change": rel, "n_blocks": int(n_blocks)}
 
@@ -213,16 +209,17 @@ def _unwrap(outcome):
     return outcome
 
 
-def calibrate_gamma(calibration_single, calibration_curve, q,
-                    eps=0.05, near=None):
+def calibrate_gamma(calibration_single, calibration_curve, q, near=None):
     """Estimate the mode-matching parameter γ from the reference
     beam-splitter data of every dataset in one stacked fit.
 
     Takes lists of singles, curves and envelopes, one entry per dataset;
     every curve has its own shift, scanned around ``near`` when it is
-    given.  Returns a list holding each dataset's (γ̃, σ(γ̃), fit) or the
-    InterferoError it raised.
+    given.  A fitted γ̃ within 0.05 outside [0, 1] is clipped into it, and
+    one further out is a CalibrationOutOfRange.  Returns a list holding
+    each dataset's (γ̃, σ(γ̃), fit) or the InterferoError it raised.
     """
+    eps = 0.05
     out = [None] * len(calibration_single)
     owners, requests = [], []
     for k, (singles, curve, env) in enumerate(
@@ -646,11 +643,10 @@ class CharacterizedInterferometer:
         self.diagnostics = diagnostics
 
 
-def characterize_dataset(dataset, threshold=0.1, gamma_override=None,
-                         warm=None):
+def characterize_dataset(dataset, threshold=0.1, gamma_override=None):
     """Point-estimate pipeline: amplitudes → calibration → arguments → W."""
     return _unwrap(_characterize_stack([dataset], threshold, gamma_override,
-                                       warm)[0])
+                                       None)[0])
 
 
 def _characterize_stack(datasets, threshold, gamma_override, warm):
@@ -726,7 +722,7 @@ def _characterize_stack(datasets, threshold, gamma_override, warm):
 # ---------------------------------------------------------------------------
 # bootstrap
 # ---------------------------------------------------------------------------
-def _resample_curve(tau, counts, fit, model_curve, rng):
+def _resample_curve(tau, fit, model_curve, rng):
     """Replicate curve: C^fit·(1 + resampled normalized residuals)."""
     norm = fit.residuals / np.maximum(model_curve, 1e-300)
     shuffled = rng.choice(norm, size=len(norm), replace=True)
@@ -754,7 +750,7 @@ def bootstrap(dataset, n_replicates=100, seed=0, threshold=0.1,
         model_curves[key] = model.curve(dataset.coincidence[key][0],
                                         fit.shape, fit.scale, fit.shift)
     if point.calibration_fit is not None:
-        cal_tau, cal_counts = dataset.calibration_curve
+        cal_tau, _ = dataset.calibration_curve
         cal_alpha, _ = estimate_amplitudes(dataset.calibration_single)
         cal_model = calibration_curve_model(
             dataset.calibration_envelope(),
@@ -771,16 +767,14 @@ def bootstrap(dataset, n_replicates=100, seed=0, threshold=0.1,
         curves = dict(dataset.coincidence)
         for key, fit in point.fits.items():
             tau, _ = dataset.coincidence[key]
-            curves[key] = _resample_curve(tau, dataset.coincidence[key][1],
-                                          fit, model_curves[key], rng)
+            curves[key] = _resample_curve(tau, fit, model_curves[key], rng)
         rep = CharacterizationDataset(
             singles, curves, dataset.spectra,
             calibration_single=None if dataset.calibration_single is None
             else dataset.calibration_single[:, :, pick % dataset.calibration_single.shape[2]],
             calibration_curve=None if point.calibration_fit is None
-            else _resample_curve(cal_tau, cal_counts, point.calibration_fit,
-                                 cal_values, rng),
-            calibration_spectra=dataset.calibration_spectra)
+            else _resample_curve(cal_tau, point.calibration_fit, cal_values,
+                                 rng))
         replicates.append(rep)
 
     ws, gammas, failures = [], [], []

@@ -92,24 +92,18 @@ def simulate_dataset(u, gamma, seed=None, rng=None, spectra=None, loss=None,
                             photons_per_input, n_blocks, pair_rate)
     curves = {key: (tau, c) for key, c in zip(keys, counts)}
 
-    cal_single = cal_curve = cal_spectra = None
+    cal_single = cal_curve = None
     if include_calibration:
-        cal_spectra = (spectra[0], spectra[1])
         cal_single, cal_counts = _draw(
             photonic.representative_from_unitary(beam_splitter_matrix(0.6)),
-            photonic.LossModel.lossless(2), gamma, cal_spectra,
+            photonic.LossModel.lossless(2), gamma, spectra[:2],
             [(1, 2, 1, 2)], rng, noise, photons_per_input, n_blocks,
             pair_rate)
         cal_curve = (tau, cal_counts[0])
 
-    used_spectra = spectra if fit_spectra is None else fit_spectra
-    used_cal_spectra = cal_spectra
-    if fit_spectra is not None and cal_spectra is not None:
-        used_cal_spectra = (fit_spectra[0], fit_spectra[1])
     return CharacterizationDataset(
-        singles, curves, used_spectra,
-        calibration_single=cal_single, calibration_curve=cal_curve,
-        calibration_spectra=used_cal_spectra)
+        singles, curves, spectra if fit_spectra is None else fit_spectra,
+        calibration_single=cal_single, calibration_curve=cal_curve)
 
 
 def characterization_error(w, u):
@@ -122,7 +116,7 @@ def characterization_error(w, u):
 
 def run_trials(m, variant, n_trials, seed, gamma=0.9, spectra_kind="gauss",
                photons_per_input=1e5, pair_rate=2e5, n_blocks=10,
-               threshold=0.1, noise=True):
+               noise=True):
     """Monte-Carlo verification run: fresh Haar unitaries, simulated data,
     one pipeline variant, per-trial errors ε = min over {U, U*}.
 
@@ -147,8 +141,7 @@ def run_trials(m, variant, n_trials, seed, gamma=0.9, spectra_kind="gauss",
             include_calibration=(variant != "nocal"))
         try:
             est = characterize_dataset(
-                ds, threshold=threshold,
-                gamma_override=1.0 if variant == "nocal" else None)
+                ds, gamma_override=1.0 if variant == "nocal" else None)
             per_trial.append(characterization_error(est.w, u))
         except InterferoError as exc:
             failures.append({"trial": t, "error": str(exc),
@@ -166,17 +159,17 @@ def run_trials(m, variant, n_trials, seed, gamma=0.9, spectra_kind="gauss",
     }
 
 
-def mean_ratio_confidence(errs_worse, errs_better, n_boot=2000, seed=0,
-                          level=0.95):
-    """Bootstrap CI for mean(errs_worse)/mean(errs_better) over trials."""
+def mean_ratio_confidence(errs_worse, errs_better, seed=0):
+    """95% bootstrap CI for mean(errs_worse)/mean(errs_better) over trials,
+    from 2000 resamples."""
     a = np.asarray(errs_worse, dtype=float)
     b = np.asarray(errs_better, dtype=float)
     rng = np.random.default_rng(seed)
-    ratios = np.empty(n_boot)
-    for k in range(n_boot):
+    ratios = np.empty(2000)
+    for k in range(len(ratios)):
         ratios[k] = (a[rng.integers(0, len(a), len(a))].mean()
                      / b[rng.integers(0, len(b), len(b))].mean())
-    lo = (1.0 - level) / 2
+    lo = (1.0 - 0.95) / 2
     return float(np.quantile(ratios, lo)), float(np.quantile(ratios, 1.0 - lo))
 
 

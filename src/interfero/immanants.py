@@ -237,7 +237,7 @@ def _validate_index_set(indices, n, k):
     return tuple(sorted(idx))
 
 
-def _label_from_fixture(entry, n):
+def _label_from_fixture(entry):
     return sunrep.CanonicalStateLabel(
         [tuple(k) for k in entry["chain"]], entry["occ"])
 
@@ -254,8 +254,7 @@ def _submatrix_fixture():
     for item in data["identities"]:
         key = (item["n"], tuple(item["irrep"]), tuple(item["rows"]),
                tuple(item["cols"]))
-        table[key] = [( _label_from_fixture(r, item["n"]),
-                        _label_from_fixture(c, item["n"]))
+        table[key] = [(_label_from_fixture(r), _label_from_fixture(c))
                       for r, c in item["pairs"]]
     return table
 

@@ -197,56 +197,47 @@ def _fmt(x):
     return repr(float(x))
 
 
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def write_bundle(dataset, path, seed=None, extra_manifest=None):
     """Write a CharacterizationDataset as a bundle directory."""
     os.makedirs(path, exist_ok=True)
     os.makedirs(os.path.join(path, "coincidence"), exist_ok=True)
     os.makedirs(os.path.join(path, "spectra"), exist_ok=True)
 
-    with open(os.path.join(path, "counts.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["i", "j", "b", "count"])
-        m, _, n_blocks = dataset.single_counts.shape
-        for i in range(m):
-            for j in range(m):
-                for b in range(n_blocks):
-                    w.writerow([i + 1, j + 1, b + 1,
-                                _fmt(dataset.single_counts[i, j, b])])
+    singles = dataset.single_counts
+    _write_csv(os.path.join(path, "counts.csv"), ["i", "j", "b", "count"],
+               ([i + 1, j + 1, b + 1, _fmt(singles[i, j, b])]
+                for i, j, b in np.ndindex(singles.shape)))
 
     for key in sorted(dataset.coincidence):
         tau, counts = dataset.coincidence[key]
         name = "_".join(str(k) for k in key) + ".csv"
-        with open(os.path.join(path, "coincidence", name), "w",
-                  newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["tau", "count"])
-            for t, c in zip(tau, counts):
-                w.writerow([_fmt(t), _fmt(c)])
+        _write_csv(os.path.join(path, "coincidence", name), ["tau", "count"],
+                   ([_fmt(t), _fmt(c)] for t, c in zip(tau, counts)))
 
     for j, spec in enumerate(dataset.spectra, start=1):
-        with open(os.path.join(path, "spectra", f"{j}.csv"), "w",
-                  newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["omega", "value"])
-            for om, val in zip(spec.omega, spec.values):
-                w.writerow([_fmt(om), _fmt(val)])
+        _write_csv(os.path.join(path, "spectra", f"{j}.csv"),
+                   ["omega", "value"],
+                   ([_fmt(om), _fmt(val)]
+                    for om, val in zip(spec.omega, spec.values)))
 
     has_cal = (dataset.calibration_single is not None
                and dataset.calibration_curve is not None)
     if has_cal:
-        with open(os.path.join(path, "calibration.csv"), "w",
-                  newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["record", "i", "j", "b", "tau", "count"])
-            cal = dataset.calibration_single
-            for i in range(cal.shape[0]):
-                for j in range(cal.shape[1]):
-                    for b in range(cal.shape[2]):
-                        w.writerow(["single", i + 1, j + 1, b + 1, "",
-                                    _fmt(cal[i, j, b])])
-            tau, counts = dataset.calibration_curve
-            for t, c in zip(tau, counts):
-                w.writerow(["curve", "", "", "", _fmt(t), _fmt(c)])
+        cal = dataset.calibration_single
+        tau, counts = dataset.calibration_curve
+        _write_csv(os.path.join(path, "calibration.csv"),
+                   ["record", "i", "j", "b", "tau", "count"],
+                   [["single", i + 1, j + 1, b + 1, "", _fmt(cal[i, j, b])]
+                    for i, j, b in np.ndindex(cal.shape)]
+                   + [["curve", "", "", "", _fmt(t), _fmt(c)]
+                      for t, c in zip(tau, counts)])
 
     manifest = {
         "schema": SCHEMA,
@@ -351,7 +342,7 @@ def read_bundle(path):
         values = np.array([_number(r[1], spec_path) for r in rows])
         spectra.append(SpectralFunction(omega, values))
 
-    cal_single = cal_curve = cal_spectra = None
+    cal_single = cal_curve = None
     cal_path = os.path.join(path, "calibration.csv")
     if manifest.get("calibration") and os.path.exists(cal_path):
         singles_entries, tau_list, count_list = [], [], []
@@ -375,13 +366,10 @@ def read_bundle(path):
                 cal_single[i - 1, j - 1, b - 1] = count
         if tau_list:
             cal_curve = (np.array(tau_list), np.array(count_list))
-        # the reference beam splitter is fed from inputs 1 and 2
-        cal_spectra = (spectra[0], spectra[1])
 
     return CharacterizationDataset(singles, curves, spectra,
                                    calibration_single=cal_single,
-                                   calibration_curve=cal_curve,
-                                   calibration_spectra=cal_spectra)
+                                   calibration_curve=cal_curve)
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +417,5 @@ def write_result(est, path):
 # ---------------------------------------------------------------------------
 def write_plot_csv(rows, path):
     """Write (x, y, series) triples for external plotting tools."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "y", "series"])
-        for x, y, series in rows:
-            w.writerow([_fmt(x), _fmt(y), series])
+    _write_csv(path, ["x", "y", "series"],
+               ([_fmt(x), _fmt(y), series] for x, y, series in rows))

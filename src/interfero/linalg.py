@@ -18,6 +18,9 @@ from .errors import (
 )
 
 DEFAULT_UNITARITY_TOL = 1e-10
+# a first-row or first-column entry of at most this modulus leaves its port
+# phase undefined in canonicalize_representative
+BORDER_ZERO_TOL = 1e-12
 
 
 def as_complex_matrix(m):
@@ -135,7 +138,7 @@ def haar_special_unitary(n, rng):
     return u / np.linalg.det(u) ** (1.0 / n)
 
 
-def canonicalize_representative(v, zero_tol=1e-12):
+def canonicalize_representative(v):
     """Strip the unobservable port phases: D1·V·D2† with real nonnegative
     first row and first column.  Idempotent; preserves |entries|."""
     u = as_complex_matrix(v)
@@ -144,9 +147,9 @@ def canonicalize_representative(v, zero_tol=1e-12):
     m = u.shape[0]
     col = np.abs(u[:, 0])
     row = np.abs(u[0, :])
-    if np.any(col <= zero_tol) or np.any(row <= zero_tol):
-        bad_out = [int(i) + 1 for i in np.nonzero(col <= zero_tol)[0]]
-        bad_in = [int(j) + 1 for j in np.nonzero(row <= zero_tol)[0]]
+    if np.any(col <= BORDER_ZERO_TOL) or np.any(row <= BORDER_ZERO_TOL):
+        bad_out = [int(i) + 1 for i in np.nonzero(col <= BORDER_ZERO_TOL)[0]]
+        bad_in = [int(j) + 1 for j in np.nonzero(row <= BORDER_ZERO_TOL)[0]]
         raise PhaseUndefined(
             "zero entry in first row/column leaves port phase unconstrained",
             output_ports=bad_out, input_ports=bad_in)

@@ -55,9 +55,9 @@ class RepresentativeParams:
         return (np.sqrt(self.lambda_)[:, None] * a) * np.sqrt(self.mu)[None, :]
 
 
-def representative_from_unitary(u, zero_tol=1e-12):
+def representative_from_unitary(u):
     """Extract (α, θ, λ, μ) from a canonicalized unitary (real border)."""
-    w = linalg.canonicalize_representative(u, zero_tol=zero_tol)
+    w = linalg.canonicalize_representative(u)
     m = w.shape[0]
     mu = np.real(w[0, :]) ** 2
     lam = (np.real(w[:, 0]) / np.real(w[0, 0])) ** 2
@@ -124,7 +124,7 @@ class SpectralFunction:
     or a single grid point) is rejected.
     """
 
-    def __init__(self, omega, values, renormalize=True):
+    def __init__(self, omega, values):
         self.omega = np.asarray(omega, dtype=float)
         self.values = np.asarray(values, dtype=float)
         if self.omega.ndim != 1 or self.omega.shape != self.values.shape:
@@ -140,12 +140,11 @@ class SpectralFunction:
         if not 0.0 < norm2 < np.inf:
             raise ShapeError("spectrum needs a positive finite quadrature "
                              "norm", norm_squared=norm2)
-        if renormalize:
-            if abs(norm2 - 1.0) > 0.1:
-                warnings.warn(
-                    f"spectral norm {norm2:.4f} deviates from 1 by more than "
-                    "10%; renormalizing", stacklevel=2)
-            self.values = self.values / np.sqrt(norm2)
+        if abs(norm2 - 1.0) > 0.1:
+            warnings.warn(
+                f"spectral norm {norm2:.4f} deviates from 1 by more than "
+                "10%; renormalizing", stacklevel=2)
+        self.values = self.values / np.sqrt(norm2)
 
     def norm_squared(self):
         return float(np.sum(self.weights * self.values ** 2))

@@ -119,10 +119,6 @@ def canonical_basis_states(n, kappas):
     return result
 
 
-def _weight_from_occ(occ, m):
-    return tuple(occ[i] - occ[i + 1] for i in range(m - 1))
-
-
 def _raise(state, m):
     """Apply the first simple raising operator c_{l,l+1} of su(m) (smallest
     l) with a nonzero image, content reduced, until every one annihilates
@@ -154,7 +150,7 @@ def _partition_su(pool, m, chain, out):
         best = max(
             groups,
             key=lambda occ: (len(groups[occ]) - len(claimed[occ]),
-                             _weight_from_occ(occ, m)))
+                             bosonrep.occupation_weight(occ, m)))
         for s in groups[best]:
             seed = bosonrep.complement(s.terms, claimed[best])
             if seed:
@@ -207,45 +203,20 @@ def euler_matrix(alpha, beta, gamma):
     ])
 
 
-def embedded_rotation(n, p, q, alpha, beta, gamma):
-    """n x n identity with an Euler 2x2 block in rows/columns (p, q)."""
-    if not (1 <= p < q <= n):
-        raise ShapeError("rotation plane indices out of range", p=p, q=q, n=n)
-    r = euler_matrix(alpha, beta, gamma)
-    out = np.eye(n, dtype=complex)
-    out[p - 1, p - 1] = r[0, 0]
-    out[p - 1, q - 1] = r[0, 1]
-    out[q - 1, p - 1] = r[1, 0]
-    out[q - 1, q - 1] = r[1, 1]
-    return out
-
-
 def fundamental_matrix(n, omega, tol=1e-8):
     """Resolve a group-element description to its n x n unitary matrix.
 
-    Accepts a raw unitary matrix, an (alpha, beta, gamma) Euler triple for
-    n == 2, or a sequence of (p, q, alpha, beta, gamma) two-level rotations
-    multiplied left to right.
+    Accepts a raw unitary matrix, or an (alpha, beta, gamma) Euler triple
+    for n == 2.
     """
     arr = np.asarray(omega, dtype=object)
     if arr.ndim == 2 and arr.shape == (n, n):
         v = np.asarray(omega, dtype=complex)
         linalg.assert_unitary(v, tol=tol)
         return v
-    if n == 2 and arr.ndim == 1 and arr.shape == (3,):
+    if n == 2 and arr.shape == (3,):
         a, b, g = (float(x) for x in omega)
         return euler_matrix(a, b, g)
-    if arr.ndim in (1, 2):
-        try:
-            rotations = [tuple(item) for item in omega]
-        except TypeError:
-            rotations = None
-        if rotations and all(len(r) == 5 for r in rotations):
-            v = np.eye(n, dtype=complex)
-            for p, q, a, b, g in rotations:
-                v = v @ embedded_rotation(n, int(p), int(q),
-                                          float(a), float(b), float(g))
-            return v
     raise ShapeError("unrecognized group-element description", n=n)
 
 

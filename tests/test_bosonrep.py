@@ -126,14 +126,6 @@ def test_basis_set_weight_multiplicity():
     assert len(bs27.by_weight[(0, 0)]) == 3
 
 
-def test_basis_set_lowering_bound():
-    # one application of each simple lowering operator per kept state
-    for kap in [(4,), (2, 1), (1, 0, 1)]:
-        m = len(kap) + 1
-        bs = bosonrep.basis_set(bosonrep.hws(kap), m)
-        assert bs.lowering_count == bs.dimension() * (m - 1)
-
-
 def test_basis_set_rejects_non_hws():
     bs = bosonrep.basis_set(bosonrep.hws((1, 1)), 3)
     lowered = bs.states[1]

@@ -467,11 +467,13 @@ def test_bootstrap_shot_noise_scaling():
 
 
 def one_at_a_time(datasets, warm):
-    """Reference: each dataset through the one-dataset pipeline."""
+    """Reference: each dataset through the one-dataset pipeline, the
+    stacked pipeline on a stack of one, as characterize_dataset runs it."""
     out = []
     for ds in datasets:
         try:
-            out.append(characterize.characterize_dataset(ds, warm=warm))
+            out.append(characterize._unwrap(characterize._characterize_stack(
+                [ds], 0.1, None, warm)[0]))
         except (InterferoError, np.linalg.LinAlgError) as exc:
             out.append(exc)
     return out

@@ -416,6 +416,16 @@ def test_dfunc_verb(tmp_path):
     assert linalg.unitarity_defect(d) < 1e-9
 
 
+def test_dfunc_rejects_a_matrix_that_is_not_n_by_n(tmp_path, capsys):
+    # three (p, q, alpha, beta, gamma) rows: not a group element
+    rows = [[1, 2, 0.1, 0.5, 0.2], [2, 3, -0.3, 1.0, 0.0],
+            [1, 3, 0.7, 0.2, -0.1]]
+    io.write_matrix(np.array(rows), tmp_path / "rots.json")
+    assert run(["dfunc", "--in", str(tmp_path / "rots.json"),
+                "--irrep", "1,1"]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ShapeError"
+
+
 def test_immanant_verb(tmp_path, capsys):
     io.write_matrix(np.eye(3), tmp_path / "m.json")
     assert run(["immanant", "--in", str(tmp_path / "m.json"),

@@ -388,7 +388,7 @@ def test_simulation_and_bootstrap_share_envelopes(monkeypatch):
         "all-zero", "one-point", "infinite"])
 def test_spectral_function_rejects_malformed_input(omega, values):
     with pytest.raises(ShapeError):
-        photonic.SpectralFunction(omega, values, renormalize=False)
+        photonic.SpectralFunction(omega, values)
 
 
 def test_representative_params_reject_malformed_input():

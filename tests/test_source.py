@@ -31,3 +31,23 @@ def test_no_unused_imports_in_package():
                     if name not in used:
                         found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []
+
+
+def test_every_parameter_is_read():
+    # a parameter that its body never reads is an option nothing uses;
+    # lambdas are exempt, since a derivative such as `lambda g: 1.0` may
+    # ignore its argument
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [a for a in (args.vararg, args.kwarg) if a is not None]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            found += [f"{path.name}:{node.lineno} {node.name}({p.arg})"
+                      for p in params if p.arg not in read]
+    assert found == []

@@ -155,16 +155,29 @@ def test_euler_matrix_entries():
     assert abs(np.linalg.det(r) - 1) < 1e-15
 
 
+def embedded_rotation(n, p, q, alpha, beta, gamma):
+    """n x n identity with an Euler 2x2 block in rows/columns (p, q)."""
+    if not (1 <= p < q <= n):
+        raise ShapeError("rotation plane indices out of range", p=p, q=q, n=n)
+    r = sunrep.euler_matrix(alpha, beta, gamma)
+    out = np.eye(n, dtype=complex)
+    out[p - 1, p - 1] = r[0, 0]
+    out[p - 1, q - 1] = r[0, 1]
+    out[q - 1, p - 1] = r[1, 0]
+    out[q - 1, q - 1] = r[1, 1]
+    return out
+
+
 def test_fundamental_matrix_forms():
     u = special_unitary(3, 5)
     assert np.allclose(sunrep.fundamental_matrix(3, u), u)
     r = sunrep.fundamental_matrix(2, (0.3, 0.9, -1.2))
     assert np.allclose(r, sunrep.euler_matrix(0.3, 0.9, -1.2))
+    # a group element is a matrix or an Euler triple, not a rotation list
     rots = [(1, 2, 0.1, 0.5, 0.2), (2, 3, -0.3, 1.0, 0.0),
             (1, 3, 0.7, 0.2, -0.1)]
-    v = sunrep.fundamental_matrix(3, rots)
-    assert linalg.unitarity_defect(v) < 1e-14
-    assert abs(np.linalg.det(v) - 1) < 1e-12
+    with pytest.raises(ShapeError):
+        sunrep.fundamental_matrix(3, rots)
     with pytest.raises(NotUnitary):
         sunrep.fundamental_matrix(2, np.eye(2) * 1.5)
     with pytest.raises(ShapeError):
@@ -356,9 +369,8 @@ def group_elements(n, seed):
         "haar": linalg.haar_special_unitary(n, rng),
         "permutation": perm,
         "diagonal": np.diag(phases),
-        "rotation-beta0": sunrep.embedded_rotation(n, 1, n, 0.4, 0.0, -1.3),
-        "rotation-betapi": sunrep.embedded_rotation(n, 1, 2, 0.7, math.pi,
-                                                    0.2),
+        "rotation-beta0": embedded_rotation(n, 1, n, 0.4, 0.0, -1.3),
+        "rotation-betapi": embedded_rotation(n, 1, 2, 0.7, math.pi, 0.2),
     }
 
 
