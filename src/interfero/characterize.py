@@ -643,19 +643,16 @@ class CharacterizedInterferometer:
         self.diagnostics = diagnostics
 
 
-def characterize_dataset(dataset, threshold=0.1, gamma_override=None):
-    """Point-estimate pipeline: amplitudes → calibration → arguments → W."""
-    return _unwrap(_characterize_stack([dataset], threshold, gamma_override,
-                                       None)[0])
-
-
-def _characterize_stack(datasets, threshold, gamma_override, warm):
-    """Run the point-estimate pipeline on several datasets at once.
+def characterize_dataset(datasets, threshold=0.1, gamma_override=None,
+                         warm=None):
+    """Point-estimate pipeline, amplitudes → calibration → arguments → W,
+    on a list of datasets at once.
 
     Each fitting stage (calibration, magnitudes, signs) is one stacked fit
-    over every dataset still running.  A ``warm`` point estimate lends its
-    plan, and its fits' shifts as the centres of the shift scans.  Returns
-    each dataset's PointEstimate or the error it raised.
+    over every dataset still running, and each dataset gets the result it
+    gets alone.  A ``warm`` point estimate lends its plan, and its fits'
+    shifts as the centres of the shift scans.  Returns each dataset's
+    PointEstimate or the error it raised; ``_unwrap`` raises it.
     """
     out = [None] * len(datasets)
     running = {}        # index -> [diagnostics, alpha, gamma, σ(γ), fit]
@@ -743,7 +740,7 @@ def bootstrap(dataset, n_replicates=100, seed=0, threshold=0.1,
     its own.  σ(Re W), σ(Im W) and σ(γ) are standard deviations over the
     successful replicates.
     """
-    point = characterize_dataset(dataset, threshold=threshold)
+    point = _unwrap(characterize_dataset([dataset], threshold=threshold)[0])
     model_curves = {}
     for key, fit in point.fits.items():
         model = port_curve_model(dataset, key, point.alpha, point.gamma)
@@ -778,8 +775,8 @@ def bootstrap(dataset, n_replicates=100, seed=0, threshold=0.1,
         replicates.append(rep)
 
     ws, gammas, failures = [], [], []
-    for idx, est in enumerate(_characterize_stack(
-            replicates, threshold, None, warm=point)):
+    for idx, est in enumerate(characterize_dataset(
+            replicates, threshold, warm=point)):
         if isinstance(est, Exception):
             failures.append({"replicate": idx, "error": str(est),
                              "class": _error_class(est)})

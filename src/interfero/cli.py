@@ -95,8 +95,8 @@ def cmd_characterize(args):
                                      seed=args.seed,
                                      threshold=args.threshold)
     else:
-        est = characterize.characterize_dataset(dataset,
-                                                threshold=args.threshold)
+        est = characterize._unwrap(characterize.characterize_dataset(
+            [dataset], threshold=args.threshold)[0])
     io.write_result(est, args.out)
     if args.plot_csv:
         rows = []

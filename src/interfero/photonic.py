@@ -146,9 +146,6 @@ class SpectralFunction:
                 "10%; renormalizing", stacklevel=2)
         self.values = self.values / np.sqrt(norm2)
 
-    def norm_squared(self):
-        return float(np.sum(self.weights * self.values ** 2))
-
 
 def gaussian_spectrum(center=6.0, width=1.0, n_points=61, span=5.0):
     """Gaussian |f|² of standard deviation ``width`` around ``center``."""

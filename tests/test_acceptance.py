@@ -23,6 +23,7 @@ from interfero import (
     linalg,
     sunrep,
 )
+from test_characterize import characterize_one
 
 
 def report(num, ok, detail):
@@ -106,7 +107,7 @@ def test_criterion_04_noiseless_characterization():
             u = linalg.haar_random_unitary(m, seed=1000 + 100 * m + k)
             ds = harness.simulate_dataset(u, 1.0, seed=m * 37 + k,
                                           noise=False)
-            est = characterize.characterize_dataset(ds)
+            est = characterize_one(ds)
             worst = max(worst, harness.characterization_error(est.w, u))
     elapsed = time.time() - t0
     report(4, worst < 1e-6 and elapsed < 300.0,

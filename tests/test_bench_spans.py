@@ -59,3 +59,22 @@ def test_every_expected_span_fires(bench, monkeypatch, tmp_path):
         tracer.uninstall()
     assert codes == [0] * len(ops)
     assert sorted(expected - tracer.fired()) == []
+
+
+def test_trials_op_fires_every_mc_trials_span(bench, tmp_path):
+    # the union above would not notice a trials path that skipped a span
+    # which another workload still fires
+    tracer_mod, workloads = bench
+    expected = set(workloads.McTrials.expected_spans)
+    tracer = tracer_mod.Tracer(sorted(expected))
+    tracer.install()
+    try:
+        code = workloads.run_cli(
+            ["trials", "--m", "3", "--variant", "full", "--trials", "2",
+             "--seed", "2", "--out", str(tmp_path / "trials.json")]).rc
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert sorted(expected - tracer.fired()) == []
+    stats = tracer.layer_stats()
+    assert stats["characterize.characterize_dataset"]["calls"] == 1

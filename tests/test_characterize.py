@@ -358,12 +358,19 @@ def test_max_likely_singular():
 # ---------------------------------------------------------------------------
 # full pipeline
 # ---------------------------------------------------------------------------
+def characterize_one(ds, **kwargs):
+    """characterize_dataset on a stack of one: its PointEstimate, or the
+    error it raised, raised."""
+    return characterize._unwrap(
+        characterize.characterize_dataset([ds], **kwargs)[0])
+
+
 @pytest.mark.parametrize("m", [3, 4])
 def test_noiseless_end_to_end(m):
     for seed in range(3):
         u = linalg.haar_random_unitary(m, seed=200 + seed)
         ds = harness.simulate_dataset(u, 1.0, seed=seed, noise=False)
-        est = characterize.characterize_dataset(ds)
+        est = characterize_one(ds)
         assert harness.characterization_error(est.w, u) < 1e-6
         assert abs(est.gamma - 1.0) < 1e-6
 
@@ -387,7 +394,7 @@ def test_per_pair_shifts_are_recovered():
         curves[key] = (tau, 1000 * rate)
     singles = np.repeat(np.abs(u[:, :, None]) ** 2 * 1e4, 3, axis=2)
     ds = characterize.CharacterizationDataset(singles, curves, [f] * m)
-    est = characterize.characterize_dataset(ds)
+    est = characterize_one(ds)
     assert harness.characterization_error(est.w, u) < 1e-6
     for key, fit in est.fits.items():
         assert abs(fit.shift - offsets[tuple(sorted(key[2:]))]) < 1e-7
@@ -412,7 +419,7 @@ def test_zero_interior_entry_is_characterized(m, seed, i, j):
     # unstable and set positive (m = 3, where every reference is 0 or π)
     u = zero_entry_unitary(m, seed, i, j)
     ds = harness.simulate_dataset(u, 0.9, seed=seed)
-    est = characterize.characterize_dataset(ds)
+    est = characterize_one(ds)
     assert est.alpha[i, j] == 0
     assert photonic.canonical_curve_key((1, i + 1, 1, j + 1)) not in est.fits
     kinds = {d["type"] for d in est.diagnostics}
@@ -429,7 +436,7 @@ def test_missing_choice_curves_rejected():
     key = next(iter(characterize.required_choice_keys(3)))
     del ds.coincidence[key]
     with pytest.raises(InsufficientData):
-        characterize.characterize_dataset(ds)
+        characterize_one(ds)
 
 
 # ---------------------------------------------------------------------------
@@ -467,13 +474,11 @@ def test_bootstrap_shot_noise_scaling():
 
 
 def one_at_a_time(datasets, warm):
-    """Reference: each dataset through the one-dataset pipeline, the
-    stacked pipeline on a stack of one, as characterize_dataset runs it."""
+    """Reference: each dataset through the pipeline on a stack of one."""
     out = []
     for ds in datasets:
         try:
-            out.append(characterize._unwrap(characterize._characterize_stack(
-                [ds], 0.1, None, warm)[0]))
+            out.append(characterize_one(ds, warm=warm))
         except (InterferoError, np.linalg.LinAlgError) as exc:
             out.append(exc)
     return out
@@ -492,14 +497,13 @@ def assert_same_outcomes(batched, reference):
 
 def test_stacked_pipeline_fails_each_dataset_on_its_own():
     u = linalg.haar_random_unitary(3, seed=4)
-    point = characterize.characterize_dataset(
-        harness.simulate_dataset(u, 0.9, seed=5))
+    point = characterize_one(harness.simulate_dataset(u, 0.9, seed=5))
     datasets = [harness.simulate_dataset(u, 0.9, seed=s) for s in range(6)]
     tau, counts = datasets[1].calibration_curve
     datasets[1].calibration_curve = (tau, np.full_like(counts, 900.0))
     key = (1, 2, 1, 3)
     datasets[3].coincidence[key] = (tau, np.full_like(counts, 900.0))
-    batched = characterize._characterize_stack(datasets, 0.1, None, point)
+    batched = characterize.characterize_dataset(datasets, warm=point)
     reference = one_at_a_time(datasets, point)
     assert isinstance(batched[1], FitFailure)
     assert isinstance(batched[3], FitFailure)
@@ -510,14 +514,14 @@ def test_stacked_pipeline_fails_each_dataset_on_its_own():
 def test_sign_fit_failure_names_ports():
     u = linalg.haar_random_unitary(3, seed=3)
     ds = harness.simulate_dataset(u, 1.0, seed=1, noise=False)
-    est = characterize.characterize_dataset(ds)
+    est = characterize_one(ds)
     magnitudes = {photonic.canonical_curve_key((1, i, 1, j))
                   for i in (2, 3) for j in (2, 3)}
     key = next(k for k in est.fits if k not in magnitudes)
     tau, counts = ds.coincidence[key]
     ds.coincidence[key] = (tau, np.full_like(counts, counts.mean()))
     with pytest.raises(FitFailure) as info:
-        characterize.characterize_dataset(ds)
+        characterize_one(ds)
     assert photonic.canonical_curve_key(info.value.details["ports"]) == key
 
 
@@ -533,9 +537,9 @@ def test_bootstrap_stack_matches_one_replicate_at_a_time(case, monkeypatch):
                                       pair_rate=4e2)
         n, seed = 20, 3
     seen = {}
-    stack = characterize._characterize_stack
+    stack = characterize.characterize_dataset
 
-    def spy(datasets, threshold, gamma_override, warm):
+    def spy(datasets, threshold=0.1, gamma_override=None, warm=None):
         if warm is not None and not seen and case == "failing":
             # flat curves fail two more replicates, one at the magnitude
             # and one at the sign stage
@@ -550,7 +554,7 @@ def test_bootstrap_stack_matches_one_replicate_at_a_time(case, monkeypatch):
             seen.update(replicates=datasets, point=warm, out=out)
         return out
 
-    monkeypatch.setattr(characterize, "_characterize_stack", spy)
+    monkeypatch.setattr(characterize, "characterize_dataset", spy)
     res = characterize.bootstrap(ds, n_replicates=n, seed=seed,
                                  max_failure_rate=1.0)
     reference = one_at_a_time(seen["replicates"], seen["point"])

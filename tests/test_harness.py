@@ -1,10 +1,12 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 
 from interfero import characterize, harness, linalg, photonic
 from interfero.errors import FitFailure, ParseError
+from test_characterize import characterize_one
 from test_photonic import curve_over_grid
 
 
@@ -81,10 +83,97 @@ def test_characterization_error_conjugation():
 
 
 def test_run_trials_noiseless_full():
-    report = harness.run_trials(3, "full", 3, seed=5, gamma=1.0, noise=False)
-    assert report["mean_error"] < 1e-6
-    assert len(report["per_trial"]) == 3
-    assert report["failures"] == []
+    # run_trials' three trials of seed 5 with the expected counts
+    unitaries, datasets = [], []
+    for t in range(3):
+        rng = np.random.default_rng([5, t])
+        unitaries.append(linalg.haar_random_unitary(3, rng=rng))
+        datasets.append(harness.simulate_dataset(
+            unitaries[-1], 1.0, rng=rng,
+            spectra=harness.source_spectra("gauss", 3), noise=False))
+    estimates = characterize.characterize_dataset(datasets)
+    assert not [e for e in estimates if isinstance(e, Exception)]
+    errs = [harness.characterization_error(e.w, u)
+            for e, u in zip(estimates, unitaries)]
+    assert len(errs) == 3
+    assert max(errs) < 1e-6
+
+
+def trial_by_trial(datasets, **kwargs):
+    """Oracle for run_trials' stacked call: each trial on a stack of one."""
+    return [characterize.characterize_dataset([ds], **kwargs)[0]
+            for ds in datasets]
+
+
+def break_trials(monkeypatch, n_trials):
+    """Spy on simulate_dataset: trial 1 gets a calibration dip turned into
+    a peak (γ̃ < 0) and trial 3 flat sign curves."""
+    simulate = harness.simulate_dataset
+    made = []
+
+    def spy(*args, **kwargs):
+        ds = simulate(*args, **kwargs)
+        t = len(made) % n_trials
+        made.append(ds)
+        if t == 1:
+            tau, counts = ds.calibration_curve
+            ds.calibration_curve = (tau, 2 * counts.max() - counts)
+        if t == 3:
+            for key, (tau, counts) in list(ds.coincidence.items()):
+                if key[0] != 1 or key[2] != 1:
+                    ds.coincidence[key] = (
+                        tau, np.full_like(counts, counts.mean()))
+        return ds
+
+    monkeypatch.setattr(harness, "simulate_dataset", spy)
+
+
+@pytest.mark.parametrize("case", ["m3-gauss-double", "m4-low-counts",
+                                  "broken-mid-stack"])
+def test_run_trials_stack_matches_trial_by_trial(case, monkeypatch):
+    if case == "m3-gauss-double":
+        args = (3, "gauss", 100, 77)
+        kwargs = dict(gamma=0.95, spectra_kind="double")
+        classes = ["DivisionByZeroCount"]
+    elif case == "m4-low-counts":
+        args = (4, "full", 30, 5)
+        kwargs = dict(photons_per_input=1e3, pair_rate=2e3)
+        classes = ["DivisionByZeroCount"] * 13
+    else:
+        args = (3, "full", 6, 9)
+        kwargs = {}
+        classes = ["CalibrationOutOfRange", "FitFailure"]
+        break_trials(monkeypatch, 6)
+    calls = []
+    stack = harness.characterize_dataset
+
+    def counted(datasets, **kw):
+        calls.append(len(datasets))
+        return stack(datasets, **kw)
+
+    monkeypatch.setattr(harness, "characterize_dataset", counted)
+    stacked = harness.run_trials(*args, **kwargs)
+    assert calls == [args[2]]
+    monkeypatch.setattr(harness, "characterize_dataset", trial_by_trial)
+    alone = harness.run_trials(*args, **kwargs)
+    assert [f["class"] for f in stacked["failures"]] == classes
+    assert json.dumps(stacked) == json.dumps(alone)
+
+
+def test_run_trials_reraises_linalg_error(monkeypatch):
+    solve = characterize.max_likely_unitary
+    calls = []
+
+    def failing_second(alpha, theta):
+        calls.append(1)
+        if len(calls) == 2:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return solve(alpha, theta)
+
+    monkeypatch.setattr(characterize, "max_likely_unitary", failing_second)
+    with pytest.raises(np.linalg.LinAlgError):
+        harness.run_trials(3, "full", 3, seed=5)
+    assert len(calls) == 3      # the whole stack ran before the raise
 
 
 def test_trial_with_a_nearly_flat_sign_curve_succeeds():
@@ -158,8 +247,8 @@ def test_mean_ratio_confidence():
 
 
 def test_run_trials_failures_carry_class(monkeypatch):
-    def failing(ds, **kwargs):
-        raise FitFailure("no start converged")
+    def failing(datasets, **kwargs):
+        return [FitFailure("no start converged") for _ in datasets]
 
     monkeypatch.setattr(harness, "characterize_dataset", failing)
     report = harness.run_trials(3, "full", 2, seed=1)
@@ -187,5 +276,5 @@ def test_noiseless_characterization_is_loss_immune(m):
     # the losses reach the data: singles fall well short of |U_ij|^2
     shortfall = np.abs(u) ** 2 - ds.single_counts.sum(axis=2) / 1e5
     assert shortfall.max() > 0.05
-    est = characterize.characterize_dataset(ds)
+    est = characterize_one(ds)
     assert harness.characterization_error(est.w, u) < 1e-9

@@ -79,9 +79,14 @@ def test_single_photon_identity_like():
 # ---------------------------------------------------------------------------
 # spectra
 # ---------------------------------------------------------------------------
+def norm_squared(f):
+    """Quadrature norm ∑ w·|f|² of a spectral function."""
+    return float(np.sum(f.weights * f.values ** 2))
+
+
 def test_spectrum_normalization():
     f = photonic.gaussian_spectrum()
-    assert abs(f.norm_squared() - 1.0) < 1e-12
+    assert abs(norm_squared(f) - 1.0) < 1e-12
 
 
 def test_spectrum_warns_on_bad_norm():
@@ -92,7 +97,7 @@ def test_spectrum_warns_on_bad_norm():
 
 def test_double_peak_spectrum_is_normalized_and_asymmetric():
     f = photonic.double_peak_spectrum()
-    assert abs(f.norm_squared() - 1.0) < 1e-12
+    assert abs(norm_squared(f) - 1.0) < 1e-12
     mid = 0.5 * (f.omega[0] + f.omega[-1])
     left = f.values[f.omega < mid]
     right = f.values[f.omega > mid][::-1]
@@ -355,13 +360,13 @@ def test_simulation_and_bootstrap_share_envelopes(monkeypatch):
     ds = harness.simulate_dataset(linalg.haar_random_unitary(3, seed=4), 0.9,
                                   seed=2, spectra=spectra)
     stacks = []
-    stack = characterize._characterize_stack
+    stack = characterize.characterize_dataset
 
     def record(datasets, *args, **kwargs):
         stacks.append(list(datasets))
         return stack(datasets, *args, **kwargs)
 
-    monkeypatch.setattr(characterize, "_characterize_stack", record)
+    monkeypatch.setattr(characterize, "characterize_dataset", record)
     characterize.bootstrap(ds, n_replicates=3, seed=1, max_failure_rate=1.0)
     replicates = stacks[-1]
     assert len(replicates) == 3

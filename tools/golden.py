@@ -64,6 +64,11 @@ def corpus():
             "trials", "--m", str(m), "--variant", variant, "--spectra",
             spectra, "--trials", str(trials), "--seed", "3",
             "--plot-csv", name + ".csv"]))
+    # half of these trials fail with DivisionByZeroCount: pins the failure
+    # records (trial index, class and message)
+    runs.append(("trials-m4-full-failing", [
+        "trials", "--m", "4", "--variant", "full", "--trials", "8",
+        "--seed", "5", "--photons", "1e3", "--pairs", "2e3"]))
     for bundle in CHARACTERIZED:
         runs.append(("char-" + bundle, [
             "characterize", "--data", bundle, "--out", f"char-{bundle}.json",
