@@ -23,7 +23,7 @@ the simple raising operators c_{l,l+1} annihilate is annihilated by all
 raising operators; the walks here apply only the simple ones.
 """
 import itertools
-from array import array
+import struct
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache
@@ -110,10 +110,8 @@ class BosonPolynomial:
                 return None
         return occ
 
-    def weight(self, m=None):
+    def weight(self, m):
         """su(m) weight (nu_1 - nu_2, ..., nu_{m-1} - nu_m)."""
-        if m is None:
-            m = self.n_sites
         occ = self.occupations()
         if occ is None:
             raise LabelError("state has no definite site occupations")
@@ -442,54 +440,102 @@ _FP_PRIME = (1 << 61) - 1
 _FP_POINTS = 24     # evaluation points per fingerprint
 
 
+# A fingerprint packs its residues into one int, one 192-bit lane (three
+# 64-bit words) per point: a lane holds a sum of fewer than 2^70 products
+# of two residues below 2^61 exactly.
+_LANE_BITS = 192
+_LANE_MASK = (1 << _LANE_BITS) - 1
+_LANE_SHIFTS = range(0, _FP_POINTS * _LANE_BITS, _LANE_BITS)
+_LANE_WORDS = struct.Struct(f"<{3 * _FP_POINTS}Q")
+
+
+def _pack(residues):
+    """One int holding ``residues`` (each below 2^64) in consecutive lanes."""
+    words = [0] * (3 * _FP_POINTS)
+    words[::3] = residues
+    return int.from_bytes(_LANE_WORDS.pack(*words), "little")
+
+
+def _unpack(packed):
+    """The lanes of ``packed``, each reduced mod p."""
+    return [(packed >> s & _LANE_MASK) % _FP_PRIME for s in _LANE_SHIFTS]
+
+
+@lru_cache(maxsize=1 << 12)
 def _minor_lowerings(mono, j):
     """Action of c_{j+1,j} on a minor monomial (sorted tuple of subsets):
-    {image monomial: multiplicity of the replaced minor}.  Distinct minors
-    give distinct images, since an image minor holds row j+1."""
-    out = {}
+    (image monomial, multiplicity of the replaced minor) pairs.  Distinct
+    minors give distinct images, since an image minor holds row j+1.  The
+    action does not depend on the evaluation points, so it is memoized
+    across counts."""
+    out = []
     pos = 0
     for subset, run in itertools.groupby(mono):
-        mult = sum(1 for _ in run)
+        mult = len(list(run))
         if j in subset and j + 1 not in subset:
             new = list(mono)
             new[pos] = tuple(j + 1 if x == j else x for x in subset)
-            out[tuple(sorted(new))] = mult
+            out.append((tuple(sorted(new)), mult))
         pos += mult
-    return out
+    return tuple(out)
 
 
-def _minor_det_mod(matrix_rows, p):
-    """Determinant of a small square integer matrix mod p (Leibniz)."""
-    k = len(matrix_rows)
-    total = 0
-    for perm in itertools.permutations(range(k)):
-        term = _perm_sign(perm)
-        for r in range(k):
-            term = term * matrix_rows[r][perm[r]] % p
-        total = (total + term) % p
-    return total
+def _minor_table(points, top):
+    """{R: [det a[R, 1..|R|] mod p for each point a]} for every sorted
+    subset R of 1..top of the n sites, where ``points`` are n x (n-1)
+    integer matrices a (rows are sites, columns species).
+
+    Laplace expansion along the last column reuses the smaller minors
+    (R = {r_1 < ... < r_k}):
+    det a[R, 1..k] = sum_i (-1)^(i+k) a[r_i, k] det a[R - r_i, 1..k-1].
+    """
+    p = _FP_PRIME
+    n = len(points[0])
+    table = {(): [1] * len(points)}
+    for k in range(1, top + 1):
+        for subset in itertools.combinations(range(1, n + 1), k):
+            acc = [0] * len(points)
+            for i, r in enumerate(subset):
+                sign = -1 if (k - 1 - i) % 2 else 1
+                minor = table[subset[:i] + subset[i + 1:]]
+                acc = [s + sign * a[r - 1][k - 1] * x
+                       for s, a, x in zip(acc, points, minor)]
+            table[subset] = [s % p for s in acc]
+    del table[()]
+    return table
+
+
+def _fingerprint(terms, values):
+    """Packed sum of coeff * values(mono) over ``terms``.  Coefficients are
+    reduced mod p first, so every lane stays a nonnegative sum of products
+    of two residues."""
+    return sum(c % _FP_PRIME * values(mono) for mono, c in terms.items())
 
 
 class _ModEchelon:
-    """Row echelon over GF(p) for fingerprint vectors.
+    """Row echelon over GF(p) for packed fingerprint vectors.
 
-    Rows are stored with their pivot scaled to 1, so elimination needs no
-    modular inverse.
+    Rows are stored reduced, with their pivot lane scaled to 1, so
+    elimination is one multiply-add: adding (p - c) * row, where c is the
+    residue of the pivot lane, clears it mod p.  Every lane stays a sum of
+    nonnegative products of two residues, so no lane borrows or carries.
     """
 
     def __init__(self):
-        self.rows = []  # (pivot_index, row list with row[pivot] == 1)
+        self.rows = []  # (pivot lane shift, packed row with that lane == 1)
 
     def try_insert(self, vec):
         p = _FP_PRIME
-        for pivot, row in self.rows:
-            c = vec[pivot]
+        for shift, row in self.rows:
+            c = (vec >> shift & _LANE_MASK) % p
             if c:
-                vec = [(x - c * y) % p for x, y in zip(vec, row)]
-        for idx, val in enumerate(vec):
+                vec += (p - c) * row
+        lanes = _unpack(vec)
+        for idx, val in enumerate(lanes):
             if val:
-                inv = pow(val, p - 2, p)
-                self.rows.append((idx, [x * inv % p for x in vec]))
+                inv = pow(val, -1, p)
+                self.rows.append((idx * _LANE_BITS,
+                                  _pack([x * inv % p for x in lanes])))
                 return True
         return False
 
@@ -507,88 +553,67 @@ def minor_basis_count(kappas, n=None, seed=0):
 
     import numpy as np
     rng = np.random.default_rng([int(seed), *kappas])
-    sizes = {k for k, power in enumerate(kappas, start=1) if power}
-    if not sizes:
+    top = max((k for k, power in enumerate(kappas, start=1) if power),
+              default=0)
+    if not top:
         return 1
-    subsets = [s for k in sizes
-               for s in itertools.combinations(range(1, n + 1), k)]
-    det_tables = []
-    for _ in range(_FP_POINTS):
-        a = rng.integers(1, _FP_PRIME, size=(n, n_species))
-        table = {}
-        for s in subsets:
-            rows = [[int(a[r - 1][c]) for c in range(len(s))] for r in s]
-            table[s] = _minor_det_mod(rows, _FP_PRIME)
-        det_tables.append(table)
-
+    p = _FP_PRIME
+    points = [rng.integers(1, p, size=(n, n_species)).tolist()
+              for _ in range(_FP_POINTS)]
+    table = _minor_table(points, top)
+    powers = {}     # subset -> residues of det(subset)^1, ^2, ...
     mono_values = {}
 
+    def minor_power(subset, e):
+        chain = powers.setdefault(subset, [table[subset]])
+        while len(chain) < e:
+            chain.append([x * y % p for x, y in zip(chain[-1], chain[0])])
+        return chain[e - 1]
+
     def values(mono):
-        vals = mono_values.get(mono)
-        if vals is None:
-            # mono is sorted: one modular power per distinct subset
-            powers = [(subset, sum(1 for _ in run))
-                      for subset, run in itertools.groupby(mono)]
-            vals = []
-            for table in det_tables:
-                prod = 1
-                for subset, e in powers:
-                    x = table[subset]
-                    if e > 1:
-                        x = pow(x, e, _FP_PRIME)
-                    prod = prod * x % _FP_PRIME
-                vals.append(prod)
-            # packed 64-bit words: a quarter of the memory of int objects
-            vals = mono_values[mono] = array("Q", vals)
-        return vals
+        packed = mono_values.get(mono)
+        if packed is None:
+            # mono is sorted: one power list per distinct subset
+            vals = None
+            for subset, run in itertools.groupby(mono):
+                x = minor_power(subset, len(list(run)))
+                vals = x if vals is None else [a * b % p
+                                               for a, b in zip(vals, x)]
+            packed = mono_values[mono] = _pack(vals)
+        return packed
 
-    def fingerprint(terms):
-        vec = [0] * _FP_POINTS
-        for mono, coeff in terms.items():
-            vec = [a + coeff * x for a, x in zip(vec, values(mono))]
-        return [a % _FP_PRIME for a in vec]
-
-    def occupations(mono):
-        occ = [0] * n
-        for subset in mono:
-            for site in subset:
-                occ[site - 1] += 1
-        return tuple(occ)
-
+    # site i lies in the leading minors of sizes i..n-1, and c_{j+1,j}
+    # moves one boson from site j to site j+1
+    start_occ = tuple(sum(kappas[i:]) for i in range(n))
     start_mono = tuple(sorted(
         tuple(range(1, k + 1))
         for k, power in enumerate(kappas, start=1) for _ in range(power)))
-    start = {start_mono: 1}
     spaces = {}
-    count = 0
     queue = deque()
 
-    def admit(terms):
-        occ = occupations(next(iter(terms)))
+    def admit(terms, occ):
         space = spaces.setdefault(occ, _ModEchelon())
-        return space.try_insert(fingerprint(terms))
+        if space.try_insert(_fingerprint(terms, values)):
+            queue.append((terms, occ))
 
-    if admit(start):
-        count += 1
-        queue.append(start)
+    admit({start_mono: 1}, start_occ)
     while queue:
-        terms = queue.popleft()
+        terms, occ = queue.popleft()
         for j in range(1, n):
             out = {}
             for mono, coeff in terms.items():
-                for new, factor in _minor_lowerings(mono, j).items():
+                for new, factor in _minor_lowerings(mono, j):
                     s = out.get(new, 0) + coeff * factor
                     if s:
                         out[new] = s
                     else:
                         del out[new]
-            if not out:
-                continue
-            out = _primitive(out)
-            if admit(out):
-                count += 1
-                queue.append(out)
-    return count
+            if out:
+                lowered = list(occ)
+                lowered[j - 1] -= 1
+                lowered[j] += 1
+                admit(_primitive(out), tuple(lowered))
+    return sum(len(space.rows) for space in spaces.values())
 
 
 # ---------------------------------------------------------------------------

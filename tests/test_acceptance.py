@@ -23,6 +23,7 @@ from interfero import (
     linalg,
     sunrep,
 )
+from test_bosonrep import irreps_up_to
 from test_characterize import characterize_one
 
 
@@ -204,30 +205,12 @@ def test_criterion_08_bootstrap_coverage():
 # ---------------------------------------------------------------------------
 # 9. dimension law
 # ---------------------------------------------------------------------------
-def _irreps_up_to(n, maxdim):
-    out = []
-
-    def rec(prefix):
-        if len(prefix) == n - 1:
-            out.append(tuple(prefix))
-            return
-        k = 0
-        while True:
-            probe = tuple(prefix + [k] + [0] * (n - 2 - len(prefix)))
-            if bosonrep.irrep_dimension(probe) > maxdim:
-                break
-            rec(prefix + [k])
-            k += 1
-    rec([])
-    return [k for k in out if bosonrep.irrep_dimension(k) <= maxdim]
-
-
 @pytest.mark.slow
 def test_criterion_09_dimension_law():
     checked = 0
     ok = True
     for n in (2, 3, 4, 5):
-        for kap in _irreps_up_to(n, 200):
+        for kap in irreps_up_to(n, 200):
             ok &= bosonrep.minor_basis_count(kap, n) \
                 == bosonrep.irrep_dimension(kap)
             checked += 1

@@ -1,7 +1,10 @@
+import hashlib
 import itertools
+import random
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 
 from interfero import bosonrep, sunrep
@@ -16,7 +19,7 @@ from interfero.errors import (
 def test_vacuum_and_weight():
     vac = BosonPolynomial.vacuum(3, 2)
     assert vac.occupations() == (0, 0, 0)
-    assert vac.weight() == (0, 0)
+    assert vac.weight(3) == (0, 0)
     assert vac.norm2_raw() == 1
 
 
@@ -36,7 +39,7 @@ def test_hws_su3_adjoint_explicit():
     # det_2 * det_1 gives two monomials with integer coefficients
     h = bosonrep.hws((1, 1))
     assert h.occupations() == (2, 1, 0)
-    assert h.weight() == (1, 1)
+    assert h.weight(3) == (1, 1)
     assert sorted(h.terms.values()) == [-1, 1]
     assert h.norm2_raw() == 3
 
@@ -203,12 +206,145 @@ def test_minor_lowerings_match_boson_action():
                  ((1, 2), (1, 2), (2, 4)), ((1, 3, 4), (2,))]:
         for j in range(1, n):
             got = {}
-            for image, mult in bosonrep._minor_lowerings(mono, j).items():
+            for image, mult in bosonrep._minor_lowerings(mono, j):
                 for m, c in minor_expansion(n, image).terms.items():
                     got[m] = got.get(m, 0) + mult * c
             got = {m: c for m, c in got.items() if c}
             want = minor_expansion(n, mono).apply_c(j + 1, j).terms
             assert got == want
+
+
+def minor_det_mod(matrix_rows, p):
+    """Determinant of a small square integer matrix mod p (Leibniz)."""
+    k = len(matrix_rows)
+    total = 0
+    for perm in itertools.permutations(range(k)):
+        term = bosonrep._perm_sign(perm)
+        for r in range(k):
+            term = term * matrix_rows[r][perm[r]] % p
+        total = (total + term) % p
+    return total
+
+
+def test_minor_table_matches_leibniz():
+    # the Laplace recursion gives every leading-column minor of every row
+    # subset, mod p, at every evaluation point
+    p = bosonrep._FP_PRIME
+    for n in range(2, 7):
+        top = n - 1
+        for seed in range(3):
+            rng = np.random.default_rng([seed, n])
+            points = [rng.integers(1, p, size=(n, top)).tolist()
+                      for _ in range(bosonrep._FP_POINTS)]
+            table = bosonrep._minor_table(points, top)
+            subsets = [s for k in range(1, top + 1)
+                       for s in itertools.combinations(range(1, n + 1), k)]
+            assert sorted(table) == sorted(subsets)
+            for s in subsets:
+                want = [minor_det_mod([a[r - 1][:len(s)] for r in s], p)
+                        for a in points]
+                assert table[s] == want
+
+
+LANE_BITS = 192
+LANE_MASK = (1 << LANE_BITS) - 1
+
+
+def lanes_raw(packed):
+    """Every lane of a packed fingerprint, unreduced."""
+    return [packed >> (LANE_BITS * i) & LANE_MASK
+            for i in range(bosonrep._FP_POINTS)]
+
+
+def echelon_insert(rows, vec, p):
+    """Row echelon insertion on residue lists, every lane reduced at each
+    step: the oracle for the packed ``_ModEchelon``."""
+    for pivot, row in rows:
+        c = vec[pivot]
+        if c:
+            vec = [(x - c * y) % p for x, y in zip(vec, row)]
+    for idx, val in enumerate(vec):
+        if val:
+            inv = pow(val, p - 2, p)
+            rows.append((idx, [x * inv % p for x in vec]))
+            return True
+    return False
+
+
+def test_packed_lanes_never_carry():
+    p = bosonrep._FP_PRIME
+    points = bosonrep._FP_POINTS
+    rng = random.Random(7)
+    for _ in range(50):
+        residues = [rng.randrange(p) for _ in range(points)]
+        packed = bosonrep._pack(residues)
+        assert bosonrep._unpack(packed) == residues
+        assert lanes_raw(packed) == residues
+    # 5,000 terms of coefficient -1 on values p - 1: the largest products
+    largest = bosonrep._pack([p - 1] * points)
+    fp = bosonrep._fingerprint({i: -1 for i in range(5000)},
+                               lambda _: largest)
+    assert lanes_raw(fp) == [5000 * (p - 1) ** 2] * points
+    assert bosonrep._unpack(fp) == [-5000 * (p - 1) % p] * points
+    # mixed residues: each lane is its own per-point sum
+    values = {i: [rng.choice((0, 1, p - 1, rng.randrange(p)))
+                  for _ in range(points)] for i in range(300)}
+    terms = {i: rng.choice((-1, 1, -p + 1, rng.randrange(-p * p, p * p)))
+             for i in values}
+    fp = bosonrep._fingerprint(
+        terms, lambda i: bosonrep._pack(values[i]))
+    assert bosonrep._unpack(fp) == [
+        sum(c * values[i][k] for i, c in terms.items()) % p
+        for k in range(points)]
+
+
+def test_packed_elimination_matches_residue_lists(monkeypatch):
+    p = bosonrep._FP_PRIME
+    points = bosonrep._FP_POINTS
+    # a 24-row chain in which every pivot coefficient c is p - 1: row i has
+    # 1 at lane i and p - 1 after it, and lane j of the vector is j - 1
+    space = bosonrep._ModEchelon()
+    rows = []
+    for i in range(points):
+        row = [0] * i + [1] + [p - 1] * (points - 1 - i)
+        space.rows.append((i * LANE_BITS, bosonrep._pack(row)))
+        rows.append((i, row))
+    vec = [(j - 1) % p for j in range(points)]
+    exact = list(vec)
+    for pivot, row in rows:
+        c = exact[pivot] % p
+        assert c == p - 1
+        exact = [x + (p - c) * y for x, y in zip(exact, row)]
+    eliminated = []
+    unpack = bosonrep._unpack
+
+    def recording(packed):
+        eliminated.append(lanes_raw(packed))
+        return unpack(packed)
+
+    monkeypatch.setattr(bosonrep, "_unpack", recording)
+    assert space.try_insert(bosonrep._pack(vec)) is False
+    assert echelon_insert(rows, vec, p) is False
+    assert eliminated == [exact]
+    assert [x % p for x in exact] == [0] * points
+    monkeypatch.undo()
+    # random vectors, with dependent ones among them, admitted and reduced
+    # as the residue-list echelon does
+    rng = random.Random(11)
+    space, rows = bosonrep._ModEchelon(), []
+    basis = []
+    for step in range(40):
+        if basis and step % 3 == 2:
+            vec = [sum(rng.randrange(p) * b[k] for b in basis) % p
+                   for k in range(points)]
+        else:
+            vec = [rng.choice((0, 1, p - 1, rng.randrange(p)))
+                   for _ in range(points)]
+            basis.append(vec)
+        assert space.try_insert(bosonrep._pack(vec)) == echelon_insert(
+            rows, vec, p)
+        assert [(s // LANE_BITS, bosonrep._unpack(r))
+                for s, r in space.rows] == rows
 
 
 def test_label_validation():
@@ -218,3 +354,51 @@ def test_label_validation():
         bosonrep.hws((1, 1), n=4)
     with pytest.raises(LabelError):
         bosonrep.irrep_dimension((2, -1))
+
+
+# the su(n) count labels of the group-functions benchmark workload
+COUNT_LABELS = ((2, 2), (1, 1, 1), (1, 1, 0, 1), (0, 1, 1, 0))
+
+
+def irreps_up_to(n, maxdim):
+    """Every su(n) label of dimension <= maxdim (the dimension grows with
+    each entry, so a prefix padded with zeros bounds its extensions)."""
+    out = []
+
+    def rec(prefix):
+        if len(prefix) == n - 1:
+            out.append(tuple(prefix))
+            return
+        k = 0
+        while bosonrep.irrep_dimension(
+                tuple(prefix + [k] + [0] * (n - 2 - len(prefix)))) <= maxdim:
+            rec(prefix + [k])
+            k += 1
+    rec([])
+    return [k for k in out if bosonrep.irrep_dimension(k) <= maxdim]
+
+
+COUNT_FINGERPRINTS_SHA256 = (
+    "fe1969740d633d7356c372bf72c8731da36cddd4754c5afd42aee1621207f7b2")
+
+
+def test_count_fingerprints_are_pinned(monkeypatch):
+    # every fingerprint offered to the echelon, reduced mod p, and every
+    # admit/reject decision, in call order, over the benchmark's count
+    # labels at five seeds and every n = 2..5 irrep of dim <= 60
+    digest = hashlib.sha256()
+    insert = bosonrep._ModEchelon.try_insert
+
+    def recording(self, vec):
+        lanes = [x % bosonrep._FP_PRIME for x in lanes_raw(vec)]
+        ok = insert(self, vec)
+        digest.update(f"{','.join(map(str, lanes))}:{int(ok)};".encode())
+        return ok
+
+    monkeypatch.setattr(bosonrep._ModEchelon, "try_insert", recording)
+    cases = [(kap, seed) for kap in COUNT_LABELS for seed in range(5)]
+    cases += [(kap, 0) for n in (2, 3, 4, 5) for kap in irreps_up_to(n, 60)]
+    for kap, seed in cases:
+        assert (bosonrep.minor_basis_count(kap, seed=seed)
+                == bosonrep.irrep_dimension(kap))
+    assert digest.hexdigest() == COUNT_FINGERPRINTS_SHA256
