@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from interfero import characterize, harness, linalg, photonic
 from interfero.errors import (CalibrationOutOfRange, DegenerateAmplitudes,
@@ -574,6 +575,99 @@ def test_bootstrap_stack_matches_one_replicate_at_a_time(case, monkeypatch):
     assert entry["count"] == len(expected)
     assert sum(entry["by_class"].values()) == entry["count"]
     assert len(entry["by_class"]) >= 2
+
+
+
+# experiment kinds of the stacked-characterization property test
+def _experiment_unitary(kind, m, rng):
+    if kind == "haar":
+        return linalg.haar_random_unitary(m, rng=rng)
+    if kind == "orthogonal":
+        return np.linalg.qr(rng.standard_normal((m, m)))[0]
+    if kind == "permutation":
+        return np.eye(m)[rng.permutation(m)]
+    if kind == "block":
+        u = np.eye(m, dtype=complex)
+        at = int(rng.integers(0, m - 1))
+        u[at:at + 2, at:at + 2] = linalg.haar_random_unitary(2, rng=rng)
+        return u
+    noise = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    return linalg.nearest_unitary(np.eye(m)[::-1] + 1e-6 * noise)
+
+
+# (photons per input, pair rate, γ); the last one gives zero counts
+_BUDGETS = [(1e5, 2e5, 0.9), (30, 60, 0.9), (1e5, 2e5, 0.999),
+            (1e5, 2e5, 0.05), (0, 0, 0.9)]
+_experiments = st.lists(st.tuples(
+    st.sampled_from(["haar", "orthogonal", "permutation", "block",
+                     "near-reversal"]),
+    st.sampled_from(_BUDGETS), st.integers(0, 2 ** 16),
+    st.sampled_from(["gauss", "double"]), st.booleans(), st.booleans()),
+    min_size=1, max_size=6)
+
+
+def _simulate_experiment(m, kind, budget, seed, spectra_kind, calibrated,
+                         gauss_fit):
+    rng = np.random.default_rng(seed)
+    photons, pairs, gamma = budget
+    spectra = harness.source_spectra(spectra_kind, m)
+    return harness.simulate_dataset(
+        _experiment_unitary(kind, m, rng), gamma, rng=rng, spectra=spectra,
+        fit_spectra=([harness.gaussian_approximation(s) for s in spectra]
+                     if gauss_fit else None),
+        photons_per_input=photons, pair_rate=pairs,
+        include_calibration=calibrated)
+
+
+def _fit_fields(fit):
+    return None if fit is None else (fit.shape, fit.scale, fit.shift,
+                                      fit.objective)
+
+
+def assert_same_estimate(got, want):
+    """Bit-for-bit equality of two pipeline outcomes; an error matches by
+    class and message."""
+    assert type(got) is type(want)
+    if isinstance(want, Exception):
+        assert str(got) == str(want)
+        return
+    for name in ("w", "alpha", "theta"):
+        assert np.array_equal(getattr(got, name), getattr(want, name),
+                              equal_nan=True)
+    # repr round-trips every float, so equal reprs are equal bits
+    assert repr((got.gamma, got.gamma_sigma, got.plan, got.diagnostics)) \
+        == repr((want.gamma, want.gamma_sigma, want.plan, want.diagnostics))
+    assert {k: _fit_fields(f) for k, f in got.fits.items()} \
+        == {k: _fit_fields(f) for k, f in want.fits.items()}
+    assert _fit_fields(got.calibration_fit) \
+        == _fit_fields(want.calibration_fit)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(m=st.integers(2, 5), experiments=_experiments)
+def test_each_stacked_dataset_gets_its_lone_result(m, experiments):
+    datasets = []
+    for experiment in experiments:
+        try:
+            datasets.append(_simulate_experiment(m, *experiment))
+        except InterferoError:      # permutations: no phase reference
+            continue
+    if not datasets:
+        return
+    cold = characterize.characterize_dataset(datasets)
+    alone = [characterize.characterize_dataset([ds])[0] for ds in datasets]
+    for got, want in zip(cold, alone):
+        assert isinstance(want, (InterferoError, characterize.PointEstimate))
+        assert_same_estimate(got, want)
+    warm = next((est for est in alone
+                 if isinstance(est, characterize.PointEstimate)), None)
+    if warm is None:
+        return
+    stacked = characterize.characterize_dataset(datasets, warm=warm)
+    for ds, got in zip(datasets, stacked):
+        want = characterize.characterize_dataset([ds], warm=warm)[0]
+        assert isinstance(want, (InterferoError, characterize.PointEstimate))
+        assert_same_estimate(got, want)
 
 
 def test_dataset_rejects_malformed_shapes():
