@@ -48,7 +48,7 @@ class CharacterizationDataset:
     input j, output i, repetition b.  coincidence maps canonical port keys
     to (tau, counts) pairs.  spectra is one SpectralFunction per input port.
     The calibration fields hold the reference beam-splitter data, which
-    inputs 1 and 2 feed.
+    inputs 1 and 2 feed, so ``envelope(1, 2)`` is its envelope.
     """
 
     def __init__(self, single_counts, coincidence, spectra,
@@ -80,11 +80,6 @@ class CharacterizationDataset:
         return photonic.cross_envelope(self.spectra[j - 1],
                                        self.spectra[j2 - 1])
 
-    def calibration_envelope(self):
-        """Overlap envelope of the calibration beam splitter's inputs: the
-        first two input spectra."""
-        return photonic.cross_envelope(self.spectra[0], self.spectra[1])
-
     def missing_choice_keys(self):
         return sorted(required_choice_keys(self.m) - set(self.coincidence))
 
@@ -98,41 +93,41 @@ def estimate_amplitudes(single_counts):
     α̃_ij averages √(N_{11b₁}N_{ijb_j}/(N_{1jb_j}N_{i1b₁})) over all
     repetition pairs (b₁, b_j); the construction cancels every per-port
     efficiency and per-(input, repetition) photon-number fluctuation.
+    A zero reference count raises DivisionByZeroCount naming the first
+    one by repetition, then output 1's inputs, then input 1's outputs.
     """
     n = np.asarray(single_counts, dtype=float)
     m, _, n_blocks = n.shape
-    for b in range(n_blocks):
-        for j in range(m):
-            if n[0, j, b] == 0:
-                raise DivisionByZeroCount("zero reference count",
-                                          output=1, input=j + 1, repetition=b + 1)
-        for i in range(m):
-            if n[i, 0, b] == 0:
-                raise DivisionByZeroCount("zero reference count",
-                                          output=i + 1, input=1, repetition=b + 1)
+    zero = np.concatenate([n[0, :, :] == 0, n[:, 0, :] == 0]).T
+    if zero.any():
+        b, k = divmod(int(np.argmax(zero)), 2 * m)
+        output, port = (1, k + 1) if k < m else (k - m + 1, 1)
+        raise DivisionByZeroCount("zero reference count", output=output,
+                                  input=port, repetition=b + 1)
+    left = np.sqrt(n[0, 0, :] / n[1:, 0, :])           # (i, b₁)
+    right = np.sqrt(n[1:, 1:, :] / n[0, 1:, :])        # (i, j, b_j)
+    # C order puts each (i, j) pair's B·B products on the last axis, so the
+    # mean and std reduce it in the order a 1-D array of them would
+    vals = np.ascontiguousarray(left[:, None, :, None] * right[:, :, None, :])
+    vals = vals.reshape(m - 1, m - 1, n_blocks * n_blocks)
     alpha = np.ones((m, m))
     sigma = np.zeros((m, m))
-    for i in range(1, m):
-        for j in range(1, m):
-            left = np.sqrt(n[0, 0, :] / n[i, 0, :])     # indexed by b₁
-            right = np.sqrt(n[i, j, :] / n[0, j, :])    # indexed by b_j
-            vals = np.outer(left, right).ravel()
-            alpha[i, j] = float(np.mean(vals))
-            sigma[i, j] = float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
+    alpha[1:, 1:] = np.mean(vals, axis=2)
+    if n_blocks > 1:
+        sigma[1:, 1:] = np.std(vals, axis=2, ddof=1)
     return alpha, sigma
 
 
-def repetition_convergence(single_counts):
+def repetition_convergence(single_counts, sig_full):
     """Post-hoc check that the repetition count B is large enough: the
     amplitude standard deviations from the first half of the blocks must
-    agree with the full-B estimate within a relative change of 0.2."""
+    agree with ``sig_full``, all B's, within a relative change of 0.2."""
     n = np.asarray(single_counts, dtype=float)
     n_blocks = n.shape[2]
     if n_blocks < 4:
         return {"type": "repetition-convergence", "status": "skipped",
                 "n_blocks": int(n_blocks)}
     _, sig_half = estimate_amplitudes(n[:, :, : n_blocks // 2])
-    _, sig_full = estimate_amplitudes(n)
     a = float(np.mean(sig_half))
     b = float(np.mean(sig_full))
     rel = abs(a - b) / b if b > 1e-9 else 0.0
@@ -663,11 +658,11 @@ def characterize_dataset(datasets, threshold=0.1, gamma_override=None,
                 raise InsufficientData(
                     "dataset lacks required coincidence curves",
                     required=missing)
+            alpha, sigma = estimate_amplitudes(ds.single_counts)
             # only a point estimate reports it: bootstrap discards the
             # diagnostics of its (warm) replicates
-            diagnostics = ([] if warm is not None
-                           else [repetition_convergence(ds.single_counts)])
-            alpha, _alpha_sigma = estimate_amplitudes(ds.single_counts)
+            diagnostics = ([] if warm is not None else
+                           [repetition_convergence(ds.single_counts, sigma)])
         except InterferoError as exc:
             out[k] = exc
             continue
@@ -681,7 +676,7 @@ def characterize_dataset(datasets, threshold=0.1, gamma_override=None,
         results = calibrate_gamma(
             [datasets[k].calibration_single for k in calibrated],
             [datasets[k].calibration_curve for k in calibrated],
-            [datasets[k].calibration_envelope() for k in calibrated],
+            [datasets[k].envelope(1, 2) for k in calibrated],
             near=None if warm is None or warm.calibration_fit is None
             else warm.calibration_fit.shift)
         for k, res in zip(calibrated, results):
@@ -719,6 +714,9 @@ def characterize_dataset(datasets, threshold=0.1, gamma_override=None,
 # ---------------------------------------------------------------------------
 # bootstrap
 # ---------------------------------------------------------------------------
+MAX_REPLICATE_FAILURE_RATE = 0.1
+
+
 def _resample_curve(tau, fit, model_curve, rng):
     """Replicate curve: C^fit·(1 + resampled normalized residuals)."""
     norm = fit.residuals / np.maximum(model_curve, 1e-300)
@@ -726,19 +724,18 @@ def _resample_curve(tau, fit, model_curve, rng):
     return tau, model_curve * (1.0 + shuffled)
 
 
-def bootstrap(dataset, n_replicates=100, seed=0, threshold=0.1,
-              max_failure_rate=0.1):
+def bootstrap(dataset, n_replicates=100, seed=0, threshold=0.1):
     """Error bars by residual resampling around the point estimate.
 
     Each replicate resamples the single-count repetitions with replacement
     and rebuilds every consumed coincidence curve from its fitted model
     plus resampled normalized residuals, then re-runs the pipeline with the
     point estimate's plan, scanning each shift in a window around the
-    point estimate's.  All replicates are built first
-    and run through the pipeline as one stack, so each fitting stage is one
-    batched fit over every replicate; a replicate that fails drops out on
-    its own.  σ(Re W), σ(Im W) and σ(γ) are standard deviations over the
-    successful replicates.
+    point estimate's.  All replicates are built first and run through the
+    pipeline as one stack, so each fitting stage is one batched fit over
+    every replicate; a replicate that fails drops out on its own, and more
+    than MAX_REPLICATE_FAILURE_RATE failing is a BootstrapUnstable.
+    σ(Re W), σ(Im W) and σ(γ) are standard deviations over the rest.
     """
     point = _unwrap(characterize_dataset([dataset], threshold=threshold)[0])
     model_curves = {}
@@ -750,7 +747,7 @@ def bootstrap(dataset, n_replicates=100, seed=0, threshold=0.1,
         cal_tau, _ = dataset.calibration_curve
         cal_alpha, _ = estimate_amplitudes(dataset.calibration_single)
         cal_model = calibration_curve_model(
-            dataset.calibration_envelope(),
+            dataset.envelope(1, 2),
             reflectivity_from_alpha(cal_alpha[1, 1]))
         cal_values = cal_model.curve(cal_tau, point.calibration_fit.shape,
                                      point.calibration_fit.scale,
@@ -784,7 +781,7 @@ def bootstrap(dataset, n_replicates=100, seed=0, threshold=0.1,
             ws.append(est.w)
             gammas.append(est.gamma)
     rate = len(failures) / n_replicates
-    if rate > max_failure_rate:
+    if rate > MAX_REPLICATE_FAILURE_RATE:
         raise BootstrapUnstable("too many replicate failures",
                                 failure_rate=rate, failures=failures[:20])
     stack = np.array(ws)

@@ -149,9 +149,9 @@ def cmd_trials(args):
 def cmd_dfunc(args):
     kap = _parse_ints(args.irrep, "irrep label")
     n = len(kap) + 1
-    omega = io.read_matrix(getattr(args, "in"))
-    omega_checked = sunrep.fundamental_matrix(n, omega, tol=_env_tol(1e-8))
-    labels, d = sunrep.dfunction_matrix(n, omega_checked, kap)
+    v = sunrep.fundamental_matrix(n, io.read_matrix(getattr(args, "in")))
+    labels, d = sunrep.dfunction_matrix(
+        n, linalg.assert_unitary(v, _env_tol(1e-8)), kap)
     out = {
         "schema": "v1",
         "n": n,

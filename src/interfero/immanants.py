@@ -186,10 +186,11 @@ def partition_to_label(lam, n):
 # ---------------------------------------------------------------------------
 # Kostant and submatrix identities
 # ---------------------------------------------------------------------------
-def _special_unitary(n, omega, tol=1e-8):
-    v = sunrep.fundamental_matrix(n, omega)
+def _special_unitary(n, omega):
+    """An identity's one check of its element: unitary, det 1, to 1e-8."""
+    v = linalg.assert_unitary(sunrep.fundamental_matrix(n, omega), 1e-8)
     det = np.linalg.det(v)
-    if abs(det - 1.0) > tol:
+    if abs(det - 1.0) > 1e-8:
         raise NotUnitary("group element must have unit determinant",
                          det=[float(det.real), float(det.imag)])
     return v

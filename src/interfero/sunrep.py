@@ -37,7 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import bosonrep, linalg
+from . import bosonrep
 from .errors import (
     InternalInconsistency,
     LabelError,
@@ -203,17 +203,15 @@ def euler_matrix(alpha, beta, gamma):
     ])
 
 
-def fundamental_matrix(n, omega, tol=1e-8):
-    """Resolve a group-element description to its n x n unitary matrix.
+def fundamental_matrix(n, omega):
+    """Resolve a group-element description to its n x n matrix.
 
-    Accepts a raw unitary matrix, or an (alpha, beta, gamma) Euler triple
-    for n == 2.
+    Accepts a raw n x n matrix, or an (alpha, beta, gamma) Euler triple
+    for n == 2; the caller checks unitarity where the element enters.
     """
     arr = np.asarray(omega, dtype=object)
     if arr.ndim == 2 and arr.shape == (n, n):
-        v = np.asarray(omega, dtype=complex)
-        linalg.assert_unitary(v, tol=tol)
-        return v
+        return np.asarray(omega, dtype=complex)
     if n == 2 and arr.shape == (3,):
         a, b, g = (float(x) for x in omega)
         return euler_matrix(a, b, g)
@@ -352,7 +350,8 @@ def dfunction(n, omega, row, col):
     ``row`` and ``col`` are CanonicalStateLabel instances; elements between
     different irreps vanish identically.  The convention
     a†_{i,k} -> sum_j v[j,i] a†_{j,k} makes the fundamental-irrep matrix
-    equal to v itself, so D(vw) = D(v)D(w).
+    equal to v itself, and D(vw) = D(v)D(w) for any n x n v and w (a
+    representation of GL(n)): v is not checked for unitarity.
     """
     if row.irrep != col.irrep:
         return 0.0 + 0.0j

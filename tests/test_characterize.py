@@ -46,6 +46,55 @@ def test_amplitudes_zero_denominator():
         characterize.estimate_amplitudes(counts)
 
 
+def loop_amplitudes(counts):
+    """Reference: one (i, j) entry at a time, zero checks in loop order."""
+    n = np.asarray(counts, dtype=float)
+    m, _, n_blocks = n.shape
+    for b in range(n_blocks):
+        for j in range(m):
+            if n[0, j, b] == 0:
+                raise DivisionByZeroCount("zero reference count", output=1,
+                                          input=j + 1, repetition=b + 1)
+        for i in range(m):
+            if n[i, 0, b] == 0:
+                raise DivisionByZeroCount("zero reference count",
+                                          output=i + 1, input=1,
+                                          repetition=b + 1)
+    alpha = np.ones((m, m))
+    sigma = np.zeros((m, m))
+    for i in range(1, m):
+        for j in range(1, m):
+            vals = np.outer(np.sqrt(n[0, 0, :] / n[i, 0, :]),
+                            np.sqrt(n[i, j, :] / n[0, j, :])).ravel()
+            alpha[i, j] = np.mean(vals)
+            sigma[i, j] = np.std(vals, ddof=1) if len(vals) > 1 else 0.0
+    return alpha, sigma
+
+
+def test_amplitudes_match_the_loop_reference():
+    rng = np.random.default_rng(17)
+    for t in range(400):
+        m, n_blocks = int(rng.integers(2, 7)), int(rng.integers(1, 25))
+        base = rng.poisson(rng.uniform(0.5, 500),
+                           size=(m, m, n_blocks + 3)).astype(float)
+        # sliced, bootstrap-style fancy-indexed, Fortran-ordered and
+        # transposed-reversed views reduce in different memory orders
+        counts = [base[:, :, :n_blocks],
+                  base[:, :, rng.integers(0, n_blocks + 3, n_blocks)],
+                  np.asfortranarray(base[:, :, :n_blocks]),
+                  base.transpose(1, 0, 2)[:, :, ::-1][:, :, :n_blocks]][t % 4]
+        try:
+            want = loop_amplitudes(counts)
+        except DivisionByZeroCount as exc:
+            with pytest.raises(DivisionByZeroCount) as info:
+                characterize.estimate_amplitudes(counts)
+            assert info.value.details == exc.details
+            continue
+        alpha, sigma = characterize.estimate_amplitudes(counts)
+        assert np.array_equal(alpha, want[0])
+        assert np.array_equal(sigma, want[1])
+
+
 def test_amplitudes_within_3_sigma_of_truth():
     rng = np.random.default_rng(11)
     u = linalg.haar_random_unitary(3, seed=5)
@@ -59,9 +108,13 @@ def test_amplitudes_within_3_sigma_of_truth():
 
 
 def test_repetition_convergence_statuses():
-    ok = characterize.repetition_convergence(np.full((2, 2, 8), 100.0))
+    counts = np.full((2, 2, 8), 100.0)
+    _, sigma = characterize.estimate_amplitudes(counts)
+    ok = characterize.repetition_convergence(counts, sigma)
     assert ok["status"] == "ok"
-    few = characterize.repetition_convergence(np.full((2, 2, 2), 100.0))
+    counts = np.full((2, 2, 2), 100.0)
+    _, sigma = characterize.estimate_amplitudes(counts)
+    few = characterize.repetition_convergence(counts, sigma)
     assert few["status"] == "skipped"
 
 
@@ -336,15 +389,15 @@ def test_max_likely_negative_dressing_keeps_its_row():
     assert linalg.unitarity_defect(w) < 1e-10
 
 
-def test_bootstrap_negative_dressing_is_not_a_failure():
+def test_bootstrap_negative_dressing_is_not_a_failure(monkeypatch):
     # three replicates of this low-count m=3 run used to fail with
     # SingularInput on a well-conditioned amplitude matrix; one replicate
     # still fails, its calibration fit outside [0, 1]
     ds = harness.simulate_dataset(linalg.haar_random_unitary(3, seed=4), 0.9,
                                   seed=4, photons_per_input=2e3,
                                   pair_rate=4e2)
-    res = characterize.bootstrap(ds, n_replicates=20, seed=3,
-                                 max_failure_rate=1.0)
+    monkeypatch.setattr(characterize, "MAX_REPLICATE_FAILURE_RATE", 1.0)
+    res = characterize.bootstrap(ds, n_replicates=20, seed=3)
     failures, = [d for d in res.diagnostics
                  if d["type"] == "bootstrap-failures"]
     assert "SingularInput" not in failures["by_class"]
@@ -556,8 +609,8 @@ def test_bootstrap_stack_matches_one_replicate_at_a_time(case, monkeypatch):
         return out
 
     monkeypatch.setattr(characterize, "characterize_dataset", spy)
-    res = characterize.bootstrap(ds, n_replicates=n, seed=seed,
-                                 max_failure_rate=1.0)
+    monkeypatch.setattr(characterize, "MAX_REPLICATE_FAILURE_RATE", 1.0)
+    res = characterize.bootstrap(ds, n_replicates=n, seed=seed)
     reference = one_at_a_time(seen["replicates"], seen["point"])
     assert_same_outcomes(seen["out"], reference)
     ws = [r.w for r in reference if not isinstance(r, Exception)]

@@ -426,6 +426,28 @@ def test_dfunc_rejects_a_matrix_that_is_not_n_by_n(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "ShapeError"
 
 
+def test_dfunc_honours_interf_tol(tmp_path, monkeypatch, capsys):
+    # unitarity defect about 2e-7: above the 1e-8 default, below 1e-5
+    v = linalg.haar_special_unitary(3, np.random.default_rng(9)) * (1 + 1e-7)
+    io.write_matrix(v, tmp_path / "v.json")
+    argv = ["dfunc", "--in", str(tmp_path / "v.json"), "--irrep", "1,1",
+            "--out", str(tmp_path / "d.json")]
+    monkeypatch.setenv("INTERF_TOL", "1e-5")
+    assert run(argv) == 0
+    monkeypatch.delenv("INTERF_TOL")
+    assert run(argv) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "NotUnitary"
+    assert err["details"]["tol"] == 1e-8
+
+
+def test_dfunc_rejects_non_unitary(tmp_path, capsys):
+    io.write_matrix(2 * np.eye(3), tmp_path / "v.json")
+    assert run(["dfunc", "--in", str(tmp_path / "v.json"),
+                "--irrep", "1,1"]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "NotUnitary"
+
+
 def test_immanant_verb(tmp_path, capsys):
     io.write_matrix(np.eye(3), tmp_path / "m.json")
     assert run(["immanant", "--in", str(tmp_path / "m.json"),

@@ -144,6 +144,24 @@ def test_kostant_requires_special_unitary():
                                   (2, 1), 3)
 
 
+def test_identity_checks_its_element_once(monkeypatch):
+    calls = []
+    defect = linalg.unitarity_defect
+
+    def counted(u):
+        calls.append(1)
+        return defect(u)
+
+    monkeypatch.setattr(linalg, "unitarity_defect", counted)
+    v = special_unitary(4, 60)
+    immanants.kostant_lhs_rhs(v, (2, 1, 1), 4)
+    assert len(calls) == 1
+    immanants.submatrix_immanant_identity(v, (2, 1), (2, 3, 4), (1, 3, 4), 4)
+    assert len(calls) == 2
+    immanants.submatrix_immanant_identity(v, (2, 1), (1, 3, 4), (1, 3, 4), 4)
+    assert len(calls) == 3
+
+
 def test_principal_submatrix_identity():
     v = special_unitary(4, 50)
     for rows in [(1, 2, 3), (1, 3, 4), (2, 3, 4)]:

@@ -13,7 +13,6 @@ from interfero import bosonrep, immanants, linalg, sunrep
 from interfero.errors import (
     InternalInconsistency,
     LabelError,
-    NotUnitary,
     ShapeError,
 )
 
@@ -178,8 +177,6 @@ def test_fundamental_matrix_forms():
             (1, 3, 0.7, 0.2, -0.1)]
     with pytest.raises(ShapeError):
         sunrep.fundamental_matrix(3, rots)
-    with pytest.raises(NotUnitary):
-        sunrep.fundamental_matrix(2, np.eye(2) * 1.5)
     with pytest.raises(ShapeError):
         sunrep.fundamental_matrix(3, np.eye(2))
 
@@ -204,6 +201,20 @@ def test_d_matrix_unitary_and_homomorphic(n, kap):
     _, d12 = sunrep.dfunction_matrix(n, u1 @ u2, kap)
     assert linalg.unitarity_defect(d1) < 1e-12
     assert np.max(np.abs(d12 - d1 @ d2)) < 1e-12
+
+
+@pytest.mark.parametrize("n,kap", [(3, (1, 1)), (3, (2, 0)), (4, (1, 0, 1))])
+def test_d_matrix_is_a_gl_n_representation(n, kap):
+    # D is polynomial in the entries, so it is a representation of GL(n)
+    # and takes matrices that are far from unitary
+    rng = np.random.default_rng(31)
+    a, b = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            for _ in range(2))
+    _, da = sunrep.dfunction_matrix(n, a, kap)
+    _, db = sunrep.dfunction_matrix(n, b, kap)
+    _, dab = sunrep.dfunction_matrix(n, a @ b, kap)
+    assert np.max(np.abs(dab - da @ db)) < 1e-12 * np.max(np.abs(dab))
+    assert linalg.unitarity_defect(da) > 1.0
 
 
 def test_d_identity_element():
