@@ -259,13 +259,6 @@ def _port_constants(alpha, gamma, ports):
     return base, amp
 
 
-def port_curve_model(dataset, ports, alpha, gamma):
-    """Model of the coincidence curve on ports (a,i,b,j), whose shape is
-    the phase combination β of the four paths."""
-    return cosine_curve_model(dataset.envelope(ports[2], ports[3]),
-                              *_port_constants(alpha, gamma, ports))
-
-
 def sign_calc(beta, th_ref, th_a, th_b, abs_target):
     """Resolve sgn θ from a measured phase combination β ∈ [0, π].
 
@@ -638,8 +631,7 @@ class CharacterizedInterferometer:
         self.diagnostics = diagnostics
 
 
-def characterize_dataset(datasets, threshold=0.1, gamma_override=None,
-                         warm=None):
+def characterize_dataset(datasets, threshold=0.1, warm=None):
     """Point-estimate pipeline, amplitudes → calibration → arguments → W,
     on a list of datasets at once.
 
@@ -651,6 +643,7 @@ def characterize_dataset(datasets, threshold=0.1, gamma_override=None,
     """
     out = [None] * len(datasets)
     running = {}        # index -> [diagnostics, alpha, gamma, σ(γ), fit]
+    calibrated = []
     for k, ds in enumerate(datasets):
         try:
             missing = ds.missing_choice_keys()
@@ -666,12 +659,12 @@ def characterize_dataset(datasets, threshold=0.1, gamma_override=None,
         except InterferoError as exc:
             out[k] = exc
             continue
-        gamma = 1.0 if gamma_override is None else float(gamma_override)
-        running[k] = [diagnostics, alpha, gamma, 0.0, None]
-
-    calibrated = [k for k in running if gamma_override is None
-                  and datasets[k].calibration_single is not None
-                  and datasets[k].calibration_curve is not None]
+        running[k] = [diagnostics, alpha, 1.0, 0.0, None]
+        if ds.calibration_single is None or ds.calibration_curve is None:
+            diagnostics.append({"type": "no-calibration-data",
+                                "gamma_assumed": 1.0})
+        else:
+            calibrated.append(k)
     if calibrated:
         results = calibrate_gamma(
             [datasets[k].calibration_single for k in calibrated],
@@ -685,10 +678,6 @@ def characterize_dataset(datasets, threshold=0.1, gamma_override=None,
                 del running[k]
             else:
                 running[k][2:] = res
-    for k, state in running.items():
-        if gamma_override is None and k not in calibrated:
-            state[0].append({"type": "no-calibration-data",
-                             "gamma_assumed": 1.0})
 
     keys = list(running)
     results = estimate_arguments(
@@ -717,59 +706,46 @@ def characterize_dataset(datasets, threshold=0.1, gamma_override=None,
 MAX_REPLICATE_FAILURE_RATE = 0.1
 
 
-def _resample_curve(tau, fit, model_curve, rng):
-    """Replicate curve: C^fit·(1 + resampled normalized residuals)."""
-    norm = fit.residuals / np.maximum(model_curve, 1e-300)
+def _resample_curve(curve, fit, rng):
+    """Replicate of a measured curve (τ, C) from its fit alone:
+    C^fit·(1 + resampled relative residuals), C^fit = C − residuals."""
+    tau, counts = curve
+    fitted = np.asarray(counts, dtype=float) - fit.residuals
+    norm = fit.residuals / np.maximum(fitted, 1e-300)
     shuffled = rng.choice(norm, size=len(norm), replace=True)
-    return tau, model_curve * (1.0 + shuffled)
+    return tau, fitted * (1.0 + shuffled)
 
 
 def bootstrap(dataset, n_replicates=100, seed=0, threshold=0.1):
     """Error bars by residual resampling around the point estimate.
 
     Each replicate resamples the single-count repetitions with replacement
-    and rebuilds every consumed coincidence curve from its fitted model
-    plus resampled normalized residuals, then re-runs the pipeline with the
-    point estimate's plan, scanning each shift in a window around the
-    point estimate's.  All replicates are built first and run through the
-    pipeline as one stack, so each fitting stage is one batched fit over
-    every replicate; a replicate that fails drops out on its own, and more
-    than MAX_REPLICATE_FAILURE_RATE failing is a BootstrapUnstable.
+    and rebuilds every fitted curve, the calibration curve among them,
+    from the values its fit produced plus resampled relative residuals,
+    then re-runs the pipeline with the point estimate's plan, scanning
+    each shift in a window around the point estimate's.  All replicates
+    are built first and run through the pipeline as one stack, so each
+    fitting stage is one batched fit over every replicate; a replicate
+    that fails drops out on its own, and more than
+    MAX_REPLICATE_FAILURE_RATE failing is a BootstrapUnstable.
     σ(Re W), σ(Im W) and σ(γ) are standard deviations over the rest.
     """
     point = _unwrap(characterize_dataset([dataset], threshold=threshold)[0])
-    model_curves = {}
-    for key, fit in point.fits.items():
-        model = port_curve_model(dataset, key, point.alpha, point.gamma)
-        model_curves[key] = model.curve(dataset.coincidence[key][0],
-                                        fit.shape, fit.scale, fit.shift)
-    if point.calibration_fit is not None:
-        cal_tau, _ = dataset.calibration_curve
-        cal_alpha, _ = estimate_amplitudes(dataset.calibration_single)
-        cal_model = calibration_curve_model(
-            dataset.envelope(1, 2),
-            reflectivity_from_alpha(cal_alpha[1, 1]))
-        cal_values = cal_model.curve(cal_tau, point.calibration_fit.shape,
-                                     point.calibration_fit.scale,
-                                     point.calibration_fit.shift)
-
+    cal_single = dataset.calibration_single
     replicates = []
     for idx in range(n_replicates):
         rng = np.random.default_rng([int(seed), idx])
         pick = rng.integers(0, dataset.n_blocks, dataset.n_blocks)
-        singles = dataset.single_counts[:, :, pick]
         curves = dict(dataset.coincidence)
         for key, fit in point.fits.items():
-            tau, _ = dataset.coincidence[key]
-            curves[key] = _resample_curve(tau, fit, model_curves[key], rng)
-        rep = CharacterizationDataset(
-            singles, curves, dataset.spectra,
-            calibration_single=None if dataset.calibration_single is None
-            else dataset.calibration_single[:, :, pick % dataset.calibration_single.shape[2]],
+            curves[key] = _resample_curve(dataset.coincidence[key], fit, rng)
+        replicates.append(CharacterizationDataset(
+            dataset.single_counts[:, :, pick], curves, dataset.spectra,
+            calibration_single=None if cal_single is None
+            else cal_single[:, :, pick % cal_single.shape[2]],
             calibration_curve=None if point.calibration_fit is None
-            else _resample_curve(cal_tau, point.calibration_fit, cal_values,
-                                 rng))
-        replicates.append(rep)
+            else _resample_curve(dataset.calibration_curve,
+                                 point.calibration_fit, rng)))
 
     ws, gammas, failures = [], [], []
     for idx, est in enumerate(characterize_dataset(

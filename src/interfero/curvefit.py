@@ -53,20 +53,14 @@ class CurveModel:
         self.inverse = inverse
         self.f_range = f_range
 
-    def curve(self, tau, shape, scale, shift):
-        """C(τ) of a one-curve model."""
-        qv = self.q.shifted(np.asarray(tau, dtype=float), shift)
-        return scale * (self.base[0] + self.amp[0] * self.f(shape) * qv)
-
     def jacobian(self, tau, shape, scale, shift):
-        """(∂C/∂(shape, scale, shift) as (T, 3), C(τ)) of a one-curve model."""
+        """∂C/∂(shape, scale, shift) (T, 3) of a one-curve model."""
         qv, dq = self.q.shifted(np.asarray(tau, dtype=float), shift,
                                 derivative=True)
         amp = self.amp[0] * self.f(shape)
         inner = self.base[0] + amp * qv
         d_shape = scale * (self.amp[0] * self.df(shape) * qv)
-        jac = np.stack([d_shape, inner, -scale * amp * dq], axis=1)
-        return jac, scale * inner
+        return np.stack([d_shape, inner, -scale * amp * dq], axis=1)
 
 
 class FitResult:
@@ -304,7 +298,7 @@ def param_sigmas(model, tau, counts, fit):
     tau = np.asarray(tau, dtype=float)
     counts = np.asarray(counts, dtype=float)
     w = fit_weights(counts)
-    jac, _ = model.jacobian(tau, fit.shape, fit.scale, fit.shift)
+    jac = model.jacobian(tau, fit.shape, fit.scale, fit.shift)
     h = (jac.T * w) @ jac
     dof = max(len(tau) - 3, 1)
     try:

@@ -3,6 +3,7 @@
 Every error carries a machine-readable ``code`` (its class name) and an
 optional ``details`` dict so the CLI can serialize failures to JSON.
 """
+import json
 
 
 class InterferoError(Exception):
@@ -17,7 +18,10 @@ class InterferoError(Exception):
         return type(self).__name__
 
     def to_json(self):
-        return {"error": self.code, "message": str(self), "details": self.details}
+        """The error as a dict for strict JSON: a non-finite float in the
+        details becomes the string "Infinity", "-Infinity" or "NaN"."""
+        details = json.loads(json.dumps(self.details), parse_constant=str)
+        return {"error": self.code, "message": str(self), "details": details}
 
 
 # --- matrix core -----------------------------------------------------------

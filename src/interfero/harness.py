@@ -120,7 +120,8 @@ def run_trials(m, variant, n_trials, seed, gamma=0.9, spectra_kind="gauss",
     one pipeline variant, per-trial errors ε = min over {U, U*}.
 
     Variants: "full" (calibrated fit with the true spectra), "nocal"
-    (γ forced to 1), "gauss" (Gaussian spectra substituted in the fit).
+    (no calibration data, so γ = 1), "gauss" (Gaussian spectra
+    substituted in the fit).
     Every trial is simulated first, then all of them are characterized as
     one stack; a trial whose pipeline raises an InterferoError becomes a
     failure record.
@@ -140,8 +141,7 @@ def run_trials(m, variant, n_trials, seed, gamma=0.9, spectra_kind="gauss",
             u, gamma, rng=rng, spectra=spectra, fit_spectra=fit_spectra,
             photons_per_input=photons_per_input, pair_rate=pair_rate,
             n_blocks=n_blocks, include_calibration=(variant != "nocal")))
-    estimates = characterize_dataset(
-        datasets, gamma_override=1.0 if variant == "nocal" else None)
+    estimates = characterize_dataset(datasets)
     per_trial = []
     failures = []
     for t, (u, est) in enumerate(zip(unitaries, estimates)):

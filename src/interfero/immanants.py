@@ -260,6 +260,12 @@ def _submatrix_fixture():
     return table
 
 
+def tabulated_submatrices(n):
+    """(partition, rows, cols) of every non-principal su(n) submatrix
+    identity in the label fixture, in fixture order."""
+    return [key[1:] for key in _submatrix_fixture() if key[0] == n]
+
+
 def submatrix_immanant_identity(omega, lam, rows, cols, n):
     """imm^lam of the (rows, cols) submatrix versus its D-function sum.
 
@@ -347,14 +353,12 @@ def fit_label_pairs(n, lam, rows, cols, rng, n_samples=40):
     return LabelPairFit(candidates, x, rounded, dim_lam, clean, residual)
 
 
-def littlewood_relation_check(omega, n=4):
+def littlewood_relation_check(omega):
     """Residual of the coaxial product relation on a 4x4 group element.
 
     Sum over complementary splits (ijk | l) of
     imm^{3}(V_{ijk,ijk}) * V_{ll}  equals  imm^{3,1}(V) + perm(V).
     """
-    if n != 4:
-        raise ShapeError("the product relation is tabulated for n = 4", n=n)
     v = _special_unitary(4, omega)
     lhs = 0.0 + 0.0j
     for keep in itertools.combinations(range(4), 3):

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from interfero import characterize, harness, linalg, photonic
-from interfero.errors import (CalibrationOutOfRange, DegenerateAmplitudes,
-                              DivisionByZeroCount, FitFailure,
-                              InsufficientData, InterferoError, ShapeError)
+from interfero.errors import (BootstrapUnstable, CalibrationOutOfRange,
+                              DegenerateAmplitudes, DivisionByZeroCount,
+                              FitFailure, InsufficientData, InterferoError,
+                              ShapeError)
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +613,7 @@ def test_bootstrap_stack_matches_one_replicate_at_a_time(case, monkeypatch):
     seen = {}
     stack = characterize.characterize_dataset
 
-    def spy(datasets, threshold=0.1, gamma_override=None, warm=None):
+    def spy(datasets, threshold=0.1, warm=None):
         if warm is not None and not seen and case == "failing":
             # flat curves fail two more replicates, one at the magnitude
             # and one at the sign stage
@@ -622,7 +623,7 @@ def test_bootstrap_stack_matches_one_replicate_at_a_time(case, monkeypatch):
                 tau, counts = datasets[idx].coincidence[key]
                 datasets[idx].coincidence[key] = (
                     tau, np.full_like(counts, counts.mean()))
-        out = stack(datasets, threshold, gamma_override, warm)
+        out = stack(datasets, threshold, warm)
         if warm is not None and not seen:     # the bootstrap's own call
             seen.update(replicates=datasets, point=warm, out=out)
         return out
@@ -647,6 +648,20 @@ def test_bootstrap_stack_matches_one_replicate_at_a_time(case, monkeypatch):
     assert entry["count"] == len(expected)
     assert sum(entry["by_class"].values()) == entry["count"]
     assert len(entry["by_class"]) >= 2
+
+
+def test_bootstrap_unstable_past_the_failure_rate(monkeypatch):
+    # the low-count data above: 1 of 20 replicates fails calibration
+    u = linalg.haar_random_unitary(3, seed=4)
+    ds = harness.simulate_dataset(u, 0.9, seed=4, photons_per_input=2e3,
+                                  pair_rate=4e2)
+    monkeypatch.setattr(characterize, "MAX_REPLICATE_FAILURE_RATE", 0.0)
+    with pytest.raises(BootstrapUnstable) as info:
+        characterize.bootstrap(ds, n_replicates=20, seed=3)
+    assert info.value.details["failure_rate"] == 0.05
+    (failure,) = info.value.details["failures"]
+    assert failure["class"] == "CalibrationOutOfRange"
+    assert failure["error"] == "fitted mode matching outside [0, 1]"
 
 
 # experiment kinds of the stacked-characterization property test

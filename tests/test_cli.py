@@ -6,11 +6,21 @@ import sys
 import numpy as np
 import pytest
 
-from interfero import cli, csd, harness, io, linalg
+from interfero import characterize, cli, csd, harness, io, linalg
 
 
 def run(argv):
     return cli.main(list(argv))
+
+
+def _reject(constant):
+    raise ValueError(f"{constant} is not strict JSON")
+
+
+def strict_json(text):
+    """One JSON document, as a strict parser reads it: NaN and Infinity
+    are rejected."""
+    return json.loads(text, parse_constant=_reject)
 
 
 def write_unitary(path, m, seed):
@@ -27,7 +37,7 @@ def test_decompose_reconstruct_round_trip(tmp_path, capsys):
     assert run(["decompose", "--in", str(tmp_path / "u.json"),
                 "--ns", "3", "--np", "2",
                 "--out", str(tmp_path / "plan.json")]) == 0
-    summary = json.loads(capsys.readouterr().out)
+    summary = strict_json(capsys.readouterr().out)
     assert summary["census"]["BS"] == 6
     assert run(["reconstruct", "--in", str(tmp_path / "plan.json"),
                 "--out", str(tmp_path / "u2.json")]) == 0
@@ -80,7 +90,7 @@ def test_reconstruct_malformed_plan_exit_1(case, tmp_path, capsys):
     out = tmp_path / "u.json"
     assert run(["reconstruct", "--in", str(tmp_path / "plan.json"),
                 "--out", str(out)]) == 1
-    err = json.loads(capsys.readouterr().err)
+    err = strict_json(capsys.readouterr().err)
     assert err["schema"] == "v1"
     assert err["error"] == expected
     assert not out.exists()
@@ -90,13 +100,13 @@ def test_reconstruct_plan_that_is_not_an_object_exit_1(tmp_path, capsys):
     (tmp_path / "plan.json").write_text("[1, 2]")
     assert run(["reconstruct", "--in", str(tmp_path / "plan.json"),
                 "--out", str(tmp_path / "u.json")]) == 1
-    assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
+    assert strict_json(capsys.readouterr().err)["error"] == "ParseError"
     assert not (tmp_path / "u.json").exists()
 
 
 def test_cost_verb(tmp_path, capsys):
     assert run(["cost", "--ns", "4", "--np", "2"]) == 0
-    report = json.loads(capsys.readouterr().out)
+    report = strict_json(capsys.readouterr().out)
     assert report["beam_splitters"] == 12
     assert report["reduction_factor"] == pytest.approx(28 / 12)
 
@@ -106,7 +116,7 @@ def test_decompose_domain_error_exit_1(tmp_path, capsys):
     rc = run(["decompose", "--in", str(tmp_path / "bad.json"),
               "--ns", "3", "--np", "2", "--out", str(tmp_path / "p.json")])
     assert rc == 1
-    err = json.loads(capsys.readouterr().err)
+    err = strict_json(capsys.readouterr().err)
     assert err["schema"] == "v1"
     assert err["error"] == "NotUnitary"
 
@@ -117,14 +127,14 @@ def test_reconstruct_corrupt_plan_exit_1(tmp_path, capsys):
     rc = run(["reconstruct", "--in", str(tmp_path / "plan.json"),
               "--out", str(tmp_path / "u.json")])
     assert rc == 1
-    assert json.loads(capsys.readouterr().err)["error"] == "PlanCorrupt"
+    assert strict_json(capsys.readouterr().err)["error"] == "PlanCorrupt"
 
 
 @pytest.mark.parametrize("argv", [["--ns", "0", "--np", "2"],
                                   ["--ns", "3", "--np", "0"]])
 def test_cost_invalid_dimension_exit_1(argv, capsys):
     assert run(["cost", *argv]) == 1
-    err = json.loads(capsys.readouterr().err)
+    err = strict_json(capsys.readouterr().err)
     assert err["schema"] == "v1"
     assert err["error"] == "InvalidDimension"
 
@@ -183,7 +193,7 @@ def test_one_parser_serves_every_main_call(tmp_path, monkeypatch, capsys):
 def test_gamma_out_of_range_exit_1(argv, tmp_path, capsys):
     out = tmp_path / "out"
     assert run([*argv, "--out", str(out)]) == 1
-    err = json.loads(capsys.readouterr().err)
+    err = strict_json(capsys.readouterr().err)
     assert err["schema"] == "v1"
     assert err["error"] == "InvalidGamma"
     assert not out.exists()
@@ -196,7 +206,7 @@ def test_gamma_out_of_range_exit_1(argv, tmp_path, capsys):
 def test_single_port_exit_1(argv, tmp_path, capsys):
     out = tmp_path / "out"
     assert run([*argv, "--out", str(out)]) == 1
-    err = json.loads(capsys.readouterr().err)
+    err = strict_json(capsys.readouterr().err)
     assert err["schema"] == "v1"
     assert err["error"] == "InvalidDimension"
     assert not out.exists()
@@ -212,7 +222,7 @@ def test_characterize_short_curve_exit_1(tmp_path, capsys):
     rc = run(["characterize", "--data", str(bundle),
               "--out", str(tmp_path / "result.json")])
     assert rc == 1
-    err = json.loads(capsys.readouterr().err)
+    err = strict_json(capsys.readouterr().err)
     assert err["schema"] == "v1"
     assert err["error"] == "InsufficientData"
 
@@ -276,7 +286,8 @@ def _copy(src, dst):
 def _manifest(**changes):
     def apply(bundle):
         path = bundle / "manifest.json"
-        path.write_text(json.dumps({**json.loads(path.read_text()), **changes}))
+        manifest = strict_json(path.read_text())
+        path.write_text(json.dumps({**manifest, **changes}))
     return apply
 
 
@@ -336,9 +347,71 @@ def test_characterize_malformed_bundle_exit_1(case, m4_bundle, tmp_path,
     capsys.readouterr()
     out = tmp_path / "result.json"
     assert run(["characterize", "--data", str(bundle), "--out", str(out)]) == 1
-    err = json.loads(capsys.readouterr().err)
+    err = strict_json(capsys.readouterr().err)
     assert err["schema"] == "v1"
     assert err["error"] == expected
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def m3_bundle(tmp_path_factory):
+    bundle = tmp_path_factory.mktemp("bundle") / "m3"
+    assert run(["simulate", "--m", "3", "--seed", "1",
+                "--out", str(bundle)]) == 0
+    return bundle
+
+
+def _set_count(i, j, b, value):
+    """Set the count of counts.csv row (i, j, b)."""
+    def apply(bundle):
+        path = bundle / "counts.csv"
+        lines = path.read_text().splitlines(True)
+        (k,) = [k for k, text in enumerate(lines)
+                if text.startswith(f"{i},{j},{b},")]
+        lines[k] = f"{i},{j},{b},{value}\n"
+        path.write_text("".join(lines))
+    return apply
+
+
+@pytest.mark.parametrize("corrupt,expected,details", [
+    (_edit_line("spectra/2.csv", 1, _field(1, "1e308")), "ShapeError",
+     {"norm_squared": "Infinity"}),
+    (_set_count(1, 1, 5, "1e308"), "DegenerateAmplitudes", None)],
+    ids=["spectrum-overflows", "count-overflows"])
+def test_overflow_exit_1_writes_one_strict_json_document(
+        corrupt, expected, details, m3_bundle, tmp_path):
+    # stderr of a real process: numpy's floating-point warnings, were they
+    # printed, would come before the error's JSON
+    bundle = tmp_path / "bundle"
+    shutil.copytree(m3_bundle, bundle)
+    corrupt(bundle)
+    proc = subprocess.run(
+        [sys.executable, "-m", "interfero.cli", "characterize", "--data",
+         str(bundle), "--out", str(tmp_path / "result.json")],
+        capture_output=True, text=True)
+    assert proc.returncode == 1
+    err = strict_json(proc.stderr)
+    assert err["error"] == expected
+    if details is not None:
+        assert err["details"] == details
+
+
+def test_characterize_bootstrap_unstable_exit_1(tmp_path, monkeypatch,
+                                                capsys):
+    # 1 of these 20 replicates fails calibration, above a rate of 0
+    u = linalg.haar_random_unitary(3, seed=4)
+    ds = harness.simulate_dataset(u, 0.9, seed=4, photons_per_input=2e3,
+                                  pair_rate=4e2)
+    io.write_bundle(ds, tmp_path / "bundle", seed=4)
+    monkeypatch.setattr(characterize, "MAX_REPLICATE_FAILURE_RATE", 0.0)
+    out = tmp_path / "result.json"
+    assert run(["characterize", "--data", str(tmp_path / "bundle"),
+                "--bootstrap", "20", "--seed", "3", "--out", str(out)]) == 1
+    err = strict_json(capsys.readouterr().err)
+    assert err["error"] == "BootstrapUnstable"
+    assert err["details"] == {"failure_rate": 0.05, "failures": [
+        {"replicate": 9, "error": "fitted mode matching outside [0, 1]",
+         "class": "CalibrationOutOfRange"}]}
     assert not out.exists()
 
 
@@ -354,7 +427,7 @@ def test_simulate_then_characterize(tmp_path):
                 "--noiseless", "--out", str(bundle)]) == 0
     assert run(["characterize", "--data", str(bundle),
                 "--out", str(tmp_path / "result.json")]) == 0
-    res = json.loads((tmp_path / "result.json").read_text())
+    res = strict_json((tmp_path / "result.json").read_text())
     w = io.matrix_from_json(res["w"])
     u = io.read_matrix(bundle / "unitary.json")
     assert harness.characterization_error(w, u) < 1e-6
@@ -368,7 +441,7 @@ def test_characterize_bootstrap_emits_sigmas(tmp_path):
                 "--bootstrap", "8", "--seed", "1",
                 "--out", str(tmp_path / "result.json"),
                 "--plot-csv", str(tmp_path / "curves.csv")]) == 0
-    res = json.loads((tmp_path / "result.json").read_text())
+    res = strict_json((tmp_path / "result.json").read_text())
     assert "sigma_re" in res and "sigma_im" in res
     assert (tmp_path / "curves.csv").read_text().startswith("x,y,series")
 
@@ -380,14 +453,14 @@ def test_characterize_bootstrap_requires_seed(tmp_path, capsys):
     rc = run(["characterize", "--data", str(bundle), "--bootstrap", "4",
               "--out", str(tmp_path / "r.json")])
     assert rc == 1
-    assert "seed" in json.loads(capsys.readouterr().err)["message"]
+    assert "seed" in strict_json(capsys.readouterr().err)["message"]
 
 
 def test_trials_verb(tmp_path):
     assert run(["trials", "--m", "3", "--variant", "full", "--trials", "2",
                 "--seed", "5", "--out", str(tmp_path / "rep.json"),
                 "--plot-csv", str(tmp_path / "t.csv")]) == 0
-    rep = json.loads((tmp_path / "rep.json").read_text())
+    rep = strict_json((tmp_path / "rep.json").read_text())
     assert rep["variant"] == "full" and len(rep["per_trial"]) == 2
     lines = (tmp_path / "t.csv").read_text().strip().splitlines()
     assert lines[0] == "x,y,series" and len(lines) == 3
@@ -399,7 +472,7 @@ def test_trials_verb(tmp_path):
 def test_basis_verb(tmp_path):
     assert run(["basis", "--n", "3", "--irrep", "1,1",
                 "--out", str(tmp_path / "b.json")]) == 0
-    out = json.loads((tmp_path / "b.json").read_text())
+    out = strict_json((tmp_path / "b.json").read_text())
     assert out["dimension"] == 8
     assert len(out["states"]) == 8
     assert all(len(s["gt"]) == 3 for s in out["states"])
@@ -410,7 +483,7 @@ def test_dfunc_verb(tmp_path):
     io.write_matrix(v, tmp_path / "v.json")
     assert run(["dfunc", "--in", str(tmp_path / "v.json"), "--irrep", "1,1",
                 "--out", str(tmp_path / "d.json")]) == 0
-    out = json.loads((tmp_path / "d.json").read_text())
+    out = strict_json((tmp_path / "d.json").read_text())
     d = io.matrix_from_json(out["matrix"])
     assert d.shape == (8, 8)
     assert linalg.unitarity_defect(d) < 1e-9
@@ -423,7 +496,7 @@ def test_dfunc_rejects_a_matrix_that_is_not_n_by_n(tmp_path, capsys):
     io.write_matrix(np.array(rows), tmp_path / "rots.json")
     assert run(["dfunc", "--in", str(tmp_path / "rots.json"),
                 "--irrep", "1,1"]) == 1
-    assert json.loads(capsys.readouterr().err)["error"] == "ShapeError"
+    assert strict_json(capsys.readouterr().err)["error"] == "ShapeError"
 
 
 def test_dfunc_honours_interf_tol(tmp_path, monkeypatch, capsys):
@@ -436,7 +509,7 @@ def test_dfunc_honours_interf_tol(tmp_path, monkeypatch, capsys):
     assert run(argv) == 0
     monkeypatch.delenv("INTERF_TOL")
     assert run(argv) == 1
-    err = json.loads(capsys.readouterr().err)
+    err = strict_json(capsys.readouterr().err)
     assert err["error"] == "NotUnitary"
     assert err["details"]["tol"] == 1e-8
 
@@ -445,14 +518,14 @@ def test_dfunc_rejects_non_unitary(tmp_path, capsys):
     io.write_matrix(2 * np.eye(3), tmp_path / "v.json")
     assert run(["dfunc", "--in", str(tmp_path / "v.json"),
                 "--irrep", "1,1"]) == 1
-    assert json.loads(capsys.readouterr().err)["error"] == "NotUnitary"
+    assert strict_json(capsys.readouterr().err)["error"] == "NotUnitary"
 
 
 def test_immanant_verb(tmp_path, capsys):
     io.write_matrix(np.eye(3), tmp_path / "m.json")
     assert run(["immanant", "--in", str(tmp_path / "m.json"),
                 "--partition", "2,1"]) == 0
-    out = json.loads(capsys.readouterr().out)
+    out = strict_json(capsys.readouterr().out)
     assert out["re"] == pytest.approx(2.0)  # character dimension of (2,1)
     assert out["im"] == pytest.approx(0.0)
 
@@ -460,7 +533,7 @@ def test_immanant_verb(tmp_path, capsys):
 def test_verify_identities_exit_0(tmp_path):
     assert run(["verify-identities", "--group", "su3", "--trials", "20",
                 "--seed", "7", "--out", str(tmp_path / "v.json")]) == 0
-    out = json.loads((tmp_path / "v.json").read_text())
+    out = strict_json((tmp_path / "v.json").read_text())
     assert out["pass"] is True
     assert out["max_residual"] < 1e-10
     assert all(c["residual"] < 1e-10 for c in out["checks"])
@@ -476,7 +549,7 @@ def test_verify_identities_conjecture_probe(tmp_path):
     assert run(["verify-identities", "--group", "su4", "--trials", "1",
                 "--seed", "9", "--conjecture",
                 "--out", str(tmp_path / "v.json")]) == 0
-    out = json.loads((tmp_path / "v.json").read_text())
+    out = strict_json((tmp_path / "v.json").read_text())
     probes = out["conjecture"]
     assert len(probes) == 2
     for probe in probes:
@@ -526,7 +599,7 @@ def test_console_script_subprocess(tmp_path):
         [sys.executable, "-m", "interfero.cli", "cost", "--ns", "3",
          "--np", "2"], capture_output=True, text=True)
     assert proc.returncode == 0
-    assert json.loads(proc.stdout)["beam_splitters"] == 6
+    assert strict_json(proc.stdout)["beam_splitters"] == 6
 
 
 def test_every_verb_has_help():
