@@ -347,11 +347,10 @@ class BasisSet:
     squared norm) pairs that orthogonalize its states in discovery order.
     """
 
-    def __init__(self, by_weight, states, complements, m):
+    def __init__(self, by_weight, states, complements):
         self.by_weight = by_weight
         self.states = states
         self.complements = complements
-        self.m = m
 
     def dimension(self):
         return len(self.states)
@@ -408,7 +407,7 @@ def basis_set(hws_state, m):
                 continue
             if admit(new):
                 queue.append(new)
-    return BasisSet(by_weight, states, complements, m)
+    return BasisSet(by_weight, states, complements)
 
 
 # ---------------------------------------------------------------------------

@@ -59,10 +59,15 @@ class CharacterizationDataset:
             raise ShapeError("single counts must be an (m, m, B) array",
                              shape=list(shape))
         self.m, _, self.n_blocks = shape
-        self.coincidence = {photonic.canonical_curve_key(k):
-                            (np.asarray(v[0], dtype=float),
-                             np.asarray(v[1], dtype=float))
-                            for k, v in coincidence.items()}
+        self.coincidence, given = {}, {}
+        for k, (tau, counts) in coincidence.items():
+            key = photonic.canonical_curve_key(k)
+            if given.setdefault(key, k) != k:   # (i,i',j,j'), (i',i,j',j)
+                raise ShapeError("two coincidence curves on one port set",
+                                 keys=[list(map(int, given[key])),
+                                       list(map(int, k))])
+            self.coincidence[key] = (np.asarray(tau, dtype=float),
+                                     np.asarray(counts, dtype=float))
         self.spectra = list(spectra)
         if len(self.spectra) != self.m:
             raise ShapeError("need one spectrum per input port",
@@ -602,7 +607,11 @@ def max_likely_unitary(alpha, theta):
 # ---------------------------------------------------------------------------
 # orchestration
 # ---------------------------------------------------------------------------
-class PointEstimate:
+class Characterization:
+    """Representative W with the α̃ and θ̃ it came from, γ with σ(γ), the
+    plan and fits that bootstrap replicates reuse, the diagnostics, and
+    σ(Re W), σ(Im W): None until a bootstrap sets them."""
+
     def __init__(self, w, alpha, theta, gamma, gamma_sigma, plan, fits,
                  calibration_fit, diagnostics):
         self.w = w
@@ -614,21 +623,7 @@ class PointEstimate:
         self.fits = fits
         self.calibration_fit = calibration_fit
         self.diagnostics = diagnostics
-
-
-class CharacterizedInterferometer:
-    """Final characterization result: representative W with bootstrap
-    error bars on its real and imaginary parts, the fitted mode-matching
-    parameter and the accumulated diagnostics."""
-
-    def __init__(self, w, sigma_re, sigma_im, gamma, gamma_sigma,
-                 diagnostics):
-        self.w = w
-        self.sigma_re = sigma_re
-        self.sigma_im = sigma_im
-        self.gamma = gamma
-        self.gamma_sigma = gamma_sigma
-        self.diagnostics = diagnostics
+        self.sigma_re = self.sigma_im = None
 
 
 def characterize_dataset(datasets, threshold=0.1, warm=None):
@@ -639,7 +634,7 @@ def characterize_dataset(datasets, threshold=0.1, warm=None):
     over every dataset still running, and each dataset gets the result it
     gets alone.  A ``warm`` point estimate lends its plan, and its fits'
     shifts as the centres of the shift scans.  Returns each dataset's
-    PointEstimate or the error it raised; ``_unwrap`` raises it.
+    Characterization or the error it raised; ``_unwrap`` raises it.
     """
     out = [None] * len(datasets)
     running = {}        # index -> [diagnostics, alpha, gamma, σ(γ), fit]
@@ -695,8 +690,8 @@ def characterize_dataset(datasets, threshold=0.1, warm=None):
             out[k] = exc
             continue
         diagnostics.extend(arg_diag)
-        out[k] = PointEstimate(w, alpha, theta, gamma, gamma_sigma, plan,
-                               fits, cal_fit, diagnostics)
+        out[k] = Characterization(w, alpha, theta, gamma, gamma_sigma, plan,
+                                  fits, cal_fit, diagnostics)
     return out
 
 
@@ -728,7 +723,8 @@ def bootstrap(dataset, n_replicates=100, seed=0, threshold=0.1):
     fitting stage is one batched fit over every replicate; a replicate
     that fails drops out on its own, and more than
     MAX_REPLICATE_FAILURE_RATE failing is a BootstrapUnstable.
-    σ(Re W), σ(Im W) and σ(γ) are standard deviations over the rest.
+    Returns the point estimate's Characterization, on which σ(Re W),
+    σ(Im W) and σ(γ) are set to standard deviations over the rest.
     """
     point = _unwrap(characterize_dataset([dataset], threshold=threshold)[0])
     cal_single = dataset.calibration_single
@@ -752,7 +748,7 @@ def bootstrap(dataset, n_replicates=100, seed=0, threshold=0.1):
             replicates, threshold, warm=point)):
         if isinstance(est, Exception):
             failures.append({"replicate": idx, "error": str(est),
-                             "class": _error_class(est)})
+                             "class": type(est).__name__})
         else:
             ws.append(est.w)
             gammas.append(est.gamma)
@@ -760,23 +756,16 @@ def bootstrap(dataset, n_replicates=100, seed=0, threshold=0.1):
     if rate > MAX_REPLICATE_FAILURE_RATE:
         raise BootstrapUnstable("too many replicate failures",
                                 failure_rate=rate, failures=failures[:20])
+    # the replicates are done with the point estimate: it takes the σs
     stack = np.array(ws)
     ddof = 1 if len(ws) > 1 else 0
-    sigma_re = np.std(np.real(stack), axis=0, ddof=ddof)
-    sigma_im = np.std(np.imag(stack), axis=0, ddof=ddof)
-    gamma_sigma = float(np.std(gammas, ddof=ddof)) if gammas else 0.0
-    diagnostics = list(point.diagnostics)
+    point.sigma_re = np.std(np.real(stack), axis=0, ddof=ddof)
+    point.sigma_im = np.std(np.imag(stack), axis=0, ddof=ddof)
+    point.gamma_sigma = float(np.std(gammas, ddof=ddof)) if gammas else 0.0
     if failures:
         by_class = Counter(f["class"] for f in failures)
-        diagnostics.append({"type": "bootstrap-failures",
-                            "count": len(failures),
-                            "by_class": dict(sorted(by_class.items())),
-                            "log": failures[:20]})
-    return CharacterizedInterferometer(point.w, sigma_re, sigma_im,
-                                       point.gamma, gamma_sigma, diagnostics)
-
-
-def _error_class(exc):
-    """Failure class of a pipeline error: the InterferoError code, or the
-    exception's type name for numpy linear-algebra errors."""
-    return getattr(exc, "code", type(exc).__name__)
+        point.diagnostics.append({"type": "bootstrap-failures",
+                                  "count": len(failures),
+                                  "by_class": dict(sorted(by_class.items())),
+                                  "log": failures[:20]})
+    return point

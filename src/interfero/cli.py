@@ -221,11 +221,11 @@ def _identity_checks(group, trials, seed):
             yield (f"submatrix-{rows}-{cols}[{t}]", lhs, rhs, diff)
 
 
-def _conjecture_probe(n, lam, rows, cols, seed, n_samples=40):
+def _conjecture_probe(n, lam, rows, cols, seed):
     """Exploratory test: is the submatrix immanant a +1-combination of
     dim(lambda) distinct irrep matrix elements?  Returns a report dict."""
     fit = immanants.fit_label_pairs(n, lam, rows, cols,
-                                    np.random.default_rng(seed), n_samples)
+                                    np.random.default_rng(seed))
     return {
         "partition": list(lam),
         "rows": list(rows),
@@ -337,8 +337,8 @@ def build_parser():
     p.add_argument("--data", required=True, help="bundle directory")
     p.add_argument("--out", required=True, help="output result.json path")
     p.add_argument("--threshold", type=float, default=0.1,
-                   help="small-|theta| mitigation threshold in radians "
-                        "(default 0.1)")
+                   help="re-derive a sign whose reference phase combination "
+                        "is within this many radians of 0 or pi (default 0.1)")
     p.add_argument("--bootstrap", type=int, default=0,
                    help="number of bootstrap replicates for error bars")
     p.add_argument("--seed", type=int,
@@ -386,17 +386,21 @@ def build_parser():
                     "report JSON; --plot-csv writes x=trial, y=error, "
                     "series=variant.")
     p.add_argument("--m", type=int, required=True, help="number of ports")
-    p.add_argument("--variant", choices=["full", "nocal", "gauss"],
-                   required=True)
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--variant", choices=harness.VARIANTS, required=True,
+                   help="pipeline variant (see above)")
+    p.add_argument("--trials", type=int, required=True,
+                   help="number of random unitaries")
     p.add_argument("--seed", type=int, required=True, help="PRNG seed")
     p.add_argument("--gamma", type=float, default=0.9,
                    help="true mode-matching parameter (default 0.9)")
     p.add_argument("--spectra", choices=["gauss", "double"], default="gauss",
                    help="true source spectra")
-    p.add_argument("--blocks", type=int, default=10)
-    p.add_argument("--photons", type=float, default=1e5)
-    p.add_argument("--pairs", type=float, default=2e5)
+    p.add_argument("--blocks", type=int, default=10,
+                   help="repetition blocks B (default 10)")
+    p.add_argument("--photons", type=float, default=1e5,
+                   help="single-photon budget per input (default 1e5)")
+    p.add_argument("--pairs", type=float, default=2e5,
+                   help="photon-pair budget per curve (default 2e5)")
     p.add_argument("--out", help="report JSON path (default stdout)")
     p.add_argument("--plot-csv", help="per-trial errors as x,y,series CSV")
     p.set_defaults(func=cmd_trials)
@@ -447,11 +451,11 @@ def build_parser():
         help="check immanant/group-function identities on random elements",
         description="Draw random special unitaries and verify the identity "
                     "suite for the chosen group: SU(2) cos-beta matrix "
-                    "element, SU(3)/SU(4) immanant zero-weight sums, SU(4) "
-                    "submatrix and Littlewood relations, SU(5) submatrix "
-                    "relations. Emits one {check, lhs, rhs, residual} "
-                    "record per identity; exits 0 only if every residual "
-                    "is below the tolerance (INTERF_TOL, default 1e-10).")
+                    "element; SU(3)-SU(5) Kostant zero-weight sums, one per "
+                    "partition of n (seven for SU(5)); SU(4)/SU(5) submatrix "
+                    "and SU(4) Littlewood relations. Emits one {check, lhs, "
+                    "rhs, residual} record per identity; exits 0 only if "
+                    "every residual is below INTERF_TOL (default 1e-10).")
     p.add_argument("--group", choices=["su2", "su3", "su4", "su5"],
                    required=True)
     p.add_argument("--trials", type=int, required=True,

@@ -186,11 +186,10 @@ def load_fixture(name):
         return json.load(fh)
 
 
-def reflectivity_comparison(table=None):
+def reflectivity_comparison():
     """Normalized distances |R_proc − R_sp|/√(σ₁²+σ₂²) between each
     processed reflectivity estimate and the single-photon reference."""
-    if table is None:
-        table = load_fixture("reflectivity_table.json")
+    table = load_fixture("reflectivity_table.json")
     out = {}
     for method in ("calibrated", "nocal", "gauss"):
         rows = []

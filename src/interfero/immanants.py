@@ -321,10 +321,10 @@ class LabelPairFit(NamedTuple):
     residual: object
 
 
-def fit_label_pairs(n, lam, rows, cols, rng, n_samples=40):
+def fit_label_pairs(n, lam, rows, cols, rng):
     """Recover the D-function label pairs of a submatrix immanant identity.
 
-    Draws ``n_samples`` special unitaries from ``rng`` and solves
+    Draws 40 special unitaries from ``rng`` and solves
     imm^lam(V[rows, cols]) = sum_p x_p D_p(V) in the least-squares sense
     over every canonical (row, col) label pair of the dual irrep whose
     occupations indicate ``rows`` and ``cols``.
@@ -336,9 +336,9 @@ def fit_label_pairs(n, lam, rows, cols, rng, n_samples=40):
     col_labels = sunrep.labels_with_weight(
         n, kappas, _occupation_indicator(cols, n))
     candidates = [(r, c) for r in row_labels for c in col_labels]
-    a = np.zeros((n_samples, len(candidates)), dtype=complex)
-    b = np.zeros(n_samples, dtype=complex)
-    for t in range(n_samples):
+    a = np.zeros((40, len(candidates)), dtype=complex)
+    b = np.zeros(40, dtype=complex)
+    for t in range(40):
         v = linalg.haar_special_unitary(n, rng)
         sub = v[np.ix_([i - 1 for i in rows], [j - 1 for j in cols])]
         b[t] = immanant(sub, lam)

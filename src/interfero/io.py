@@ -11,12 +11,12 @@ matrix JSON     {"schema": "v1", "rows": R, "cols": C,
 plan JSON       {"schema": "v1", "n_s", "n_p", "elements": [...]} where each
                 element is {"kind": "BS", "mode"}, {"kind": "IU", "mode",
                 "matrix": matrix JSON} or {"kind": "IP", "mode", "phases"}.
-dataset bundle  directory with counts.csv ("i,j,b,count"), one
-                coincidence/<i>_<i'>_<j>_<j'>.csv ("tau,count") per curve,
-                spectra/<j>.csv ("omega,value"), optional calibration.csv
-                ("record,i,j,b,tau,count" mixing "single" and "curve" rows),
-                and manifest.json with m, B (repetition blocks), units and
-                the generating seed.
+dataset bundle  directory with counts.csv ("i,j,b,count", each index once),
+                one coincidence/<i>_<i'>_<j>_<j'>.csv ("tau,count") per
+                curve, spectra/<j>.csv ("omega,value"), optional
+                calibration.csv ("record,i,j,b,tau,count" mixing "single"
+                and "curve" rows), and manifest.json with m, B (repetition
+                blocks), units and the generating seed.
 result JSON     {"schema": "v1", "w": matrix JSON, "gamma", "gamma_sigma",
                  "sigma_re"/"sigma_im": matrix JSON (bootstrap only),
                  "diagnostics": [...]}
@@ -298,6 +298,25 @@ def _index(token, upper, name, path):
     return k
 
 
+def _count_array(entries, shape, path):
+    """The array of ``entries``, (i, j, b, count, line) tuples with 1-based
+    indices, which must name each index of ``shape`` exactly once."""
+    out = np.zeros(shape)
+    lines = {}
+    for i, j, b, count, line in entries:
+        if (i, j, b) in lines:
+            raise ParseError(f"repeated count index in {path}",
+                             index=[i, j, b], line=line,
+                             first_line=lines[i, j, b])
+        lines[i, j, b] = line
+        out[i - 1, j - 1, b - 1] = count
+    for i, j, b in np.ndindex(shape):
+        if (i + 1, j + 1, b + 1) not in lines:
+            raise ParseError(f"missing count index in {path}",
+                             index=[i + 1, j + 1, b + 1])
+    return out
+
+
 def read_bundle(path):
     """Load a bundle directory into a CharacterizationDataset."""
     manifest = load_json(os.path.join(path, "manifest.json"))
@@ -305,13 +324,13 @@ def read_bundle(path):
     m = _require_int(manifest, "m", path, minimum=2)
     n_blocks = _require_int(manifest, "B", path, minimum=1)
 
-    singles = np.zeros((m, m, n_blocks))
     counts_path = os.path.join(path, "counts.csv")
-    for i, j, b, count in _read_csv(counts_path, ["i", "j", "b", "count"]):
-        singles[_index(i, m, "i", counts_path) - 1,
-                _index(j, m, "j", counts_path) - 1,
-                _index(b, n_blocks, "b", counts_path) - 1] = \
-            _count(count, counts_path)
+    singles = _count_array(
+        [(_index(i, m, "i", counts_path), _index(j, m, "j", counts_path),
+          _index(b, n_blocks, "b", counts_path), _count(count, counts_path),
+          line) for line, (i, j, b, count) in enumerate(
+              _read_csv(counts_path, ["i", "j", "b", "count"]), start=2)],
+        (m, m, n_blocks), counts_path)
 
     curves = {}
     cdir = os.path.join(path, "coincidence")
@@ -346,24 +365,23 @@ def read_bundle(path):
     cal_path = os.path.join(path, "calibration.csv")
     if manifest.get("calibration") and os.path.exists(cal_path):
         singles_entries, tau_list, count_list = [], [], []
-        for record, i, j, b, tau, count in _read_csv(
-                cal_path, ["record", "i", "j", "b", "tau", "count"]):
+        for line, (record, i, j, b, tau, count) in enumerate(_read_csv(
+                cal_path, ["record", "i", "j", "b", "tau", "count"]), start=2):
             # the reference beam splitter has two ports
             if record == "single":
                 singles_entries.append((_index(i, 2, "i", cal_path),
                                         _index(j, 2, "j", cal_path),
                                         _index(b, n_blocks, "b", cal_path),
-                                        _count(count, cal_path)))
+                                        _count(count, cal_path), line))
             elif record == "curve":
                 tau_list.append(_number(tau, cal_path))
                 count_list.append(_count(count, cal_path))
             else:
                 raise ParseError(f"unknown calibration record {record!r}")
         if singles_entries:
-            nb = max(e[2] for e in singles_entries)
-            cal_single = np.zeros((2, 2, nb))
-            for i, j, b, count in singles_entries:
-                cal_single[i - 1, j - 1, b - 1] = count
+            cal_single = _count_array(
+                singles_entries, (2, 2, max(e[2] for e in singles_entries)),
+                cal_path)
         if tau_list:
             cal_curve = (np.array(tau_list), np.array(count_list))
 
@@ -376,36 +394,18 @@ def read_bundle(path):
 # characterization results
 # ---------------------------------------------------------------------------
 def result_to_json(est):
-    """Serialize a PointEstimate or CharacterizedInterferometer."""
+    """Serialize a characterize.Characterization, with σs once set."""
     out = {
         "schema": SCHEMA,
         "w": matrix_to_json(est.w),
         "gamma": float(est.gamma),
         "gamma_sigma": float(est.gamma_sigma),
-        "diagnostics": _plain(est.diagnostics),
+        "diagnostics": est.diagnostics,
     }
-    sigma_re = getattr(est, "sigma_re", None)
-    if sigma_re is not None:
-        out["sigma_re"] = matrix_to_json(sigma_re)
+    if est.sigma_re is not None:
+        out["sigma_re"] = matrix_to_json(est.sigma_re)
         out["sigma_im"] = matrix_to_json(est.sigma_im)
     return out
-
-
-def _plain(obj):
-    """Recursively convert numpy scalars/arrays for JSON output."""
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    return obj
 
 
 def write_result(est, path):

@@ -155,12 +155,12 @@ def gaussian_spectrum(center=6.0, width=1.0, n_points=61, span=5.0):
     return SpectralFunction(omega, f)
 
 
-def double_peak_spectrum(center=6.0, width=1.0, n_points=81, span=6.0):
-    """Asymmetric double-peak profile, a stand-in for measured non-Gaussian
-    source spectra."""
-    omega = np.linspace(center - span * width, center + span * width, n_points)
-    f = (np.exp(-((omega - center + 0.9 * width) ** 2) / (2 * (0.55 * width) ** 2))
-         + 0.6 * np.exp(-((omega - center - 1.1 * width) ** 2) / (2 * (0.8 * width) ** 2)))
+def double_peak_spectrum():
+    """Asymmetric double-peak profile on 81 points of [0, 12] rad/ps, a
+    stand-in for measured non-Gaussian source spectra."""
+    omega = np.linspace(0.0, 12.0, 81)
+    f = (np.exp(-((omega - 6.0 + 0.9) ** 2) / (2 * 0.55 ** 2))
+         + 0.6 * np.exp(-((omega - 6.0 - 1.1) ** 2) / (2 * 0.8 ** 2)))
     f /= np.sqrt(np.sum(trapezoid_weights(omega) * f ** 2))
     return SpectralFunction(omega, f)
 

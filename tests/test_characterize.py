@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from interfero import characterize, harness, linalg, photonic
+from interfero import characterize, harness, io, linalg, photonic
 from interfero.errors import (BootstrapUnstable, CalibrationOutOfRange,
                               DegenerateAmplitudes, DivisionByZeroCount,
                               FitFailure, InsufficientData, InterferoError,
@@ -416,7 +416,7 @@ def test_max_likely_singular():
 # full pipeline
 # ---------------------------------------------------------------------------
 def characterize_one(ds, **kwargs):
-    """characterize_dataset on a stack of one: its PointEstimate, or the
+    """characterize_dataset on a stack of one: its Characterization, or the
     error it raised, raised."""
     return characterize._unwrap(
         characterize.characterize_dataset([ds], **kwargs)[0])
@@ -531,14 +531,43 @@ def test_bootstrap_shot_noise_scaling():
 
 
 def one_at_a_time(datasets, warm):
-    """Reference: each dataset through the pipeline on a stack of one."""
+    """Reference: each dataset through the pipeline on a stack of one.
+    Every result's JSON is checked against ``_plain`` on the way."""
     out = []
     for ds in datasets:
         try:
             out.append(characterize_one(ds, warm=warm))
         except (InterferoError, np.linalg.LinAlgError) as exc:
             out.append(exc)
+        else:
+            assert_result_json_is_plain(out[-1])
     return out
+
+
+def _plain(obj):
+    """The converter result JSON once ran its diagnostics through: numpy
+    scalars and arrays, tuples and complex numbers to JSON types."""
+    if isinstance(obj, dict):
+        return {str(k): _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_plain(v) for v in obj.tolist()]
+    if isinstance(obj, (np.floating, float)):
+        return float(obj)
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
+    if isinstance(obj, complex):
+        return {"re": obj.real, "im": obj.imag}
+    return obj
+
+
+def assert_result_json_is_plain(est):
+    """result_to_json writes the diagnostics as the pipeline made them:
+    json.dumps accepts them (json_text raises otherwise), and ``_plain``
+    would change no byte of the file."""
+    out = io.result_to_json(est)
+    assert io.json_text(out) == io.json_text(_plain(out))
 
 
 def _fit_fields(fit):
@@ -650,6 +679,20 @@ def test_bootstrap_stack_matches_one_replicate_at_a_time(case, monkeypatch):
     assert len(entry["by_class"]) >= 2
 
 
+def test_bootstrap_result_json_is_plain():
+    # the low-count data above: its one failure makes a bootstrap-failures
+    # diagnostic with by_class and log
+    u = linalg.haar_random_unitary(3, seed=4)
+    ds = harness.simulate_dataset(u, 0.9, seed=4, photons_per_input=2e3,
+                                  pair_rate=4e2)
+    res = characterize.bootstrap(ds, n_replicates=20, seed=3)
+    (entry,) = [d for d in res.diagnostics
+                if d["type"] == "bootstrap-failures"]
+    assert entry["by_class"] == {"CalibrationOutOfRange": 1}
+    assert res.sigma_re is not None
+    assert_result_json_is_plain(res)
+
+
 def test_bootstrap_unstable_past_the_failure_rate(monkeypatch):
     # the low-count data above: 1 of 20 replicates fails calibration
     u = linalg.haar_random_unitary(3, seed=4)
@@ -724,7 +767,7 @@ def test_each_stacked_dataset_gets_its_lone_result(m, experiments):
         assert_same_outcomes(
             characterize.characterize_dataset(datasets, warm=warm),
             warm_alone)
-    assert all(isinstance(est, (InterferoError, characterize.PointEstimate))
+    assert all(isinstance(est, (InterferoError, characterize.Characterization))
                for est in alone + warm_alone)
 
 
@@ -737,3 +780,10 @@ def test_dataset_rejects_malformed_shapes():
     with pytest.raises(ShapeError):
         characterize.CharacterizationDataset(np.ones((3, 3, 4)), {},
                                              spectra[:2])
+    # (1,2,1,3) and (2,1,3,1) swap both photons' labels: one curve
+    curve = (np.zeros(5), np.ones(5))
+    with pytest.raises(ShapeError) as info:
+        characterize.CharacterizationDataset(
+            np.ones((3, 3, 4)), {(1, 2, 1, 3): curve, (2, 1, 3, 1): curve},
+            spectra)
+    assert info.value.details == {"keys": [[1, 2, 1, 3], [2, 1, 3, 1]]}

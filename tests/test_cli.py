@@ -332,6 +332,9 @@ MALFORMED_BUNDLES = {
                                  "coincidence/1_9_1_2.csv"), "ParseError"),
     "curve-repeated-port": (_copy("coincidence/1_2_1_2.csv",
                                   "coincidence/1_1_1_2.csv"), "ParseError"),
+    "curve-swapped-label-twin": (_copy("coincidence/1_2_1_3.csv",
+                                       "coincidence/2_1_3_1.csv"),
+                                 "ShapeError"),
     "manifest-m-not-integer": (_manifest(m="four"), "ParseError"),
     "manifest-B-zero": (_manifest(B=0), "ParseError"),
 }
@@ -371,6 +374,42 @@ def _set_count(i, j, b, value):
         lines[k] = f"{i},{j},{b},{value}\n"
         path.write_text("".join(lines))
     return apply
+
+
+def _copies(relpath, prefix, n):
+    """Leave ``n`` copies, one after another, of the data line of
+    ``relpath`` that starts with ``prefix``."""
+    def apply(bundle):
+        path = bundle / relpath
+        lines = path.read_text().splitlines(True)
+        (k,) = [k for k, text in enumerate(lines) if text.startswith(prefix)]
+        lines[k:k + 1] = [lines[k]] * n
+        path.write_text("".join(lines))
+    return apply
+
+
+@pytest.mark.parametrize("corrupt,name,details", [
+    (_copies("counts.csv", "2,2,3,", 0), "counts.csv", {"index": [2, 2, 3]}),
+    (_copies("counts.csv", "2,2,3,", 2), "counts.csv",
+     {"index": [2, 2, 3], "line": 45, "first_line": 44}),
+    (_copies("calibration.csv", "single,2,1,4,", 0), "calibration.csv",
+     {"index": [2, 1, 4]})],
+    ids=["count-dropped", "count-repeated", "calibration-single-dropped"])
+def test_characterize_needs_each_single_count_once(corrupt, name, details,
+                                                   m3_bundle, tmp_path,
+                                                   capsys):
+    # a missing count would be read as 0, and a repeated one would win
+    bundle = tmp_path / "bundle"
+    shutil.copytree(m3_bundle, bundle)
+    corrupt(bundle)
+    capsys.readouterr()
+    out = tmp_path / "result.json"
+    assert run(["characterize", "--data", str(bundle), "--out", str(out)]) == 1
+    err = strict_json(capsys.readouterr().err)
+    assert err["error"] == "ParseError"
+    assert err["message"].endswith(str(bundle / name))
+    assert err["details"] == details
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("corrupt,expected,details", [

@@ -32,8 +32,10 @@ def test_simulate_matches_per_key_models():
     # every noiseless curve against the explicit 2-D quadrature, on spectra
     # of 81- and 61-point grids
     u = linalg.haar_random_unitary(3, seed=6)
-    spectra = [photonic.double_peak_spectrum(), photonic.gaussian_spectrum(),
-               photonic.double_peak_spectrum(n_points=61)]
+    double = photonic.double_peak_spectrum()
+    omega = np.linspace(0.0, 12.0, 61)
+    spectra = [double, photonic.gaussian_spectrum(), photonic.SpectralFunction(
+        omega, np.interp(omega, double.omega, double.values))]
     ds = harness.simulate_dataset(u, 0.8, seed=3, spectra=spectra,
                                   noise=False)
     tau = harness.DEFAULT_TAU_GRID

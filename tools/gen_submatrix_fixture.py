@@ -36,13 +36,12 @@ INSTANCES = [
     (5, (3, 1), (1, 3, 4, 5), (1, 2, 3, 5)),
 ]
 
-N_SAMPLES = 40
 SEED = 12345
 
 
 def derive_pairs(n, lam, rows, cols):
     fit = immanants.fit_label_pairs(n, lam, rows, cols,
-                                    np.random.default_rng(SEED), N_SAMPLES)
+                                    np.random.default_rng(SEED))
     if not fit.clean:
         raise SystemExit(
             f"no clean 0/1 combination with {fit.expected_terms} terms for "
