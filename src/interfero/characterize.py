@@ -6,6 +6,10 @@ from two-photon coincidence curves (with port relabeling and an
 instability-mitigation rule for near-degenerate phase references),
 maximum-likelihood recovery of the representative unitary, and bootstrap
 error bars by residual resampling.
+
+Each dataset is one run that holds its state from counts to W; the fitting
+steps are stages over a list of runs (``calibrate_gamma``, then
+``estimate_arguments``), each one stacked fit over every run still going.
 """
 from collections import Counter, namedtuple
 
@@ -209,45 +213,47 @@ def _unwrap(outcome):
     return outcome
 
 
-def calibrate_gamma(calibration_single, calibration_curve, q, near=None):
-    """Estimate the mode-matching parameter γ from the reference
-    beam-splitter data of every dataset in one stacked fit.
+def calibrate_gamma(runs):
+    """Estimate the mode-matching parameter γ of every run that has
+    reference beam-splitter data, in one stacked fit.
 
-    Takes lists of singles, curves and envelopes, one entry per dataset;
-    every curve has its own shift, scanned around ``near`` when it is
-    given.  A fitted γ̃ within 0.05 outside [0, 1] is clipped into it, and
-    one further out is a CalibrationOutOfRange.  Returns a list holding
-    each dataset's (γ̃, σ(γ̃), fit) or the InterferoError it raised.
+    Every curve has its own shift, scanned around the warm calibration
+    fit's when the run has one.  A fitted γ̃ within 0.05 outside [0, 1] is
+    clipped into it, and one further out is a CalibrationOutOfRange.  Sets
+    each run's γ, σ(γ) and calibration fit, or its error.
     """
     eps = 0.05
-    out = [None] * len(calibration_single)
-    owners, requests = [], []
-    for k, (singles, curve, env) in enumerate(
-            zip(calibration_single, calibration_curve, q)):
+    requests = []
+    for run in runs:
+        ds, warm = run.dataset, run.warm
+        if (run.error is not None or ds.calibration_single is None
+                or ds.calibration_curve is None):
+            continue
         try:
-            alpha, _ = estimate_amplitudes(singles)
+            alpha, _ = estimate_amplitudes(ds.calibration_single)
             reflectivity = reflectivity_from_alpha(alpha[1, 1])
         except InterferoError as exc:
-            out[k] = exc
+            run.error = exc
             continue
-        curve = tuple(np.asarray(v, dtype=float) for v in curve)
-        owners.append(k)
-        requests.append(_Request(env, (reflectivity,), curve, k, near))
-    for k, req, fit in zip(owners, requests,
-                           _fit_stage(requests, calibration_curve_model)):
+        requests.append(_Request(
+            ds.envelope(1, 2), (reflectivity,),
+            tuple(np.asarray(v, dtype=float) for v in ds.calibration_curve),
+            run, None if warm is None or warm.calibration_fit is None
+            else warm.calibration_fit.shift))
+    for req, fit in zip(requests,
+                        _fit_stage(requests, calibration_curve_model)):
+        run = req.group
         if isinstance(fit, FitFailure):
-            out[k] = fit
-            continue
-        gamma = fit.shape
-        if not -eps <= gamma <= 1.0 + eps:
-            out[k] = CalibrationOutOfRange(
+            run.error = fit
+        elif not -eps <= fit.shape <= 1.0 + eps:
+            run.error = CalibrationOutOfRange(
                 "fitted mode matching outside [0, 1]",
-                gamma=float(gamma), eps=eps)
-            continue
-        model = calibration_curve_model(req.envelope, req.consts[0])
-        sigma = float(param_sigmas(model, *req.curve, fit)[0])
-        out[k] = (float(np.clip(gamma, 0.0, 1.0)), sigma, fit)
-    return out
+                gamma=float(fit.shape), eps=eps)
+        else:
+            model = calibration_curve_model(req.envelope, req.consts[0])
+            run.gamma = float(np.clip(fit.shape, 0.0, 1.0))
+            run.gamma_sigma = float(param_sigmas(model, *req.curve, fit)[0])
+            run.calibration_fit = fit
 
 
 # ---------------------------------------------------------------------------
@@ -297,37 +303,63 @@ def _sweep(m):
     return items
 
 
-class _ArgumentSweep:
-    """One dataset's argument estimate, advanced stage by stage so that a
-    stack of datasets shares one batched fit per stage.
+class _Run:
+    """One dataset's characterization, advanced stage by stage so that a
+    stack of runs shares one batched fit per stage: ``start``, then
+    ``calibrate_gamma``, then ``estimate_arguments`` (magnitudes, then
+    signs), then ``result``.
 
-    The first failure is the error a one-dataset run raises; it ends the
-    sweep.
+    A ``warm`` Characterization lends its plan, and its fits' shifts as
+    the centres of the shift scans.  The first failure is the error a
+    one-dataset run raises; it ends the run.
     """
 
-    def __init__(self, dataset, alpha, gamma, threshold, plan, shifts):
+    def __init__(self, dataset, threshold, warm):
         self.dataset = dataset
-        self.alpha = alpha
-        self.gamma = gamma
         self.threshold = threshold
-        self.plan = plan
-        self.shifts = shifts
+        self.warm = warm
         self.m = dataset.m
+        self.plan = None if warm is None else warm.plan
+        self.gamma, self.gamma_sigma, self.calibration_fit = 1.0, 0.0, None
         self.diagnostics = []
         self.fits = {}
         self.error = None
 
+    def start(self):
+        """Amplitude ratios, and the checks that need no fit."""
+        ds = self.dataset
+        try:
+            missing = ds.missing_choice_keys()
+            if missing:
+                raise InsufficientData(
+                    "dataset lacks required coincidence curves",
+                    required=missing)
+            self.alpha, sigma = estimate_amplitudes(ds.single_counts)
+        except InterferoError as exc:
+            self.error = exc
+            return
+        # only a point estimate reports it: bootstrap discards the
+        # diagnostics of its (warm) replicates
+        if self.warm is None:
+            self.diagnostics.append(
+                repetition_convergence(ds.single_counts, sigma))
+        if ds.calibration_single is None or ds.calibration_curve is None:
+            self.diagnostics.append({"type": "no-calibration-data",
+                                     "gamma_assumed": 1.0})
+
     def request(self, ports):
         """The fit of the curve on ports (a,i,b,j); None if it is absent.
-        The curves of one input pair (b, j) share a shift."""
+        The curves of one input pair (b, j) share a shift, scanned around
+        the warm fit's shift when there is one."""
         data = self.dataset.curve(ports)
         if data is None:
             return None
         b, j = sorted(ports[2:])
+        lent = {} if self.warm is None else self.warm.fits
+        fit = lent.get(photonic.canonical_curve_key(ports))
         return _Request(self.dataset.envelope(b, j),
                         _port_constants(self.alpha, self.gamma, ports), data,
-                        (self, b, j),
-                        self.shifts.get(photonic.canonical_curve_key(ports)))
+                        (self, b, j), None if fit is None else fit.shift)
 
     # ---- magnitudes --------------------------------------------------------
     def magnitude_requests(self):
@@ -366,13 +398,12 @@ class _ArgumentSweep:
     def _relabel(self, absth):
         """Relabel so the magnitude nearest π/2 is at (2,2)."""
         m = self.m
-        if self.plan is not None:
-            istar, jstar = self.plan["relabel"]
-        else:
+        if self.plan is None:
             sub = np.abs(absth[1:, 1:] - np.pi / 2)
             flat = int(np.argmin(sub))
-            istar = flat // (m - 1) + 2
-            jstar = flat % (m - 1) + 2
+            self.plan = {"relabel": (flat // (m - 1) + 2, flat % (m - 1) + 2),
+                         "signs": {}}
+        istar, jstar = self.plan["relabel"]
         po = np.arange(m)      # relabeled index -> original index (0-based)
         pi_ = np.arange(m)
         po[1], po[istar - 1] = po[istar - 1], po[1]
@@ -380,21 +411,19 @@ class _ArgumentSweep:
         if istar != 2 or jstar != 2:
             self.diagnostics.append({"type": "relabel", "output": int(istar),
                                      "input": int(jstar)})
-        self.relabel = (istar, jstar)
         self.po, self.pi_ = po, pi_
         self.rel_alpha = self.alpha[np.ix_(po, pi_)]
         self.rel_abs = absth[np.ix_(po, pi_)]
-        self.theta = np.zeros((m, m))
+        self.rel_theta = np.zeros((m, m))
         self.known = np.zeros((m, m), dtype=bool)
         self.known[0, :] = True
         self.known[:, 0] = True
-        self.theta[1, 1] = self.rel_abs[1, 1]   # sign positive by convention
+        self.rel_theta[1, 1] = self.rel_abs[1, 1]  # sign positive by convention
         self.known[1, 1] = True
-        self.sign_plan = {} if self.plan is None else self.plan["signs"]
         self.items = _sweep(m)
 
     def _tuple(self, i, j, default):
-        return default if self.plan is None else self.sign_plan[(i, j)]
+        return default if self.warm is None else self.plan["signs"][(i, j)]
 
     def orig_ports(self, a, i, b, j):
         """Map a relabeled-frame port tuple (0-based) to original labels."""
@@ -422,7 +451,8 @@ class _ArgumentSweep:
         return requests
 
     def decide(self, results):
-        """Decide the signs in sweep order from their fits."""
+        """Decide the signs in sweep order from their fits, then map θ to
+        the original labels."""
         results = iter(results)
         fits = [None if p[-1] is None else next(results)
                 for p in self.pending]
@@ -437,6 +467,8 @@ class _ArgumentSweep:
             except InterferoError as exc:
                 self.error = exc
                 return
+        self.theta = np.zeros((self.m, self.m))
+        self.theta[np.ix_(self.po, self.pi_)] = self.rel_theta
 
     def _silent(self, i, j, ab):
         """Whether the curve of tuple (a, b) for target (i, j) has no
@@ -446,8 +478,8 @@ class _ArgumentSweep:
         return al[a, b] * al[a, j] * al[i, b] * al[i, j] == 0
 
     def _decide(self, i, j, ab, fit):
-        theta = self.theta
-        if self.plan is None and self.rel_alpha[i, j] != 0:
+        theta = self.rel_theta
+        if self.warm is None and self.rel_alpha[i, j] != 0:
             a, b = ab
             k_ref = theta[a, b] - theta[a, j] - theta[i, b]
             if self._silent(i, j, ab):
@@ -459,8 +491,8 @@ class _ArgumentSweep:
                     req = self.request(self.orig_ports(alt[0], i, alt[1], j))
                     req = req._replace(near=self.pair_shift.get(req.group))
                     fit = _fit_stage([req], cosine_curve_model)[0]
-        if self.plan is None:
-            self.sign_plan[(i, j)] = ab
+        if self.warm is None:
+            self.plan["signs"][(i, j)] = ab
         if self._silent(i, j, ab):
             # W_ij = 0 whatever θ_ij is, or no curve with an interference
             # term carries θ_ij: its sign is positive, as on a tie
@@ -481,7 +513,8 @@ class _ArgumentSweep:
         s = sign_calc(fold_angle(fit.shape), theta[a, b], theta[a, j],
                       theta[i, b], self.rel_abs[i, j])
         if s == 0:
-            if self.rel_abs[i, j] > 1e-9:
+            # at |θ| = 0 or π the sign cannot change W: no tie to report
+            if reference_distance(self.rel_abs[i, j]) > 1e-9:
                 self.diagnostics.append(
                     {"type": "sign-tie", "target": self.target(i, j)})
             s = 1
@@ -490,7 +523,7 @@ class _ArgumentSweep:
 
     def _mitigate(self, i, j, default_ab, k_default):
         m = self.m
-        theta, known, rel_alpha = self.theta, self.known, self.rel_alpha
+        theta, known, rel_alpha = self.rel_theta, self.known, self.rel_alpha
         ref_default = reference_distance(k_default)
         candidates = []
         for a in range(m):
@@ -528,49 +561,48 @@ class _ArgumentSweep:
         return default_ab
 
     def result(self):
+        """The run's Characterization, or the error that ended it."""
         if self.error is not None:
             return self.error
-        out = np.zeros((self.m, self.m))
-        out[np.ix_(self.po, self.pi_)] = self.theta
-        plan_out = {"relabel": self.relabel, "signs": self.sign_plan}
-        return out, self.diagnostics, plan_out, self.fits
+        try:
+            w = max_likely_unitary(self.alpha, self.theta)
+        except (InterferoError, np.linalg.LinAlgError) as exc:
+            return exc
+        return Characterization(w, self.alpha, self.theta, self.gamma,
+                                self.gamma_sigma, self.plan, self.fits,
+                                self.calibration_fit, self.diagnostics)
 
 
-def _batched_stage(sweeps, requests_of, consume):
-    """One stage over a stack: every sweep's requests in one stacked fit."""
-    per_sweep = [requests_of(sw) for sw in sweeps]
-    results = iter(_fit_stage([r for reqs in per_sweep for r in reqs],
+def _batched_stage(runs, requests_of, consume):
+    """One stage over a stack: the requests of every run without an error
+    in one stacked fit."""
+    runs = [run for run in runs if run.error is None]
+    per_run = [requests_of(run) for run in runs]
+    results = iter(_fit_stage([r for reqs in per_run for r in reqs],
                               cosine_curve_model))
-    for sw, reqs in zip(sweeps, per_sweep):
-        consume(sw, [next(results) for _ in reqs])
+    for run, reqs in zip(runs, per_run):
+        consume(run, [next(results) for _ in reqs])
 
 
-def estimate_arguments(datasets, alphas, gammas, threshold=0.1, plan=None,
-                       shifts=None):
+def estimate_arguments(runs):
     """Full argument matrices θ̃ with first row/column ≡ 0 and sgn θ₂₂ = +1
-    for a list of datasets, with their lists of alphas and gammas.
+    for every run without an error, from its α̃ and γ.
 
     Magnitudes come from two-port curves against the reference ports;
     signs follow the standard sweep (second column, second row, interior)
     after relabeling ports so the magnitude nearest π/2 sits at (2,2).
-    Sign decisions whose reference combination lies within ``threshold`` of
-    {0, π} are re-derived from the best available alternate port pair.
+    Sign decisions whose reference combination lies within the run's
+    threshold of {0, π} are re-derived from the best available alternate
+    port pair.
 
-    The datasets are estimated together (``plan`` and ``shifts`` shared):
-    the magnitudes are one stacked fit, and so are the sign fits.  Within a
-    stage, the curves of one dataset's input pair share one shift.  Returns
-    a list holding each dataset's (theta, diagnostics, plan, fits) or the
-    InterferoError it raised.  Bootstrap replicates pass a ``plan`` back in
-    to reuse the relabeling and tuple choices, and ``shifts``, a map from
-    curve keys to shifts, to scan a window around each pair's shift.
+    The magnitudes of all runs are one stacked fit, and so are the sign
+    fits.  Within a stage, the curves of one run's input pair share one
+    shift.  Sets each run's θ, plan, fits and diagnostics, or its error.
+    A warm run reuses the warm plan's relabeling and tuple choices, and
+    scans a window around each of the warm fits' shifts.
     """
-    sweeps = [_ArgumentSweep(ds, a, g, threshold, plan, shifts or {})
-              for ds, a, g in zip(datasets, alphas, gammas)]
-    _batched_stage(sweeps, _ArgumentSweep.magnitude_requests,
-                   _ArgumentSweep.set_magnitudes)
-    _batched_stage([sw for sw in sweeps if sw.error is None],
-                   _ArgumentSweep.sign_requests, _ArgumentSweep.decide)
-    return [sw.result() for sw in sweeps]
+    _batched_stage(runs, _Run.magnitude_requests, _Run.set_magnitudes)
+    _batched_stage(runs, _Run.sign_requests, _Run.decide)
 
 
 # ---------------------------------------------------------------------------
@@ -630,69 +662,20 @@ def characterize_dataset(datasets, threshold=0.1, warm=None):
     """Point-estimate pipeline, amplitudes → calibration → arguments → W,
     on a list of datasets at once.
 
-    Each fitting stage (calibration, magnitudes, signs) is one stacked fit
-    over every dataset still running, and each dataset gets the result it
-    gets alone.  A ``warm`` point estimate lends its plan, and its fits'
-    shifts as the centres of the shift scans.  Returns each dataset's
-    Characterization or the error it raised; ``_unwrap`` raises it.
+    Each dataset is one run.  The runs start together, then go through the
+    stages ``calibrate_gamma`` and ``estimate_arguments``, each fitting
+    stage (calibration, magnitudes, signs) one stacked fit over every run
+    still without an error, so each dataset gets the result it gets alone.
+    A ``warm`` point estimate lends its plan, and its fits' shifts as the
+    centres of the shift scans.  Returns each dataset's Characterization
+    or the error it raised; ``_unwrap`` raises it.
     """
-    out = [None] * len(datasets)
-    running = {}        # index -> [diagnostics, alpha, gamma, σ(γ), fit]
-    calibrated = []
-    for k, ds in enumerate(datasets):
-        try:
-            missing = ds.missing_choice_keys()
-            if missing:
-                raise InsufficientData(
-                    "dataset lacks required coincidence curves",
-                    required=missing)
-            alpha, sigma = estimate_amplitudes(ds.single_counts)
-            # only a point estimate reports it: bootstrap discards the
-            # diagnostics of its (warm) replicates
-            diagnostics = ([] if warm is not None else
-                           [repetition_convergence(ds.single_counts, sigma)])
-        except InterferoError as exc:
-            out[k] = exc
-            continue
-        running[k] = [diagnostics, alpha, 1.0, 0.0, None]
-        if ds.calibration_single is None or ds.calibration_curve is None:
-            diagnostics.append({"type": "no-calibration-data",
-                                "gamma_assumed": 1.0})
-        else:
-            calibrated.append(k)
-    if calibrated:
-        results = calibrate_gamma(
-            [datasets[k].calibration_single for k in calibrated],
-            [datasets[k].calibration_curve for k in calibrated],
-            [datasets[k].envelope(1, 2) for k in calibrated],
-            near=None if warm is None or warm.calibration_fit is None
-            else warm.calibration_fit.shift)
-        for k, res in zip(calibrated, results):
-            if isinstance(res, InterferoError):
-                out[k] = res
-                del running[k]
-            else:
-                running[k][2:] = res
-
-    keys = list(running)
-    results = estimate_arguments(
-        [datasets[k] for k in keys], [running[k][1] for k in keys],
-        [running[k][2] for k in keys], threshold=threshold,
-        plan=None if warm is None else warm.plan,
-        shifts=None if warm is None else
-        {key: fit.shift for key, fit in warm.fits.items()}) if keys else []
-    for k, res in zip(keys, results):
-        diagnostics, alpha, gamma, gamma_sigma, cal_fit = running[k]
-        try:
-            theta, arg_diag, plan, fits = _unwrap(res)
-            w = max_likely_unitary(alpha, theta)
-        except (InterferoError, np.linalg.LinAlgError) as exc:
-            out[k] = exc
-            continue
-        diagnostics.extend(arg_diag)
-        out[k] = Characterization(w, alpha, theta, gamma, gamma_sigma, plan,
-                                  fits, cal_fit, diagnostics)
-    return out
+    runs = [_Run(ds, threshold, warm) for ds in datasets]
+    for run in runs:
+        run.start()
+    calibrate_gamma(runs)
+    estimate_arguments(runs)
+    return [run.result() for run in runs]
 
 
 # ---------------------------------------------------------------------------

@@ -362,8 +362,8 @@ def build_parser():
     p.add_argument("--out", required=True, help="output bundle directory")
     p.add_argument("--unitary", help="use this matrix JSON instead of a "
                                      "random unitary")
-    p.add_argument("--spectra", choices=["gauss", "double"],
-                   default="gauss", help="source spectral shape")
+    p.add_argument("--spectra", choices=harness.SPECTRA, default="gauss",
+                   help="source spectral shape")
     p.add_argument("--blocks", type=int, default=10,
                    help="repetition blocks B (default 10)")
     p.add_argument("--photons", type=float, default=1e5,
@@ -393,7 +393,7 @@ def build_parser():
     p.add_argument("--seed", type=int, required=True, help="PRNG seed")
     p.add_argument("--gamma", type=float, default=0.9,
                    help="true mode-matching parameter (default 0.9)")
-    p.add_argument("--spectra", choices=["gauss", "double"], default="gauss",
+    p.add_argument("--spectra", choices=harness.SPECTRA, default="gauss",
                    help="true source spectra")
     p.add_argument("--blocks", type=int, default=10,
                    help="repetition blocks B (default 10)")

@@ -13,6 +13,7 @@ from .errors import InterferoError, InvalidDimension, ParseError
 
 DEFAULT_TAU_GRID = np.linspace(-5.0, 5.0, 33)
 VARIANTS = ("full", "nocal", "gauss")
+SPECTRA = ("gauss", "double")
 
 
 def beam_splitter_matrix(vartheta):
@@ -22,8 +23,11 @@ def beam_splitter_matrix(vartheta):
 
 
 def source_spectra(kind, m):
-    """m identical source spectra: "gauss" for Gaussian ones, anything else
-    for the double-peak profile."""
+    """m identical source spectra of a kind in SPECTRA: "gauss" for
+    Gaussian ones, "double" for the double-peak profile."""
+    if kind not in SPECTRA:
+        raise ParseError(f"unknown spectra kind {kind!r}",
+                         spectra=list(SPECTRA))
     make = (photonic.gaussian_spectrum if kind == "gauss"
             else photonic.double_peak_spectrum)
     return [make() for _ in range(m)]

@@ -13,10 +13,11 @@ plan JSON       {"schema": "v1", "n_s", "n_p", "elements": [...]} where each
                 "matrix": matrix JSON} or {"kind": "IP", "mode", "phases"}.
 dataset bundle  directory with counts.csv ("i,j,b,count", each index once),
                 one coincidence/<i>_<i'>_<j>_<j'>.csv ("tau,count") per
-                curve, spectra/<j>.csv ("omega,value"), optional
-                calibration.csv ("record,i,j,b,tau,count" mixing "single"
-                and "curve" rows), and manifest.json with m, B (repetition
-                blocks), units and the generating seed.
+                curve, spectra/<j>.csv ("omega,value"), manifest.json
+                with m, B (repetition blocks), units, the generating seed
+                and "calibration", and, when that is true, calibration.csv
+                ("record,i,j,b,tau,count" with "single" and "curve" rows).
+                Counts are numbers in 0..2**53.
 result JSON     {"schema": "v1", "w": matrix JSON, "gamma", "gamma_sigma",
                  "sigma_re"/"sigma_im": matrix JSON (bootstrap only),
                  "diagnostics": [...]}
@@ -279,10 +280,14 @@ def _number(token, path):
     return x
 
 
-def _count(token, path):
+def _count(token, path, line):
+    """A count on ``line``: a number in 0..2**53, where floats still hold
+    every integer and products of four counts stay finite."""
     x = _number(token, path)
     if x < 0:
-        raise ParseError(f"negative count {token!r} in {path}")
+        raise ParseError(f"negative count {token!r} in {path}", line=line)
+    if x > 2.0 ** 53:
+        raise ParseError(f"count {token!r} above 2**53 in {path}", line=line)
     return x
 
 
@@ -327,9 +332,10 @@ def read_bundle(path):
     counts_path = os.path.join(path, "counts.csv")
     singles = _count_array(
         [(_index(i, m, "i", counts_path), _index(j, m, "j", counts_path),
-          _index(b, n_blocks, "b", counts_path), _count(count, counts_path),
-          line) for line, (i, j, b, count) in enumerate(
-              _read_csv(counts_path, ["i", "j", "b", "count"]), start=2)],
+          _index(b, n_blocks, "b", counts_path),
+          _count(count, counts_path, line), line)
+         for line, (i, j, b, count) in enumerate(
+             _read_csv(counts_path, ["i", "j", "b", "count"]), start=2)],
         (m, m, n_blocks), counts_path)
 
     curves = {}
@@ -350,7 +356,8 @@ def read_bundle(path):
         curve_path = os.path.join(cdir, name)
         rows = _read_csv(curve_path, ["tau", "count"])
         tau = np.array([_number(r[0], curve_path) for r in rows])
-        counts = np.array([_count(r[1], curve_path) for r in rows])
+        counts = np.array([_count(r[1], curve_path, line)
+                           for line, r in enumerate(rows, start=2)])
         curves[key] = (tau, counts)
 
     spectra = []
@@ -363,7 +370,7 @@ def read_bundle(path):
 
     cal_single = cal_curve = None
     cal_path = os.path.join(path, "calibration.csv")
-    if manifest.get("calibration") and os.path.exists(cal_path):
+    if manifest.get("calibration"):
         singles_entries, tau_list, count_list = [], [], []
         for line, (record, i, j, b, tau, count) in enumerate(_read_csv(
                 cal_path, ["record", "i", "j", "b", "tau", "count"]), start=2):
@@ -372,18 +379,21 @@ def read_bundle(path):
                 singles_entries.append((_index(i, 2, "i", cal_path),
                                         _index(j, 2, "j", cal_path),
                                         _index(b, n_blocks, "b", cal_path),
-                                        _count(count, cal_path), line))
+                                        _count(count, cal_path, line), line))
             elif record == "curve":
                 tau_list.append(_number(tau, cal_path))
-                count_list.append(_count(count, cal_path))
+                count_list.append(_count(count, cal_path, line))
             else:
                 raise ParseError(f"unknown calibration record {record!r}")
-        if singles_entries:
-            cal_single = _count_array(
-                singles_entries, (2, 2, max(e[2] for e in singles_entries)),
-                cal_path)
-        if tau_list:
-            cal_curve = (np.array(tau_list), np.array(count_list))
+        # the manifest promises calibration: both record kinds must be there
+        if not singles_entries or not tau_list:
+            raise ParseError(f"calibration lacks single or curve records in "
+                             f"{cal_path}", single=len(singles_entries),
+                             curve=len(tau_list))
+        cal_single = _count_array(
+            singles_entries, (2, 2, max(e[2] for e in singles_entries)),
+            cal_path)
+        cal_curve = (np.array(tau_list), np.array(count_list))
 
     return CharacterizationDataset(singles, curves, spectra,
                                    calibration_single=cal_single,

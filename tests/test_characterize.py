@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -137,16 +139,31 @@ def one(outcome):
     return outcome
 
 
-def calibrate_one(singles, curve, q, **kwargs):
-    """calibrate_gamma on one dataset."""
-    return one(characterize.calibrate_gamma([singles], [curve], [q],
-                                            **kwargs)[0])
+def calibrate(cases):
+    """calibrate_gamma on runs of (singles, curve, q) calibration data:
+    each one's (γ̃, σ(γ̃), fit), or the error it raised."""
+    runs = [characterize._Run(SimpleNamespace(
+        m=2, calibration_single=singles, calibration_curve=curve,
+        envelope=lambda j, j2, q=q: q), 0.1, None)
+        for singles, curve, q in cases]
+    characterize.calibrate_gamma(runs)
+    return [run.error if run.error is not None
+            else (run.gamma, run.gamma_sigma, run.calibration_fit)
+            for run in runs]
 
 
-def estimate_one(ds, alpha, gamma, **kwargs):
-    """estimate_arguments on one dataset."""
-    return one(characterize.estimate_arguments([ds], [alpha], [gamma],
-                                               **kwargs)[0])
+def calibrate_one(singles, curve, q):
+    """calibrate_gamma on one run."""
+    return one(calibrate([(singles, curve, q)])[0])
+
+
+def estimate_one(ds, alpha, gamma, threshold=0.1):
+    """estimate_arguments on one run with the given α̃ and γ."""
+    run = characterize._Run(ds, threshold, None)
+    run.alpha, run.gamma = alpha, gamma
+    characterize.estimate_arguments([run])
+    one(run.error)
+    return run.theta, run.diagnostics, run.plan, run.fits
 
 
 def calibration_setup(gamma, vartheta=np.pi / 4, scale=2000.0):
@@ -191,8 +208,7 @@ def test_calibrate_gamma_stack_keeps_invalid_ratio_per_dataset():
     bad = singles.copy()
     bad[1, 1, :] = -bad[1, 1, :]        # α₂₂ of negative counts is NaN
     with np.errstate(invalid="ignore"):
-        out = characterize.calibrate_gamma([bad, singles], [curve, curve],
-                                           [q, q])
+        out = calibrate([(bad, curve, q), (singles, curve, q)])
     assert isinstance(out[0], CalibrationOutOfRange)
     assert abs(out[1][0] - 1.0) < 1e-3
 
@@ -332,6 +348,37 @@ def test_mitigation_fixes_adversarial_sign():
     assert np.sign(bad[2, 2]) == +1          # fooled without mitigation
     assert np.sign(good[2, 2]) == -1         # rescued by the alternate pair
     assert any(d["type"] == "sign-rederived" for d in diag)
+
+
+def test_no_sign_tie_at_pi():
+    # a real orthogonal U: |θ̃₃₃| and |θ̃₄₄| fit to exactly π, where the
+    # sign cannot change W, just as at 0
+    q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(4, 4)))
+    est = characterize_one(harness.simulate_dataset(q.astype(complex), 0.95,
+                                                     seed=0))
+    assert abs(est.theta[2, 2]) == abs(est.theta[3, 3]) == np.pi
+    assert "sign-tie" not in {d["type"] for d in est.diagnostics}
+
+
+def test_one_fit_per_stage(monkeypatch):
+    # calibration, magnitudes and signs are one stacked fit each, however
+    # many datasets; only a chosen mitigation alternate adds one
+    calls = []
+    fit_curve = characterize.fit_curve
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return fit_curve(*args, **kwargs)
+
+    monkeypatch.setattr(characterize, "fit_curve", counting)
+    for n in (1, 4):
+        calls.clear()
+        out = characterize.characterize_dataset([harness.simulate_dataset(
+            linalg.haar_random_unitary(4, seed=s), 0.9, seed=s)
+            for s in range(n)])
+        rederived = sum(d["type"] == "sign-rederived"
+                        for est in out for d in one(est).diagnostics)
+        assert len(calls) == 3 + rederived
 
 
 def test_mitigation_missing_alternates():

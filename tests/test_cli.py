@@ -279,6 +279,15 @@ def _keep_rows(relpath, n):
     return apply
 
 
+def _drop(relpath, prefix):
+    """Delete every data line of ``relpath`` that starts with ``prefix``."""
+    def apply(bundle):
+        path = bundle / relpath
+        path.write_text("".join(text for text in path.read_text().splitlines(
+            True) if not text.startswith(prefix)))
+    return apply
+
+
 def _copy(src, dst):
     return lambda bundle: shutil.copy(bundle / src, bundle / dst)
 
@@ -337,6 +346,13 @@ MALFORMED_BUNDLES = {
                                  "ShapeError"),
     "manifest-m-not-integer": (_manifest(m="four"), "ParseError"),
     "manifest-B-zero": (_manifest(B=0), "ParseError"),
+    # the manifest says "calibration": true
+    "calibration-file-deleted": (
+        lambda bundle: (bundle / "calibration.csv").unlink(), "ParseError"),
+    "calibration-singles-deleted": (_drop("calibration.csv", "single,"),
+                                    "ParseError"),
+    "calibration-curve-deleted": (_drop("calibration.csv", "curve,"),
+                                  "ParseError"),
 }
 
 
@@ -415,7 +431,7 @@ def test_characterize_needs_each_single_count_once(corrupt, name, details,
 @pytest.mark.parametrize("corrupt,expected,details", [
     (_edit_line("spectra/2.csv", 1, _field(1, "1e308")), "ShapeError",
      {"norm_squared": "Infinity"}),
-    (_set_count(1, 1, 5, "1e308"), "DegenerateAmplitudes", None)],
+    (_set_count(1, 1, 5, "1e308"), "ParseError", {"line": 6})],
     ids=["spectrum-overflows", "count-overflows"])
 def test_overflow_exit_1_writes_one_strict_json_document(
         corrupt, expected, details, m3_bundle, tmp_path):
@@ -433,6 +449,26 @@ def test_overflow_exit_1_writes_one_strict_json_document(
     assert err["error"] == expected
     if details is not None:
         assert err["details"] == details
+
+
+def test_count_above_2_53_names_file_and_line(m3_bundle, tmp_path, capsys):
+    # every counts.csv row, a coincidence count and two calibration counts
+    bundle = tmp_path / "bundle"
+    shutil.copytree(m3_bundle, bundle)
+    cases = [("counts.csv", k, 3) for k in range(1, 91)]
+    cases += [("coincidence/1_2_1_3.csv", 7, 1), ("calibration.csv", 40, 5),
+              ("calibration.csv", 41, 5)]
+    for relpath, line, field in cases:
+        path = bundle / relpath
+        text = path.read_text()
+        _edit_line(relpath, line, _field(field, "1e308"))(bundle)
+        assert run(["characterize", "--data", str(bundle),
+                    "--out", str(tmp_path / "result.json")]) == 1
+        path.write_text(text)
+        err = strict_json(capsys.readouterr().err)
+        assert err["error"] == "ParseError"
+        assert err["message"].endswith(str(path))
+        assert err["details"] == {"line": line + 1}
 
 
 def test_characterize_bootstrap_unstable_exit_1(tmp_path, monkeypatch,

@@ -264,6 +264,17 @@ def test_run_trials_rejects_unknown_variant():
         harness.run_trials(3, "bogus", 1, seed=1)
 
 
+@pytest.mark.parametrize("make", [
+    lambda kind: harness.source_spectra(kind, 2),
+    lambda kind: harness.run_trials(3, "full", 1, seed=1, spectra_kind=kind)],
+    ids=["source_spectra", "run_trials"])
+def test_unknown_spectra_kind_is_an_error(make):
+    # "Gauss" once fell through to the double-peak profile
+    with pytest.raises(ParseError) as info:
+        make("Gauss")
+    assert info.value.details == {"spectra": list(harness.SPECTRA)}
+
+
 @pytest.mark.parametrize("m", [3, 4, 5])
 def test_noiseless_characterization_is_loss_immune(m):
     # the amplitude ratios cancel every per-port efficiency and phase, and
