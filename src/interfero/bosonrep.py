@@ -1,13 +1,16 @@
 """Exact boson-realization algebra for su(n) irreducible representations.
 
 A state is a polynomial in creation operators a†_{i,k} (site i = 1..n,
-species k = 1..n-1) acting on the vacuum, stored as a sparse map from
-occupation matrices to coefficients.  Construction work (highest-weight
-states, generator actions, basis growth) keeps every state as a primitive
-integer vector.  One fraction-free orthogonal complement (``complement``)
-decides linear independence and yields the orthogonal states: each
-projection is cross-multiplied by the claimed state's squared norm and the
-content is divided out, so every decision is exact and needs no
+species k = 1..n-1) acting on the vacuum, stored as a plain dict from
+occupation matrices (a tuple of per-site tuples of per-species exponents)
+to integer coefficients.  Construction work (highest-weight states,
+generator actions, basis growth) keeps every state primitive: its
+coefficients have gcd 1, since only the ray matters, and its squared norm
+is the bosonic inner product ``inner(state, state)`` wherever one is
+needed.  One fraction-free orthogonal complement (``complement``) decides
+linear independence and yields the orthogonal states: each projection is
+cross-multiplied by the claimed state's squared norm and the content is
+divided out (``primitive``), so every decision is exact and needs no
 tolerance; floating point enters only when ``sunrep`` tabulates
 normalized coefficients for D-functions.
 
@@ -56,143 +59,30 @@ def occupation_weight(occ, m):
     return tuple(occ[i] - occ[i + 1] for i in range(m - 1))
 
 
-class BosonPolynomial:
-    """Sparse polynomial in creation operators applied to the vacuum.
-
-    ``terms`` maps an occupation matrix — a tuple of ``n_sites`` tuples of
-    ``n_species`` exponents — to a coefficient.  ``scale2`` is an exact
-    squared inverse normalization: the state represented is
-    (1/sqrt(scale2)) * sum_m terms[m] * m |vac>.  All algebraic operations
-    act on the raw coefficients and require matching ``scale2``.
-    """
-
-    __slots__ = ("n_sites", "n_species", "terms", "scale2")
-
-    def __init__(self, n_sites, n_species, terms=None, scale2=1):
-        self.n_sites = int(n_sites)
-        self.n_species = int(n_species)
-        self.terms = dict(terms) if terms else {}
-        self.scale2 = scale2
-
-    # -- constructors -------------------------------------------------------
-    @classmethod
-    def vacuum(cls, n_sites, n_species):
-        empty = tuple((0,) * n_species for _ in range(n_sites))
-        return cls(n_sites, n_species, {empty: 1})
-
-    # -- structure ----------------------------------------------------------
-    def is_zero(self):
-        return not self.terms
-
-    def _check_compatible(self, other):
-        if (self.n_sites != other.n_sites
-                or self.n_species != other.n_species):
-            raise InvalidDimension(
-                "polynomials live on different mode sets",
-                a=[self.n_sites, self.n_species],
-                b=[other.n_sites, other.n_species])
-
-    def occupations(self, verify=True):
-        """Per-site boson totals, or None if monomials disagree.
-
-        With ``verify=False`` only the first monomial is inspected; valid
-        when the state is known to be weight-homogeneous (e.g. produced by
-        generator chains from a definite-occupation state).
-        """
-        occ = None
-        for mono in self.terms:
-            this = tuple(sum(row) for row in mono)
-            if occ is None:
-                occ = this
-                if not verify:
-                    return occ
-            elif this != occ:
-                return None
-        return occ
-
-    def weight(self, m):
-        """su(m) weight (nu_1 - nu_2, ..., nu_{m-1} - nu_m)."""
-        occ = self.occupations()
-        if occ is None:
-            raise LabelError("state has no definite site occupations")
-        return occupation_weight(occ, m)
-
-    # -- ring operations ----------------------------------------------------
-    def scaled(self, c):
-        if not c:
-            return BosonPolynomial(self.n_sites, self.n_species, {},
-                                   self.scale2)
-        return BosonPolynomial(
-            self.n_sites, self.n_species,
-            {mono: c * v for mono, v in self.terms.items()}, self.scale2)
-
-    def product(self, other):
-        """Polynomial product (creation operators commute)."""
-        self._check_compatible(other)
-        out = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                mono = tuple(tuple(x + y for x, y in zip(ra, rb))
-                             for ra, rb in zip(ma, mb))
-                s = out.get(mono, 0) + ca * cb
-                if s:
-                    out[mono] = s
-                else:
-                    out.pop(mono, None)
-        return BosonPolynomial(self.n_sites, self.n_species, out)
-
-    def reduce_content(self):
-        """Divide out the content (gcd of all integer coefficients).
-
-        Keeps coefficient growth in check along chains of generator
-        applications; only the ray matters until the final normalization.
-        """
-        terms = _primitive(self.terms)
-        if terms is self.terms:
-            return self
-        return BosonPolynomial(self.n_sites, self.n_species, terms,
-                               self.scale2)
-
-    # -- generator actions --------------------------------------------------
-    def apply_c(self, i, j):
-        """Apply c_{i,j} (1-based sites): move one boson from site j to i."""
-        if not (1 <= i <= self.n_sites and 1 <= j <= self.n_sites and i != j):
-            raise InvalidDimension("site indices out of range", i=i, j=j,
-                                   n_sites=self.n_sites)
-        si, sj = i - 1, j - 1
-        out = {}
-        get = out.get
-        for mono, c in self.terms.items():
-            for new, occ in _lowering_moves(mono, si, sj):
-                s = get(new, 0) + c * occ
-                if s:
-                    out[new] = s
-                else:
-                    del out[new]
-        return BosonPolynomial(self.n_sites, self.n_species, out, self.scale2)
-
-    # -- metric -------------------------------------------------------------
-    def raw_inner(self, other):
-        """Bosonic inner product of the raw coefficient parts.
-
-        <mono, mono'> = delta_{mono,mono'} * prod factorial(exponent).
-        """
-        self._check_compatible(other)
-        return _inner(self.terms, other.terms)
-
-    def norm2_raw(self):
-        return self.raw_inner(self)
-
-    def normalized_exact(self):
-        """Same raw coefficients with scale2 set to the exact squared norm."""
-        n2 = self.norm2_raw()
-        if not n2 > 0:
-            raise InternalInconsistency("cannot normalize the zero state")
-        return BosonPolynomial(self.n_sites, self.n_species, self.terms, n2)
+def occupations(terms):
+    """Per-site boson totals of a state of definite occupations, read from
+    its first monomial."""
+    return tuple(sum(row) for row in next(iter(terms)))
 
 
-def _inner(a, b):
-    """Bosonic inner product of two coefficient maps."""
+def apply_c(terms, i, j):
+    """Apply c_{i,j} (1-based sites): move one boson from site j to i."""
+    si, sj = i - 1, j - 1
+    out = {}
+    get = out.get
+    for mono, c in terms.items():
+        for new, occ in _lowering_moves(mono, si, sj):
+            s = get(new, 0) + c * occ
+            if s:
+                out[new] = s
+            else:
+                del out[new]
+    return out
+
+
+def inner(a, b):
+    """Bosonic inner product of two coefficient maps:
+    <mono, mono'> = delta_{mono,mono'} * prod factorial(exponent)."""
     if len(a) > len(b):
         a, b = b, a
     total = 0
@@ -213,7 +103,7 @@ def complement(terms, orth):
     """
     r = terms
     for e, n2 in orth:
-        c = _inner(e, r)
+        c = inner(e, r)
         if not c:
             continue
         g = gcd(c, n2)
@@ -225,14 +115,14 @@ def complement(terms, orth):
                 r[mono] = s
             else:
                 del r[mono]
-    return _primitive(r)
+    return primitive(r)
 
 
-def _primitive(terms):
-    """``terms`` divided by the gcd of its integer coefficients.
-
-    Returns ``terms`` itself when the content is already 1 (or it is empty).
-    """
+def primitive(terms):
+    """Content reduction: ``terms`` divided by the gcd of its integer
+    coefficients, or ``terms`` itself when that gcd is 1 (or it is empty).
+    Keeps coefficients small along chains of generator actions, where only
+    the ray matters."""
     g = 0
     for c in terms.values():
         g = gcd(g, c)
@@ -288,34 +178,40 @@ def hws(kappas, n=None):
 
     Built as the product over k of the k-th leading determinant of the
     site-by-species creation array, raised to the power kappa_k, applied to
-    the vacuum.  Returned exactly normalized (integer coefficients with the
-    squared norm recorded in ``scale2``).
+    the vacuum (creation operators commute, so the product adds exponents).
     """
     kappas = _validate_label(kappas, n)
     n = len(kappas) + 1
     n_species = max(n - 1, 1)
-    poly = BosonPolynomial.vacuum(n, n_species)
+    state = {tuple((0,) * n_species for _ in range(n)): 1}
     for k, power in enumerate(kappas, start=1):
         if power == 0:
             continue
         det = _creation_determinant(n, n_species, k)
         for _ in range(power):
-            poly = poly.product(det)
-    return poly.normalized_exact()
+            out = {}
+            for ma, ca in state.items():
+                for mb, cb in det.items():
+                    mono = tuple(tuple(x + y for x, y in zip(ra, rb))
+                                 for ra, rb in zip(ma, mb))
+                    s = out.get(mono, 0) + ca * cb
+                    if s:
+                        out[mono] = s
+                    else:
+                        out.pop(mono, None)
+            state = out
+    return state
 
 
 def _creation_determinant(n_sites, n_species, k):
     """Determinant of the k x k leading block of the creation array."""
     out = {}
     for perm in itertools.permutations(range(k)):
-        sign = _perm_sign(perm)
         rows = [[0] * n_species for _ in range(n_sites)]
         for i, kk in enumerate(perm):
             rows[i][kk] += 1
-        mono = tuple(tuple(r) for r in rows)
-        out[mono] = out.get(mono, 0) + sign
-    out = {m: c for m, c in out.items() if c}
-    return BosonPolynomial(n_sites, n_species, out)
+        out[tuple(tuple(r) for r in rows)] = _perm_sign(perm)
+    return out
 
 
 def _perm_sign(perm):
@@ -356,56 +252,52 @@ class BasisSet:
         return len(self.states)
 
 
-def assert_highest_weight(state, m):
-    """Check that every raising operator of su(m) annihilates the state:
-    the simple ones c_{l,l+1} suffice, as they generate the others."""
-    if state.is_zero():
-        raise NotHighestWeight("zero state cannot be a highest-weight state")
-    if state.occupations() is None:
-        raise NotHighestWeight("state has no definite weight")
-    for ell in range(1, m):
-        if not state.apply_c(ell, ell + 1).is_zero():
-            raise NotHighestWeight(
-                "state is not annihilated by a raising operator",
-                raising=[ell, ell + 1])
-
-
 def basis_set(hws_state, m):
     """Grow the full basis of the su(m) irrep generated by ``hws_state``.
 
     Breadth-first application of the m-1 simple lowering operators
     c_{l+1,l}, keeping a state only if its orthogonal complement to the
     states already kept at its occupations is nonzero (decided exactly).
-    Raises NotHighestWeight if the input is not a valid highest-weight
-    state.
+    The input must be a nonzero state of definite occupations that every
+    simple raising operator c_{l,l+1} annihilates (they generate the
+    others), else NotHighestWeight, on at least m sites, else
+    InvalidDimension.
     """
-    assert_highest_weight(hws_state, m)
-    start = BosonPolynomial(hws_state.n_sites, hws_state.n_species,
-                            hws_state.terms)
+    if not hws_state:
+        raise NotHighestWeight("zero state cannot be a highest-weight state")
+    occ = occupations(hws_state)
+    if any(tuple(sum(row) for row in mono) != occ for mono in hws_state):
+        raise NotHighestWeight("state has no definite weight")
+    if m > len(occ):
+        raise InvalidDimension("su(m) acts on more sites than the state has",
+                               m=m, n_sites=len(occ))
+    for ell in range(1, m):
+        if apply_c(hws_state, ell, ell + 1):
+            raise NotHighestWeight(
+                "state is not annihilated by a raising operator",
+                raising=[ell, ell + 1])
     complements = {}
     by_weight = {}
     states = []
 
     def admit(state):
-        occ = state.occupations(verify=False)
+        occ = occupations(state)
         orth = complements.setdefault(occ, [])
-        r = complement(state.terms, orth)
+        r = complement(state, orth)
         if not r:
             return False
-        orth.append((r, _inner(r, r)))
+        orth.append((r, inner(r, r)))
         by_weight.setdefault(occupation_weight(occ, m), []).append(state)
         states.append(state)
         return True
 
-    admit(start)
-    queue = deque([start])
+    admit(hws_state)
+    queue = deque([hws_state])
     while queue:
         s = queue.popleft()
         for ell in range(1, m):
-            new = s.apply_c(ell + 1, ell).reduce_content()
-            if new.is_zero():
-                continue
-            if admit(new):
+            new = primitive(apply_c(s, ell + 1, ell))
+            if new and admit(new):
                 queue.append(new)
     return BasisSet(by_weight, states, complements)
 
@@ -611,7 +503,7 @@ def minor_basis_count(kappas, n=None, seed=0):
                 lowered = list(occ)
                 lowered[j - 1] -= 1
                 lowered[j] += 1
-                admit(_primitive(out), tuple(lowered))
+                admit(primitive(out), tuple(lowered))
     return sum(len(space.rows) for space in spaces.values())
 
 

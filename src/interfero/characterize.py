@@ -206,7 +206,7 @@ def _fit_stage(requests, family):
     return out
 
 
-def _unwrap(outcome):
+def unwrap(outcome):
     """A stacked stage's entry for one dataset: raise it if it is an error."""
     if isinstance(outcome, Exception):
         raise outcome
@@ -371,28 +371,20 @@ class _Run:
                 if self.alpha[i - 1, j - 1] == 0:
                     continue        # W_ij = 0 whatever θ_ij is: θ_ij = 0
                 ports = (1, i, 1, j)
-                req = self.request(ports)
-                if req is None:
-                    self.error = InsufficientData(
-                        "missing coincidence curve",
-                        required=[photonic.canonical_curve_key(ports)])
-                    return requests
                 self.magnitude_ports.append(ports)
-                requests.append(req)
+                requests.append(self.request(ports))
         return requests
 
     def set_magnitudes(self, results):
         absth = np.zeros((self.m, self.m))
         for ports, fit in zip(self.magnitude_ports, results):
             if isinstance(fit, FitFailure):
-                # the first failure: a missing curve, if any, comes later
                 fit.details["ports"] = ports
                 self.error = fit
                 return
             absth[ports[1] - 1, ports[3] - 1] = fold_angle(fit.shape)
             self.fits[photonic.canonical_curve_key(ports)] = fit
-        if self.error is None:
-            self._relabel(absth)
+        self._relabel(absth)
 
     # ---- relabeling ----------------------------------------------------------
     def _relabel(self, absth):
@@ -668,7 +660,7 @@ def characterize_dataset(datasets, threshold=0.1, warm=None):
     still without an error, so each dataset gets the result it gets alone.
     A ``warm`` point estimate lends its plan, and its fits' shifts as the
     centres of the shift scans.  Returns each dataset's Characterization
-    or the error it raised; ``_unwrap`` raises it.
+    or the error it raised; ``unwrap`` raises it.
     """
     runs = [_Run(ds, threshold, warm) for ds in datasets]
     for run in runs:
@@ -709,7 +701,7 @@ def bootstrap(dataset, n_replicates=100, seed=0, threshold=0.1):
     Returns the point estimate's Characterization, on which σ(Re W),
     σ(Im W) and σ(γ) are set to standard deviations over the rest.
     """
-    point = _unwrap(characterize_dataset([dataset], threshold=threshold)[0])
+    point = unwrap(characterize_dataset([dataset], threshold=threshold)[0])
     cal_single = dataset.calibration_single
     replicates = []
     for idx in range(n_replicates):

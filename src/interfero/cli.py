@@ -95,7 +95,7 @@ def cmd_characterize(args):
                                      seed=args.seed,
                                      threshold=args.threshold)
     else:
-        est = characterize._unwrap(characterize.characterize_dataset(
+        est = characterize.unwrap(characterize.characterize_dataset(
             [dataset], threshold=args.threshold)[0])
     io.write_result(est, args.out)
     if args.plot_csv:

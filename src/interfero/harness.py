@@ -7,8 +7,8 @@ from importlib import resources
 import numpy as np
 
 from . import linalg, photonic
-from .characterize import (CharacterizationDataset, _unwrap,
-                           all_curve_keys, characterize_dataset)
+from .characterize import (CharacterizationDataset, all_curve_keys,
+                           characterize_dataset, unwrap)
 from .errors import InterferoError, InvalidDimension, ParseError
 
 DEFAULT_TAU_GRID = np.linspace(-5.0, 5.0, 33)
@@ -153,7 +153,7 @@ def run_trials(m, variant, n_trials, seed, gamma=0.9, spectra_kind="gauss",
             failures.append({"trial": t, "error": str(est),
                              "class": est.code})
         else:   # a LinAlgError is a fault, not a failed trial: raise it
-            per_trial.append(characterization_error(_unwrap(est).w, u))
+            per_trial.append(characterization_error(unwrap(est).w, u))
     errs = np.array(per_trial)
     return {
         "variant": variant,

@@ -270,20 +270,23 @@ def _read_csv(path, expect_header):
     return rows[1:]
 
 
-def _number(token, path):
+def _number(token, path, line):
+    """A finite number on ``line`` of ``path``."""
     try:
         x = float(token)
     except ValueError as exc:
-        raise ParseError(f"not a number: {token!r} in {path}") from exc
+        raise ParseError(f"not a number: {token!r} in {path}",
+                         line=line) from exc
     if not math.isfinite(x):
-        raise ParseError(f"not a finite number: {token!r} in {path}")
+        raise ParseError(f"not a finite number: {token!r} in {path}",
+                         line=line)
     return x
 
 
 def _count(token, path, line):
     """A count on ``line``: a number in 0..2**53, where floats still hold
     every integer and products of four counts stay finite."""
-    x = _number(token, path)
+    x = _number(token, path, line)
     if x < 0:
         raise ParseError(f"negative count {token!r} in {path}", line=line)
     if x > 2.0 ** 53:
@@ -291,15 +294,16 @@ def _count(token, path, line):
     return x
 
 
-def _index(token, upper, name, path):
-    """Parse a 1-based index and check it lies in 1..upper."""
+def _index(token, upper, name, path, line):
+    """Parse a 1-based index on ``line`` and check it lies in 1..upper."""
     try:
         k = int(token)
     except ValueError as exc:
-        raise ParseError(f"{name} is not an integer: {token!r} in {path}") from exc
+        raise ParseError(f"{name} is not an integer: {token!r} in {path}",
+                         line=line) from exc
     if not 1 <= k <= upper:
         raise ParseError(f"{name} out of range 1..{upper} in {path}",
-                         **{name: k})
+                         line=line, **{name: k})
     return k
 
 
@@ -331,8 +335,9 @@ def read_bundle(path):
 
     counts_path = os.path.join(path, "counts.csv")
     singles = _count_array(
-        [(_index(i, m, "i", counts_path), _index(j, m, "j", counts_path),
-          _index(b, n_blocks, "b", counts_path),
+        [(_index(i, m, "i", counts_path, line),
+          _index(j, m, "j", counts_path, line),
+          _index(b, n_blocks, "b", counts_path, line),
           _count(count, counts_path, line), line)
          for line, (i, j, b, count) in enumerate(
              _read_csv(counts_path, ["i", "j", "b", "count"]), start=2)],
@@ -355,7 +360,8 @@ def read_bundle(path):
             raise ParseError(f"bad coincidence file name {name!r}", m=m)
         curve_path = os.path.join(cdir, name)
         rows = _read_csv(curve_path, ["tau", "count"])
-        tau = np.array([_number(r[0], curve_path) for r in rows])
+        tau = np.array([_number(r[0], curve_path, line)
+                        for line, r in enumerate(rows, start=2)])
         counts = np.array([_count(r[1], curve_path, line)
                            for line, r in enumerate(rows, start=2)])
         curves[key] = (tau, counts)
@@ -364,8 +370,10 @@ def read_bundle(path):
     for j in range(1, m + 1):
         spec_path = os.path.join(path, "spectra", f"{j}.csv")
         rows = _read_csv(spec_path, ["omega", "value"])
-        omega = np.array([_number(r[0], spec_path) for r in rows])
-        values = np.array([_number(r[1], spec_path) for r in rows])
+        omega = np.array([_number(r[0], spec_path, line)
+                          for line, r in enumerate(rows, start=2)])
+        values = np.array([_number(r[1], spec_path, line)
+                           for line, r in enumerate(rows, start=2)])
         spectra.append(SpectralFunction(omega, values))
 
     cal_single = cal_curve = None
@@ -376,15 +384,18 @@ def read_bundle(path):
                 cal_path, ["record", "i", "j", "b", "tau", "count"]), start=2):
             # the reference beam splitter has two ports
             if record == "single":
-                singles_entries.append((_index(i, 2, "i", cal_path),
-                                        _index(j, 2, "j", cal_path),
-                                        _index(b, n_blocks, "b", cal_path),
-                                        _count(count, cal_path, line), line))
+                singles_entries.append((
+                    _index(i, 2, "i", cal_path, line),
+                    _index(j, 2, "j", cal_path, line),
+                    _index(b, n_blocks, "b", cal_path, line),
+                    _count(count, cal_path, line), line))
             elif record == "curve":
-                tau_list.append(_number(tau, cal_path))
+                tau_list.append(_number(tau, cal_path, line))
                 count_list.append(_count(count, cal_path, line))
             else:
-                raise ParseError(f"unknown calibration record {record!r}")
+                raise ParseError(
+                    f"unknown calibration record {record!r} in {cal_path}",
+                    line=line)
         # the manifest promises calibration: both record kinds must be there
         if not singles_entries or not tau_list:
             raise ParseError(f"calibration lacks single or curve records in "

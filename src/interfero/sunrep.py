@@ -8,14 +8,16 @@ su(m) into su(m-1) copies by raising a seed from the orthogonal
 complement of what has already been claimed.  Because the
 u(m) -> u(m-1) branching is multiplicity-free, the copies are exactly
 orthogonal, so the complements that ``bosonrep.basis_set`` takes inside
-each copy are its complements to the whole claimed span.  The one
-orthogonal complement (``bosonrep.complement``) is fraction-free, so
-every state stays a primitive integer vector on the ray of the exact
-rational one.
+each copy are its complements to the whole claimed span.  States are
+``bosonrep`` coefficient maps, and the one orthogonal complement
+(``bosonrep.complement``) is fraction-free, so every state stays a
+primitive integer map on the ray of the exact rational one; no state
+carries its norm.
 
 D-functions work on a float table of each irrep's basis, built once on the
-first D-function call: the normalized coefficients in CSR form and, per
-boson species, each monomial's site multiset.  The group element v maps
+first D-function call: the coefficients, each state's divided by its exact
+bosonic norm, in CSR form and, per boson species, each monomial's site
+multiset.  The group element v maps
 a†_{i,k} -> sum_j v[j,i] a†_{j,k}, so the amplitude between an input
 monomial with species-k site multisets e_k and an output monomial with
 multisets f_k is prod_k perm(v[f_k, e_k]) (the occupation factorials of
@@ -93,9 +95,11 @@ _CANONICAL_CACHE = {}
 def canonical_basis_states(n, kappas):
     """Orthonormal canonical basis of the su(n) irrep labelled ``kappas``.
 
-    Returns a list of (CanonicalStateLabel, BosonPolynomial) pairs; the
-    polynomials carry primitive integer coefficients with the squared
-    normalization recorded in ``scale2``, and are exactly orthogonal.
+    Returns a list of (CanonicalStateLabel, state) pairs.  Each state is
+    a ``bosonrep`` coefficient map, a primitive integer vector on the ray
+    of the orthonormal basis state (its squared norm is
+    ``bosonrep.inner(state, state)``), and the states are exactly
+    orthogonal.
     """
     kappas = tuple(int(k) for k in kappas)
     key = (int(n), kappas)
@@ -112,8 +116,8 @@ def canonical_basis_states(n, kappas):
             "canonical construction produced the wrong state count",
             expected=dim, got=len(out))
 
-    result = [(CanonicalStateLabel(chain, state.occupations(verify=False)),
-               _fix_phase(h, state).normalized_exact())
+    result = [(CanonicalStateLabel(chain, bosonrep.occupations(state)),
+               _fix_phase(h, state, n))
               for chain, state in out]
     _CANONICAL_CACHE[key] = result
     return result
@@ -125,9 +129,9 @@ def _raise(state, m):
     the state."""
     while True:
         for ell in range(1, m):
-            t = state.apply_c(ell, ell + 1)
-            if not t.is_zero():
-                state = t.reduce_content()
+            t = bosonrep.apply_c(state, ell, ell + 1)
+            if t:
+                state = bosonrep.primitive(t)
                 break
         else:
             return state
@@ -143,7 +147,7 @@ def _partition_su(pool, m, chain, out):
     total = len(pool)
     groups = {}
     for s in pool:
-        groups.setdefault(s.occupations(verify=False), []).append(s)
+        groups.setdefault(bosonrep.occupations(s), []).append(s)
     claimed = {occ: [] for occ in groups}
     done = 0
     while done < total:
@@ -152,7 +156,7 @@ def _partition_su(pool, m, chain, out):
             key=lambda occ: (len(groups[occ]) - len(claimed[occ]),
                              bosonrep.occupation_weight(occ, m)))
         for s in groups[best]:
-            seed = bosonrep.complement(s.terms, claimed[best])
+            seed = bosonrep.complement(s, claimed[best])
             if seed:
                 break
         else:
@@ -161,9 +165,8 @@ def _partition_su(pool, m, chain, out):
 
         # raise the seed to a highest-weight state of su(m-1) by its
         # simple raising operators c_{l,l+1}, l < m-1
-        cur = _raise(bosonrep.BosonPolynomial(
-            pool[0].n_sites, pool[0].n_species, seed), m - 1)
-        km1 = cur.weight(m - 1)
+        cur = _raise(seed, m - 1)
+        km1 = bosonrep.occupation_weight(bosonrep.occupations(cur), m - 1)
         if any(x < 0 for x in km1):
             raise InternalInconsistency("raised seed has a negative weight",
                                         weight=list(km1))
@@ -178,14 +181,14 @@ def _partition_su(pool, m, chain, out):
         _partition_su(sub.states, m - 1, chain + (km1,), out)
 
 
-def _fix_phase(h, state):
-    """Flip the sign so greedy simple raising (``_raise``) takes the state
-    to a positive multiple of the highest-weight state ``h``."""
-    overlap = h.raw_inner(_raise(state, state.n_sites))
+def _fix_phase(h, state, n):
+    """Flip the sign so greedy simple raising (``_raise``) of su(n) takes
+    the state to a positive multiple of the highest-weight state ``h``."""
+    overlap = bosonrep.inner(h, _raise(state, n))
     if overlap == 0:
         raise InternalInconsistency(
             "state could not be raised to the highest weight")
-    return state.scaled(-1) if overlap < 0 else state
+    return {mono: -c for mono, c in state.items()} if overlap < 0 else state
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +228,8 @@ class _IrrepTable:
     """Float view of one canonical basis, built once per (n, irrep).
 
     ``indptr``/``mono``/``data`` hold the normalized state coefficients in
-    CSR form (state rows, monomial columns).  ``multiset[:, k]`` is each
+    CSR form (state rows, monomial columns): each state's integer
+    coefficients over its exact bosonic norm.  ``multiset[:, k]`` is each
     monomial's species-k site multiset as a row index into ``sites[k]``,
     whose rows list the occupied sites with repetition.
     """
@@ -241,17 +245,18 @@ class _IrrepTable:
         mono = []
         data = []
         for _, state in basis:
-            for m, c in state.terms.items():
+            norm2 = bosonrep.inner(state, state)
+            for m, c in state.items():
                 mono.append(mono_ids.setdefault(m, len(mono_ids)))
                 # exact square before rounding: no overflow, one rounding
                 data.append(math.copysign(
-                    math.sqrt(Fraction(c) ** 2 / state.scale2), c))
+                    math.sqrt(Fraction(c) ** 2 / norm2), c))
             indptr.append(len(mono))
         self.indptr = np.array(indptr, dtype=np.intp)
         self.mono = np.array(mono, dtype=np.int32)
         self.data = np.array(data, dtype=float)
 
-        n_species = basis[0][1].n_species
+        n_species = len(next(iter(basis[0][1]))[0])
         ids = [{} for _ in range(n_species)]
         multiset = np.empty((len(mono_ids), n_species), dtype=np.int32)
         for m, i in mono_ids.items():

@@ -465,7 +465,7 @@ def test_max_likely_singular():
 def characterize_one(ds, **kwargs):
     """characterize_dataset on a stack of one: its Characterization, or the
     error it raised, raised."""
-    return characterize._unwrap(
+    return characterize.unwrap(
         characterize.characterize_dataset([ds], **kwargs)[0])
 
 

@@ -300,6 +300,7 @@ def _manifest(**changes):
     return apply
 
 
+# (corruption, error code[, file line that details["line"] names])
 MALFORMED_BUNDLES = {
     "omega-not-increasing": (_swap_first_rows("spectra/1.csv"), "ShapeError"),
     "negative-spectrum": (_edit_line("spectra/2.csv", 1, _field(1, "-0.5")),
@@ -307,7 +308,7 @@ MALFORMED_BUNDLES = {
     "spectrum-all-zero": (_zero_values("spectra/2.csv"), "ShapeError"),
     "spectrum-one-row": (_keep_rows("spectra/2.csv", 1), "ShapeError"),
     "counts-i-above-m": (_edit_line("counts.csv", 1, _field(0, "5")),
-                         "ParseError"),
+                         "ParseError", 2),
     "counts-i-zero": (_edit_line("counts.csv", 1, _field(0, "0")),
                       "ParseError"),
     "counts-j-zero": (_edit_line("counts.csv", 1, _field(1, "0")),
@@ -315,28 +316,32 @@ MALFORMED_BUNDLES = {
     "counts-b-above-B": (_edit_line("counts.csv", 1, _field(2, "11")),
                          "ParseError"),
     "counts-i-not-integer": (_edit_line("counts.csv", 1, _field(0, "x")),
-                             "ParseError"),
+                             "ParseError", 2),
     "counts-count-not-numeric": (_edit_line("counts.csv", 1, _field(3, "n/a")),
                                  "ParseError"),
     "counts-negative": (_edit_line("counts.csv", 1, _field(3, "-8129.0")),
                         "ParseError"),
     "counts-nan": (_edit_line("counts.csv", 1, _field(3, "nan")),
-                   "ParseError"),
+                   "ParseError", 2),
     "calibration-count-negative": (
         _edit_line("calibration.csv", 1, _field(5, "-1.0")), "ParseError"),
     "curve-count-infinite": (_edit_line("coincidence/1_2_1_2.csv", 1,
-                                        _field(1, "inf")), "ParseError"),
+                                        _field(1, "inf")), "ParseError", 2),
     "curve-count-negative-mid-column": (
         _edit_line("coincidence/1_2_1_2.csv", 20, _field(1, "-3.0")),
         "ParseError"),
     "counts-short-row": (_edit_line("counts.csv", 1, lambda t: "1,1,1\n"),
                          "ParseError"),
     "calibration-i-above-2": (_edit_line("calibration.csv", 1, _field(1, "3")),
-                              "ParseError"),
+                              "ParseError", 2),
+    "calibration-unknown-record": (
+        _edit_line("calibration.csv", 2, _field(0, "triple")), "ParseError", 3),
     "calibration-b-zero": (_edit_line("calibration.csv", 1, _field(3, "0")),
                            "ParseError"),
     "curve-tau-not-numeric": (_edit_line("coincidence/1_2_1_2.csv", 1,
-                                         _field(0, "soon")), "ParseError"),
+                                         _field(0, "soon")), "ParseError", 2),
+    "spectrum-value-not-numeric": (
+        _edit_line("spectra/2.csv", 3, _field(1, "high")), "ParseError", 4),
     "curve-port-above-m": (_copy("coincidence/1_2_1_2.csv",
                                  "coincidence/1_9_1_2.csv"), "ParseError"),
     "curve-repeated-port": (_copy("coincidence/1_2_1_2.csv",
@@ -361,7 +366,7 @@ def test_characterize_malformed_bundle_exit_1(case, m4_bundle, tmp_path,
                                               capsys):
     bundle = tmp_path / "bundle"
     shutil.copytree(m4_bundle, bundle)
-    corrupt, expected = MALFORMED_BUNDLES[case]
+    corrupt, expected, *line = MALFORMED_BUNDLES[case]
     corrupt(bundle)
     capsys.readouterr()
     out = tmp_path / "result.json"
@@ -369,6 +374,8 @@ def test_characterize_malformed_bundle_exit_1(case, m4_bundle, tmp_path,
     err = strict_json(capsys.readouterr().err)
     assert err["schema"] == "v1"
     assert err["error"] == expected
+    if line:
+        assert err["details"]["line"] == line[0]
     assert not out.exists()
 
 

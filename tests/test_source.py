@@ -51,3 +51,31 @@ def test_every_parameter_is_read():
             found += [f"{path.name}:{node.lineno} {node.name}({p.arg})"
                       for p in params if p.arg not in read]
     assert found == []
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_no_private_names_across_modules():
+    # a leading underscore keeps a name to its own module: no module of
+    # the package imports or reads another one's
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        modules = set()
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ImportFrom) and node.level):
+                continue
+            for alias in node.names:
+                if node.module is None:     # from . import module
+                    modules.add(alias.asname or alias.name)
+                elif _private(alias.name):
+                    found.append(f"{path.name}:{node.lineno} "
+                                 f"{node.module}.{alias.name}")
+        found += [f"{path.name}:{node.lineno} {node.value.id}.{node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in modules and _private(node.attr)]
+    assert found == []

@@ -22,10 +22,11 @@ def special_unitary(m, seed):
 
 
 def gram(basis):
-    """Inner products of the scale2-normalized states."""
-    return np.array([[si.raw_inner(sj)
-                      / math.sqrt(float(si.scale2) * float(sj.scale2))
-                      for _, sj in basis] for _, si in basis])
+    """Inner products of the normalized states."""
+    norm2 = [float(bosonrep.inner(s, s)) for _, s in basis]
+    return np.array([[bosonrep.inner(si, sj) / math.sqrt(ni * nj)
+                      for (_, sj), nj in zip(basis, norm2)]
+                     for (_, si), ni in zip(basis, norm2)])
 
 
 def _dual_irreps(n):
@@ -66,10 +67,10 @@ def test_canonical_states_exactly_orthonormal(n, kap):
     for states in by_occ.values():
         for i, a in enumerate(states):
             for b in states[:i]:
-                assert a.raw_inner(b) == 0
+                assert bosonrep.inner(a, b) == 0
 
 
-# sha256 over (label key, sorted terms, scale2) of every state of the
+# sha256 over (label key, sorted terms, squared norm) of every state of the
 # warm irreps, in WARM_IRREPS order and label order; the states are Python
 # ints, so the digest does not depend on the platform, and the sorted
 # terms make it independent of the order the construction met them in
@@ -81,8 +82,8 @@ def test_warm_irrep_bases_are_pinned():
     digest = hashlib.sha256()
     for n, kap in WARM_IRREPS:
         for label, state in sunrep.canonical_basis_states(n, kap):
-            digest.update(repr((label.key(), sorted(state.terms.items()),
-                                state.scale2)).encode())
+            digest.update(repr((label.key(), sorted(state.items()),
+                                bosonrep.inner(state, state))).encode())
     assert digest.hexdigest() == WARM_BASES_SHA256
 
 
@@ -91,7 +92,8 @@ def test_canonical_labels_unique_and_consistent():
     keys = {label.key() for label, _ in basis}
     assert len(keys) == len(basis)
     for label, state in basis:
-        assert label.occupations == state.occupations()
+        assert {tuple(map(sum, mono)) for mono in state} == {
+            label.occupations}
         assert label.irrep == (2, 2)
         assert len(label.chain_irreps) == 2
 
@@ -106,11 +108,11 @@ def test_zero_weight_multiplicity_adjoint():
 def greedy_raise(state):
     """Apply the first c_{l,l+1} (smallest l) with a nonzero image until
     every one annihilates the state."""
-    n = state.n_sites
+    n = len(next(iter(state)))
     while True:
         for ell in range(1, n):
-            raised = state.apply_c(ell, ell + 1)
-            if not raised.is_zero():
+            raised = bosonrep.apply_c(state, ell, ell + 1)
+            if raised:
                 state = raised
                 break
         else:
@@ -126,17 +128,17 @@ def test_phase_convention_raising_product_positive():
     states = zero = 0
     for n, kap in WARM_IRREPS:
         h = bosonrep.hws(kap, n)
-        nu_h = h.occupations()
+        nu_h = bosonrep.occupations(h)
         for label, state in sunrep.canonical_basis_states(n, kap):
             states += 1
-            assert h.raw_inner(greedy_raise(state)) > 0
+            assert bosonrep.inner(h, greedy_raise(state)) > 0
             cur = state
             nu = label.occupations
             for ell in range(n - 1, 0, -1):
                 p = sum(nu[j] - nu_h[j] for j in range(ell, n))
                 for _ in range(p):
-                    cur = cur.apply_c(ell, ell + 1)
-            overlap = h.raw_inner(cur)
+                    cur = bosonrep.apply_c(cur, ell, ell + 1)
+            overlap = bosonrep.inner(h, cur)
             assert overlap >= 0
             zero += overlap == 0
     assert (states, zero) == (1093, 490)
@@ -343,8 +345,8 @@ def _transform_state(terms, v):
 
 
 def _float_terms(state):
-    s = 1.0 / math.sqrt(float(state.scale2))
-    return {mono: float(c) * s for mono, c in state.terms.items()}
+    s = 1.0 / math.sqrt(float(bosonrep.inner(state, state)))
+    return {mono: float(c) * s for mono, c in state.items()}
 
 
 def _contract(row_terms, transformed):
@@ -480,8 +482,7 @@ def test_permanent_table_size_mismatch_is_zero():
 
 def test_table_rejects_a_species_count_that_varies():
     label = sunrep.CanonicalStateLabel(((1,),), (1, 0))
-    mixed = bosonrep.BosonPolynomial(2, 1, {((1,), (0,)): 1,
-                                            ((1,), (1,)): 1}, scale2=3)
+    mixed = {((1,), (0,)): 1, ((1,), (1,)): 1}
     with pytest.raises(InternalInconsistency):
         sunrep._IrrepTable([(label, mixed)])
 
@@ -563,7 +564,7 @@ def _rational_primitive(terms):
 def _rational_complement(terms, orth):
     r = dict(terms)
     for e, n2 in orth:
-        c = bosonrep._inner(e, r)
+        c = bosonrep.inner(e, r)
         if c:
             factor = Fraction(c) / n2
             for mono, v in e.items():
@@ -573,12 +574,6 @@ def _rational_complement(terms, orth):
                 else:
                     del r[mono]
     return _rational_primitive(r)
-
-
-def _rational_reduce_content(self):
-    return bosonrep.BosonPolynomial(
-        self.n_sites, self.n_species, _rational_primitive(self.terms),
-        self.scale2)
 
 
 def _cold_tables(monkeypatch):
@@ -593,13 +588,12 @@ def test_integer_construction_matches_rational_oracle(monkeypatch):
         integer = _cold_tables(mp)
     with monkeypatch.context() as mp:
         mp.setattr(bosonrep, "complement", _rational_complement)
-        mp.setattr(bosonrep.BosonPolynomial, "reduce_content",
-                   _rational_reduce_content)
+        mp.setattr(bosonrep, "primitive", _rational_primitive)
         rational = _cold_tables(mp)
         # every state below the highest-weight one went through the patches
         assert all(type(c) is Fraction
                    for basis in sunrep._CANONICAL_CACHE.values()
-                   for _, state in basis[1:] for c in state.terms.values())
+                   for _, state in basis[1:] for c in state.values())
     for key in WARM_IRREPS:
         a, b = integer[key], rational[key]
         assert a.labels == b.labels, key
